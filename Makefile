@@ -9,9 +9,9 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
 # Fuzz targets of the correctness harness (DESIGN.md §11); FUZZTIME bounds
 # each target's smoke budget.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest
+FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzDecideMemo:./internal/routing FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest
 
-.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke check bench figures
+.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke check bench bench-pair figures
 
 all: build test
 
@@ -104,6 +104,14 @@ BENCH_NOTES ?=
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS) | tee bench/current.txt
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -baseline $(BENCH_BASELINE) -notes '$(BENCH_NOTES)' -out BENCH_$(BENCH_LABEL).json bench/current.txt
+
+# Paired parent/change runs of one bench/hybridbench workload in this session
+# (merge-base exported to a scratch directory, alternating order, fresh
+# seeds), with the choosing-metrics verdict: make bench-pair W=sim-paper.
+W ?= sim-paper
+PAIRS ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(W) $(PAIRS)
 
 # Full-length regeneration of every figure (about 5 minutes serially; use
 # REPS/PARALLEL to replicate and fan out, e.g. make figures REPS=5).

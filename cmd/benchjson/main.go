@@ -71,14 +71,16 @@ type Summary struct {
 	Benchmarks  []Entry      `json:"benchmarks"`
 }
 
-// benchLine matches e.g.
+// benchLine matches the head of a result line, e.g.
 //
 //	BenchmarkScheduleStep-8   12345678   95.2 ns/op   0 B/op   0 allocs/op
 //
-// The -N GOMAXPROCS suffix is stripped from the key so runs from machines
-// with different core counts still line up against a baseline; its value
-// feeds the host fingerprint instead.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// and captures what follows the iteration count: value/unit pairs in whatever
+// order go test printed them, custom metrics (b.ReportMetric) included. The
+// -N GOMAXPROCS suffix is stripped from the key so runs from machines with
+// different core counts still line up against a baseline; its value feeds
+// the host fingerprint instead.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
@@ -248,16 +250,29 @@ func parseBench(r io.Reader) (map[string]Measurement, []string, hostInfo, error)
 		if err != nil {
 			return nil, nil, host, fmt.Errorf("bad iteration count in %q", line)
 		}
-		ns, err := strconv.ParseFloat(m[4], 64)
-		if err != nil {
-			return nil, nil, host, fmt.Errorf("bad ns/op in %q", line)
+		// Read each pair by its unit: a custom metric such as txns/run
+		// sits between ns/op and B/op, so positions mean nothing.
+		meas := Measurement{Iterations: iters}
+		fields := strings.Fields(m[4])
+		hasNs := false
+		for i := 0; i+1 < len(fields); i += 2 {
+			var dst *float64
+			switch fields[i+1] {
+			case "ns/op":
+				dst, hasNs = &meas.NsPerOp, true
+			case "B/op":
+				dst = &meas.BytesPerOp
+			case "allocs/op":
+				dst = &meas.AllocsPerOp
+			default:
+				continue
+			}
+			if *dst, err = strconv.ParseFloat(fields[i], 64); err != nil {
+				return nil, nil, host, fmt.Errorf("bad %s in %q", fields[i+1], line)
+			}
 		}
-		meas := Measurement{NsPerOp: ns, Iterations: iters}
-		if m[5] != "" {
-			meas.BytesPerOp, _ = strconv.ParseFloat(m[5], 64)
-		}
-		if m[6] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseFloat(m[6], 64)
+		if !hasNs {
+			continue // not a result line (e.g. a benchmark's own log output)
 		}
 		key := m[1]
 		if pkg != "" {

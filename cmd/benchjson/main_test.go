@@ -180,3 +180,28 @@ func TestEmptyInputFails(t *testing.T) {
 		t.Fatal("empty input did not error")
 	}
 }
+
+// TestCustomMetricsBeforeMemoryColumns is the line that recorded
+// `0 B/op, 0 allocs/op` for BenchmarkEngineSequential in BENCH_pr10.json:
+// b.ReportMetric units print between ns/op and the -benchmem columns, so the
+// columns must be found by unit, not by position.
+func TestCustomMetricsBeforeMemoryColumns(t *testing.T) {
+	const input = `pkg: hybriddb/internal/hybrid
+BenchmarkEngineSequential-2   	       3	  16961452 ns/op	      1996 txns/run	    117700 txns/s	 2059394 B/op	   36101 allocs/op
+BenchmarkEngineSequential-2 logged 12 things
+`
+	got, order, host, err := parseBench(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 1 || host.maxprocs != 2 {
+		t.Fatalf("parsed %v at GOMAXPROCS %d, want one benchmark at 2", order, host.maxprocs)
+	}
+	want := Measurement{NsPerOp: 16961452, BytesPerOp: 2059394, AllocsPerOp: 36101, Iterations: 3}
+	if m := got[order[0]]; m != want {
+		t.Errorf("measurement = %+v, want %+v", m, want)
+	}
+	if _, _, _, err := parseBench(strings.NewReader("BenchmarkX 10 5.0 ns/op 1.2.3 B/op\n")); err == nil {
+		t.Error("malformed B/op value accepted")
+	}
+}

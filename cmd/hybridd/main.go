@@ -135,7 +135,8 @@ func run(args []string, out io.Writer) error {
 		// site processes never share decision state. The per-site seed is
 		// derived from the configuration seed; it is deterministic across
 		// restarts of the same site but (unlike the simulator's split RNG
-		// stream) not bit-matched to a simulation run.
+		// stream) not bit-matched to a simulation run. StartSite then takes
+		// the site loop's own instance of a routing.LoopLocal strategy.
 		if sl, ok := strat.(routing.SiteLocal); ok {
 			strat = sl.ForSite(*id, cfg.Seed+uint64(*id)*0x9E3779B97F4A7C15+0x1234)
 		}

@@ -110,7 +110,10 @@ type Site struct {
 // StartSite boots site idx: it listens for load generators on addr and
 // maintains a reconnecting uplink to the central node. The strategy routes
 // this site's class A arrivals; stateful strategies should be forked per
-// site (routing.SiteLocal) by the caller, as the simulator does.
+// site (routing.SiteLocal) by the caller, as the simulator does. A site is
+// one event loop, so it takes its own instance of a routing.LoopLocal
+// strategy, as the simulator does per loop; several sites may therefore be
+// started with one such value.
 func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy routing.Strategy) (*Site, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -120,6 +123,9 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	}
 	if strategy == nil {
 		strategy = routing.AlwaysLocal{}
+	}
+	if ll, ok := strategy.(routing.LoopLocal); ok {
+		strategy = ll.ForLoop()
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

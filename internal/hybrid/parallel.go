@@ -38,6 +38,7 @@ package hybrid
 import (
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
 )
 
@@ -82,6 +83,7 @@ func (e *Engine) setupRunMode() {
 		e.cfg.Feedback != FeedbackIdeal && // ideal feedback reads central state instantaneously
 		e.externalObs == 0 // external observers need the single ordered stream
 	if !e.parallel {
+		e.confineStrategy(nil, 1)
 		return
 	}
 	nShards := e.cfg.Shards
@@ -118,6 +120,7 @@ func (e *Engine) setupRunMode() {
 			d.Rebind(exec.Sim(sims[sh]))
 		}
 	}
+	e.confineStrategy(shardOf, nShards)
 	e.m.setHistGroups(shardOf, nShards)
 	// Two edges per site (uplink, downlink); lookahead = the one-way delay.
 	e.group = sim.NewGroup(sims, 2*len(e.sites), e.cfg.CommDelay)
@@ -126,6 +129,33 @@ func (e *Engine) setupRunMode() {
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
 	e.network = newShardNet(e.group, sims, shardOf, e.cfg.CommDelay)
+}
+
+// confineStrategy gives each event loop its own instance of a
+// routing.LoopLocal strategy and points the loop's sites at it: loop
+// shardOf[i] runs site i's events (loop 0, the only one of a sequential run,
+// when shardOf is nil). The instances are built here and not in New because
+// only Run knows the loops, and construction stays as cheap as without them.
+// A per-site fork (routing.SiteLocal) is confined already.
+func (e *Engine) confineStrategy(shardOf []int, loops int) {
+	if _, forked := e.strategy.(routing.SiteLocal); forked {
+		return
+	}
+	ll, ok := e.strategy.(routing.LoopLocal)
+	if !ok {
+		return
+	}
+	perLoop := make([]routing.Strategy, loops)
+	for i := range e.strategies {
+		loop := 0
+		if shardOf != nil {
+			loop = shardOf[i]
+		}
+		if perLoop[loop] == nil {
+			perLoop[loop] = ll.ForLoop()
+		}
+		e.strategies[i] = perLoop[loop]
+	}
 }
 
 // runSharded drives the Group: the global measurement/sample/check chains

@@ -343,6 +343,14 @@ func clampProb(p float64) float64 {
 // 2(betaC−y)/betaC² (collision probability proportional to locks held); the
 // authentication arrives a further comm delay d after the central
 // transaction finishes. P_f = P(X > Y + d), integrated numerically.
+//
+// The sum stops at the first step whose tail P(X > y+d) is not positive. The
+// tail only falls as y grows (every operation in it rounds monotonically), so
+// each later step would add density·0·h = +0 to a non-negative sum: stopping
+// returns the bits of the full 400-step sum. That holds while every density
+// is finite, which a betaC whose square neither underflows to zero nor
+// overflows guarantees; outside that range (a density of ±Inf or NaN times
+// zero is NaN) the sum runs to the end.
 func raceLossProbability(betaL, betaC, d float64) float64 {
 	if betaL <= 0 {
 		return 0
@@ -353,12 +361,17 @@ func raceLossProbability(betaL, betaC, d float64) float64 {
 	}
 	const steps = 400
 	h := betaC / steps
+	sq := betaC * betaC
+	finiteDensity := sq > 0 && sq <= math.MaxFloat64
 	sum := 0.0
 	for i := 0; i < steps; i++ {
 		y := (float64(i) + 0.5) * h
-		density := 2 * (betaC - y) / (betaC * betaC)
+		density := 2 * (betaC - y) / sq
 		tail := (betaL - y - d) / betaL // P(X > y+d)
-		if tail < 0 {
+		if tail <= 0 {
+			if finiteDensity {
+				break
+			}
 			tail = 0
 		} else if tail > 1 {
 			tail = 1

@@ -57,67 +57,88 @@ func (p Params) cpuFraction(mips float64) float64 {
 // estimated from the number of locks held, e.g. P = n_lock/lockspace").
 //
 // locksLocal is the number of locks held at the arrival site, locksCentral
-// at the central site. Saturated estimates return +Inf components.
+// at the central site. Saturated estimates return +Inf components. The two
+// components are independent: EstimateLocal and EstimateCentral compute one
+// each, for a caller that needs only one or has a RaceMemo.
 func EstimateFromState(p Params, rhoLocal, rhoCentral float64, locksLocal, locksCentral int) StateEstimate {
+	return StateEstimate{
+		RLocal:   EstimateLocal(p, nil, rhoLocal, rhoCentral, locksLocal, locksCentral),
+		RCentral: EstimateCentral(p, nil, rhoLocal, rhoCentral, locksLocal, locksCentral),
+	}
+}
+
+// EstimateLocal is the RLocal half of EstimateFromState: the expected
+// response time of a class A transaction run at its home site. memo may be
+// nil.
+func EstimateLocal(p Params, memo *RaceMemo, rhoLocal, rhoCentral float64, locksLocal, locksCentral int) float64 {
+	if !(rhoLocal < 1) {
+		return math.Inf(1)
+	}
 	nl := float64(p.CallsPerTxn)
-	part := p.PartitionSize()
+	incompat := p.pIncompatible()
+	// Per-request contention probability from the observed lock count; the
+	// cross-site exposure pLC projects the central locks onto this
+	// partition uniformly.
+	pLL := float64(locksLocal) / p.PartitionSize() * incompat
+	pLC := float64(locksCentral) / float64(p.Lockspace) * incompat
+
+	cpu := p.cpuCall(p.LocalMIPS) / (1 - rhoLocal)
+	// Closed form of beta = nl*(cpu + io + pLL*beta/2): the denominator is
+	// the paper's lock-contention expansion factor.
+	denom := 1 - nl*pLL/2
+	if !(denom > 0) {
+		return math.Inf(1)
+	}
+	beta1 := nl * (cpu + p.IOTimePerCall) / denom
+	beta2 := nl * cpu / denom
+	// Abort: exposure of the held locks to central authentication seizures,
+	// weighted by the race-loss probability P_f. With no exposure the
+	// product is zero whatever P_f is, and the integral is skipped.
+	exposure := nl * pLC
+	pf := 0.0
+	if exposure != 0 {
+		betaC := nl * (p.cpuCall(p.CentralMIPS)/(1-math.Min(rhoCentral, 0.999)) + p.IOTimePerCall)
+		pf = memo.lossProbability(beta1, betaC, p.CommDelay)
+	}
+	reruns := geometricReruns(clampProb(exposure * pf))
+	return p.cpuOverhead(p.LocalMIPS)/(1-rhoLocal) + p.SetupIOTime +
+		beta1 + reruns*beta2
+}
+
+// EstimateCentral is the RCentral half of EstimateFromState: the expected
+// response time of a transaction shipped to (or run at) the central site,
+// shipping delays included. memo may be nil.
+func EstimateCentral(p Params, memo *RaceMemo, rhoLocal, rhoCentral float64, locksLocal, locksCentral int) float64 {
+	if !(rhoCentral < 1) {
+		return math.Inf(1)
+	}
+	nl := float64(p.CallsPerTxn)
 	d := p.CommDelay
 	incompat := p.pIncompatible()
-
-	// Per-request contention probabilities from observed lock counts.
-	pLL := float64(locksLocal) / part * incompat
+	// The local locks are all within this partition (pCL).
 	pCC := float64(locksCentral) / float64(p.Lockspace) * incompat
-	// Cross-site exposure: central locks project onto this partition
-	// uniformly; local locks are all within this partition.
-	pLC := float64(locksCentral) / float64(p.Lockspace) * incompat
-	pCL := float64(locksLocal) / part * incompat
+	pCL := float64(locksLocal) / p.PartitionSize() * incompat
 
-	est := StateEstimate{
-		RLocal:   math.Inf(1),
-		RCentral: math.Inf(1),
+	cpu := p.cpuCall(p.CentralMIPS) / (1 - rhoCentral)
+	denom := 1 - nl*pCC/2
+	if !(denom > 0) {
+		return math.Inf(1)
 	}
-
-	// ---- Local execution estimate.
-	if rhoLocal < 1 {
-		cpu := p.cpuCall(p.LocalMIPS) / (1 - rhoLocal)
-		// Closed form of beta = nl*(cpu + io + pLL*beta/2): the
-		// denominator is the paper's lock-contention expansion factor.
-		denom := 1 - nl*pLL/2
-		if denom > 0 {
-			beta1 := nl * (cpu + p.IOTimePerCall) / denom
-			beta2 := nl * cpu / denom
-			// Abort: exposure of the held locks to central
-			// authentication seizures, weighted by the race-loss
-			// probability P_f.
-			betaC := nl * (p.cpuCall(p.CentralMIPS)/(1-math.Min(rhoCentral, 0.999)) + p.IOTimePerCall)
-			pf := raceLossProbability(beta1, betaC, d)
-			paL := clampProb(nl * pLC * pf)
-			reruns := geometricReruns(paL)
-			est.RLocal = p.cpuOverhead(p.LocalMIPS)/(1-rhoLocal) + p.SetupIOTime +
-				beta1 + reruns*beta2
-		}
+	beta1 := nl * (cpu + p.IOTimePerCall) / denom
+	beta2 := nl * cpu / denom
+	// Central aborts: NACKs and invalidations both stem from local holders
+	// committing exclusively; estimated from the observed local lock count,
+	// discounted by the race won by the central transaction. As above, no
+	// exposure means no integral.
+	exposure := nl * pCL * p.PWrite
+	pf := 0.0
+	if exposure != 0 {
+		betaL := nl * (p.cpuCall(p.LocalMIPS)/(1-math.Min(rhoLocal, 0.999)) + p.IOTimePerCall)
+		pf = memo.lossProbability(betaL, beta1, d)
 	}
-
-	// ---- Central (shipped) execution estimate.
-	if rhoCentral < 1 {
-		cpu := p.cpuCall(p.CentralMIPS) / (1 - rhoCentral)
-		denom := 1 - nl*pCC/2
-		if denom > 0 {
-			beta1 := nl * (cpu + p.IOTimePerCall) / denom
-			beta2 := nl * cpu / denom
-			// Central aborts: NACKs and invalidations both stem from
-			// local holders committing exclusively; estimated from the
-			// observed local lock count, discounted by the race won by
-			// the central transaction.
-			betaL := nl * (p.cpuCall(p.LocalMIPS)/(1-math.Min(rhoLocal, 0.999)) + p.IOTimePerCall)
-			pf := raceLossProbability(betaL, beta1, d)
-			paC := clampProb(nl * pCL * p.PWrite * (1 - pf))
-			reruns := geometricReruns(paC)
-			attempt1 := p.cpuOverhead(p.CentralMIPS)/(1-rhoCentral) + p.SetupIOTime +
-				beta1 + 2*d
-			attempt2 := beta2 + 2*d
-			est.RCentral = 2*d + attempt1 + reruns*attempt2
-		}
-	}
-	return est
+	reruns := geometricReruns(clampProb(exposure * (1 - pf)))
+	attempt1 := p.cpuOverhead(p.CentralMIPS)/(1-rhoCentral) + p.SetupIOTime +
+		beta1 + 2*d
+	attempt2 := beta2 + 2*d
+	return 2*d + attempt1 + reruns*attempt2
 }

@@ -232,11 +232,25 @@ func (e Estimator) String() string {
 // the bias against the destination without that artifact. DESIGN.md §4.
 const routedCorrection = 0.5
 
-// caseEstimates evaluates the model for the two candidate routings.
-// Case 1 runs the incoming transaction locally (correction term on the local
-// estimator), case 2 ships it (correction on the central estimator).
-func caseEstimates(p model.Params, e Estimator, st State) (case1, case2 model.StateEstimate) {
-	var rhoL1, rhoC1, rhoL2, rhoC2 float64
+// LoopLocal marks a strategy whose decisions are a pure function of the State
+// but which can decide faster with scratch state that only one goroutine may
+// touch. ForLoop returns an instance for one event loop: it decides exactly
+// as the receiver does, and every site whose events run on that loop may
+// share it. The engine asks for one per event loop at the start of Run (one
+// in a sequential run, one per worker shard in a sharded one), a live site
+// for its own loop. A strategy whose decisions depend on its own history is
+// a SiteLocal instead.
+type LoopLocal interface {
+	Strategy
+	// ForLoop returns an instance confined to one event loop.
+	ForLoop() Strategy
+}
+
+// caseUtilizations returns the utilization estimates of the two candidate
+// routings. Case 1 runs the incoming transaction locally (correction term on
+// the local estimator), case 2 ships it (correction on the central
+// estimator).
+func caseUtilizations(p model.Params, e Estimator, st State) (rhoL1, rhoC1, rhoL2, rhoC2 float64) {
 	switch e {
 	case FromQueueLength:
 		rhoL1 = model.UtilizationFromQueue(st.LocalQueue, routedCorrection)
@@ -251,9 +265,7 @@ func caseEstimates(p model.Params, e Estimator, st State) (case1, case2 model.St
 	default:
 		panic(fmt.Sprintf("routing: unknown estimator %d", e))
 	}
-	case1 = model.EstimateFromState(p, rhoL1, rhoC1, st.LocalLocks, st.CentralLocks)
-	case2 = model.EstimateFromState(p, rhoL2, rhoC2, st.LocalLocks, st.CentralLocks)
-	return case1, case2
+	return rhoL1, rhoC1, rhoL2, rhoC2
 }
 
 // MinIncoming minimizes the estimated response time of the incoming
@@ -268,13 +280,33 @@ type MinIncoming struct {
 func (m MinIncoming) Name() string { return "min-incoming/" + m.Estimator.String() }
 
 // Decide implements Strategy.
-func (m MinIncoming) Decide(st State) Decision {
-	case1, case2 := caseEstimates(m.Params, m.Estimator, st)
-	if case2.RCentral < case1.RLocal {
+func (m MinIncoming) Decide(st State) Decision { return m.decide(nil, st) }
+
+// decide compares the incoming transaction's own estimate under each
+// routing: run locally in case 1, shipped in case 2.
+func (m MinIncoming) decide(memo *model.RaceMemo, st State) Decision {
+	rhoL1, rhoC1, rhoL2, rhoC2 := caseUtilizations(m.Params, m.Estimator, st)
+	local := model.EstimateLocal(m.Params, memo, rhoL1, rhoC1, st.LocalLocks, st.CentralLocks)
+	shipped := model.EstimateCentral(m.Params, memo, rhoL2, rhoC2, st.LocalLocks, st.CentralLocks)
+	if shipped < local {
 		return Ship
 	}
 	return RunLocal
 }
+
+// ForLoop implements LoopLocal.
+func (m MinIncoming) ForLoop() Strategy { return &minIncomingLoop{MinIncoming: m} }
+
+// minIncomingLoop is MinIncoming with one event loop's P_f memo.
+type minIncomingLoop struct {
+	MinIncoming
+	memo model.RaceMemo
+}
+
+func (l *minIncomingLoop) Decide(st State) Decision { return l.decide(&l.memo, st) }
+
+// Stats returns the memo's lookup counts.
+func (l *minIncomingLoop) Stats() model.MemoStats { return l.memo.Stats() }
 
 // MinAverage minimizes the estimated average response time of all
 // transactions currently in the system, not just the incoming one (§3.2.2).
@@ -288,15 +320,36 @@ type MinAverage struct {
 func (m MinAverage) Name() string { return "min-average/" + m.Estimator.String() }
 
 // Decide implements Strategy.
-func (m MinAverage) Decide(st State) Decision {
-	case1, case2 := caseEstimates(m.Params, m.Estimator, st)
+func (m MinAverage) Decide(st State) Decision { return m.decide(nil, st) }
+
+func (m MinAverage) decide(memo *model.RaceMemo, st State) Decision {
+	p := m.Params
+	rhoL1, rhoC1, rhoL2, rhoC2 := caseUtilizations(p, m.Estimator, st)
+	local1 := model.EstimateLocal(p, memo, rhoL1, rhoC1, st.LocalLocks, st.CentralLocks)
+	central1 := model.EstimateCentral(p, memo, rhoL1, rhoC1, st.LocalLocks, st.CentralLocks)
+	local2 := model.EstimateLocal(p, memo, rhoL2, rhoC2, st.LocalLocks, st.CentralLocks)
+	central2 := model.EstimateCentral(p, memo, rhoL2, rhoC2, st.LocalLocks, st.CentralLocks)
 	nL := float64(st.LocalInSystem)
 	nC := float64(st.CentralInSystem)
 	total := nL + nC + 1
-	avg1 := ((nL+1)*case1.RLocal + nC*case1.RCentral) / total
-	avg2 := ((nC+1)*case2.RCentral + nL*case2.RLocal) / total
+	avg1 := ((nL+1)*local1 + nC*central1) / total
+	avg2 := ((nC+1)*central2 + nL*local2) / total
 	if avg2 < avg1 {
 		return Ship
 	}
 	return RunLocal
 }
+
+// ForLoop implements LoopLocal.
+func (m MinAverage) ForLoop() Strategy { return &minAverageLoop{MinAverage: m} }
+
+// minAverageLoop is MinAverage with one event loop's P_f memo.
+type minAverageLoop struct {
+	MinAverage
+	memo model.RaceMemo
+}
+
+func (l *minAverageLoop) Decide(st State) Decision { return l.decide(&l.memo, st) }
+
+// Stats returns the memo's lookup counts.
+func (l *minAverageLoop) Stats() model.MemoStats { return l.memo.Stats() }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"hybriddb/internal/model"
@@ -259,4 +260,204 @@ func TestUnknownEstimatorPanics(t *testing.T) {
 		}
 	}()
 	MinIncoming{Params: params(), Estimator: Estimator(99)}.Decide(State{})
+}
+
+// ---- Loop-local instances (LoopLocal).
+
+// modelStrategies returns every model-based strategy at both estimators,
+// under the paper's parameters and a write-heavy variant.
+func modelStrategies() []LoopLocal {
+	contended := params()
+	contended.PWrite = 0.5
+	var out []LoopLocal
+	for _, p := range []model.Params{params(), contended} {
+		for _, e := range []Estimator{FromQueueLength, FromInSystem} {
+			out = append(out, MinAverage{Params: p, Estimator: e}, MinIncoming{Params: p, Estimator: e})
+		}
+	}
+	return out
+}
+
+// memoStats reads the lookup counts of a loop-local instance.
+func memoStats(t testing.TB, s Strategy) model.MemoStats {
+	t.Helper()
+	st, ok := s.(interface{ Stats() model.MemoStats })
+	if !ok {
+		t.Fatalf("%T has no Stats accessor", s)
+	}
+	return st.Stats()
+}
+
+// randomState draws a decision state over the whole domain a strategy can be
+// handed: idle, saturated, negative counts (defensive clamps), zero locks
+// (the skipped integral) and lock counts past the contention denominator.
+func randomState(rng *rand.Rand, spread int) State {
+	n := func() int {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Intn(5)
+		case 2:
+			return rng.Intn(40 * spread)
+		default:
+			return rng.Intn(6 * spread)
+		}
+	}
+	locks := func() int {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Intn(30)
+		case 2:
+			return rng.Intn(8000)
+		default:
+			return rng.Intn(60 * spread)
+		}
+	}
+	return State{
+		LocalQueue: n(), LocalInSystem: n(), LocalLocks: locks(),
+		CentralQueue: n(), CentralInSystem: n(), CentralLocks: locks(),
+	}
+}
+
+// TestLoopLocalDecidesAsPlainValue is the property the memo rests on: an
+// instance confined to a loop decides exactly as the plain value it was made
+// from, on first sight of a state, on a repeat, and after its table has
+// filled and stopped accepting entries.
+func TestLoopLocalDecidesAsPlainValue(t *testing.T) {
+	for _, plain := range modelStrategies() {
+		loop := plain.ForLoop()
+		if loop.Name() != plain.Name() {
+			t.Errorf("loop instance is named %q, plain value %q", loop.Name(), plain.Name())
+		}
+		rng := rand.New(rand.NewSource(3))
+		var prev State
+		for i := 0; i < 30000; i++ {
+			st := randomState(rng, 1)
+			for _, s := range []State{st, prev} {
+				if got, want := loop.Decide(s), plain.Decide(s); got != want {
+					t.Fatalf("%s: loop instance decided %v, plain value %v on %+v", plain.Name(), got, want, s)
+				}
+			}
+			prev = st
+		}
+		if ms := memoStats(t, loop); ms.Hits == 0 || ms.Misses == 0 {
+			t.Errorf("%s: %d hits, %d misses: the comparison never exercised both paths", plain.Name(), ms.Hits, ms.Misses)
+		}
+	}
+}
+
+// TestLoopLocalDecidesAsPlainValuePastCap drives one instance with states
+// spread widely enough to exhaust the memo's capacity and checks that
+// decisions still match once it has.
+func TestLoopLocalDecidesAsPlainValuePastCap(t *testing.T) {
+	plain := MinAverage{Params: params(), Estimator: FromInSystem}
+	loop := plain.ForLoop()
+	rng := rand.New(rand.NewSource(4))
+	const capEntries = 1 << 15
+	full := 0 // decisions compared after the table filled
+	for i := 0; full < 5000; i++ {
+		if i > 2_000_000 {
+			t.Fatalf("memo never filled: %+v", memoStats(t, loop))
+		}
+		st := randomState(rng, 40)
+		if got, want := loop.Decide(st), plain.Decide(st); got != want {
+			t.Fatalf("loop instance decided %v, plain value %v on %+v (%+v)", got, want, st, memoStats(t, loop))
+		}
+		if memoStats(t, loop).Entries == capEntries {
+			full++
+		}
+	}
+	if ms := memoStats(t, loop); ms.Entries != capEntries {
+		t.Errorf("entries = %d, want the cap %d", ms.Entries, capEntries)
+	}
+}
+
+// FuzzDecideMemo compares the loop-local instances, which keep their memo
+// across inputs, with the plain values on arbitrary states.
+func FuzzDecideMemo(f *testing.F) {
+	f.Add(0, 0, 0, 0, 0, 0)
+	f.Add(3, 5, 12, 2, 9, 40)
+	f.Add(-1, -2, -3, -4, -5, -6)
+	f.Add(1000, 1000, 0, 1000, 1000, 0)
+	f.Add(2, 2, 100000, 2, 2, 100000)
+	plains := modelStrategies()
+	loops := make([]Strategy, len(plains))
+	for i, p := range plains {
+		loops[i] = p.ForLoop()
+	}
+	f.Fuzz(func(t *testing.T, lq, ln, ll, cq, cn, cl int) {
+		st := State{LocalQueue: lq, LocalInSystem: ln, LocalLocks: ll, CentralQueue: cq, CentralInSystem: cn, CentralLocks: cl}
+		for i, plain := range plains {
+			for rep := 0; rep < 2; rep++ {
+				if got, want := loops[i].Decide(st), plain.Decide(st); got != want {
+					t.Fatalf("%s: loop instance decided %v, plain value %v on %+v", plain.Name(), got, want, st)
+				}
+			}
+		}
+	})
+}
+
+// TestLoopLocalWarmDecideAllocatesNothing pins the steady state: once a
+// state's integrals are in the table, deciding on it touches no heap.
+func TestLoopLocalWarmDecideAllocatesNothing(t *testing.T) {
+	st := State{LocalQueue: 2, LocalInSystem: 3, LocalLocks: 14, CentralQueue: 1, CentralInSystem: 12, CentralLocks: 55}
+	for _, plain := range modelStrategies() {
+		loop := plain.ForLoop()
+		loop.Decide(st)
+		if n := testing.AllocsPerRun(100, func() { loop.Decide(st) }); n != 0 {
+			t.Errorf("%s: warm Decide allocates %v times", plain.Name(), n)
+		}
+		if ms := memoStats(t, loop); ms.Misses > 4 || ms.Hits < 100 {
+			t.Errorf("%s: warm decisions were not served from the memo: %+v", plain.Name(), ms)
+		}
+	}
+}
+
+// TestMinIncomingEvaluatesOnlyTheHalvesItCompares pins that min-incoming
+// evaluates two integrals per decision (its own local estimate and its own
+// shipped estimate), min-average all four.
+func TestMinIncomingEvaluatesOnlyTheHalvesItCompares(t *testing.T) {
+	st := State{LocalQueue: 2, LocalInSystem: 3, LocalLocks: 14, CentralQueue: 1, CentralInSystem: 12, CentralLocks: 55}
+	for _, tt := range []struct {
+		s    LoopLocal
+		want uint64
+	}{
+		{MinIncoming{Params: params(), Estimator: FromInSystem}, 2},
+		{MinAverage{Params: params(), Estimator: FromInSystem}, 4},
+	} {
+		loop := tt.s.ForLoop()
+		loop.Decide(st)
+		if ms := memoStats(t, loop); ms.Hits+ms.Misses != tt.want {
+			t.Errorf("%s: %d integrals per decision, want %d", tt.s.Name(), ms.Hits+ms.Misses, tt.want)
+		}
+	}
+}
+
+var decisionSink Decision
+
+// BenchmarkDecideMinAverage prices one min-average/nis decision over a cycle
+// of 64 states, on the plain value (every integral evaluated) and on a
+// loop-local instance (integrals served from its memo once warm).
+func BenchmarkDecideMinAverage(b *testing.B) {
+	states := make([]State, 64)
+	for i := range states {
+		states[i] = State{
+			LocalQueue: i % 4, LocalInSystem: 1 + i%6, LocalLocks: 5 + (i*7)%40,
+			CentralQueue: i % 3, CentralInSystem: 2 + i%15, CentralLocks: 10 + (i*13)%90,
+		}
+	}
+	plain := MinAverage{Params: params(), Estimator: FromInSystem}
+	for _, bc := range []struct {
+		name string
+		s    Strategy
+	}{{"plain", plain}, {"loop", plain.ForLoop()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				decisionSink = bc.s.Decide(states[i%len(states)])
+			}
+		})
+	}
 }
