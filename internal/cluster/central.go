@@ -1,43 +1,25 @@
 package cluster
 
-// The live central computing complex: accepts site uplinks, executes
-// shipped transactions, and runs the commit protocol of §2 — the
-// authenticate/ack-nack phase against the master sites, seized-lock
-// releases, asynchronous update application with invalidation, and the
-// completion replies. The logic is the wall-clock twin of the simulator's
-// centralPath / commitProtocol / propagator layers; every handler runs on
-// the node's exec.Loop.
+// The live central computing complex: accepts site uplinks and hands their
+// protocol messages to a hybrid.CentralNode running on the node's exec.Loop
+// — the same central execution path, commit protocol and update application
+// the simulator runs. This file is the process around the node: listener
+// and site connections, the Hello handshake, and the counters and spans
+// derived from the node's observer bus.
 
 import (
-	"net"
+	"errors"
 	"strconv"
-	"sync"
 
-	"hybriddb/internal/cpu"
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
-	"hybriddb/internal/lock"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
 	"hybriddb/internal/obsx/logx"
 	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/obsx/spans"
-	"hybriddb/internal/workload"
 )
-
-// ctxn is the central-side runtime state of one transaction, the live twin
-// of the simulator's txnRun in its shipped phase.
-type ctxn struct {
-	spec     *workload.Txn
-	attempt  int
-	marked   bool // invalidated by an asynchronous update (§2)
-	traced   bool // span context propagated on the ship frame
-	authOpen bool // an auth span is open in the trace
-
-	authPending int
-	authNACK    bool
-	authSeized  []int
-}
 
 // CentralStats is a loop-consistent snapshot of the central node's state.
 type CentralStats struct {
@@ -56,26 +38,18 @@ type CentralStats struct {
 // Central is the live central node.
 type Central struct {
 	cfg hybrid.Config
-	wl  workload.Config
 
-	loop  *exec.Loop
-	cpu   *cpu.Server
-	disks []*cpu.Server
-	locks *lock.Manager
-
-	inSystem int
-	running  map[lock.ID]*ctxn
-
-	// Partial-replication geometry, the live twin of the simulator
-	// engine's partialRepl / partSize / hotPerPart (see Engine.isCold).
-	partialRepl bool
-	partSize    uint32
-	hotPerPart  uint32
+	loop *exec.Loop
+	node *hybrid.CentralNode
+	link centralLink
 
 	// siteConns is written and read only on the loop.
 	siteConns []*netx.Conn
 
-	stats CentralStats
+	// stats is derived from the node's bus events (OnEvent), on the loop;
+	// authOpen holds the transactions whose auth span is open in the trace.
+	stats    CentralStats
+	authOpen map[int64]struct{}
 
 	log   logx.Logger
 	reg   *metrics.Registry
@@ -84,11 +58,7 @@ type Central struct {
 	fr    *flight.Recorder
 	spans *spans.Recorder
 
-	ln     net.Listener
-	wg     sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[*netx.Conn]struct{}
-	closed bool
+	*acceptor // the listener and its connections; Addr
 }
 
 // StartCentral boots a central node listening on addr ("host:0" picks a
@@ -97,58 +67,34 @@ func StartCentral(cfg hybrid.Config, addr string) (*Central, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	loop := exec.NewLoop()
 	reg := metrics.NewRegistry()
 	c := &Central{
 		cfg:       cfg,
-		wl:        cfg.WorkloadConfig(),
 		loop:      loop,
-		cpu:       cpu.NewServer(loop, cfg.CentralMIPS),
-		disks:     newDisks(loop, cfg.DisksCentral),
-		locks:     lock.NewManager(),
-		running:   make(map[lock.ID]*ctxn),
 		siteConns: make([]*netx.Conn, cfg.Sites),
+		authOpen:  make(map[int64]struct{}),
 		log:       logx.New("central"),
 		reg:       reg,
 		wm:        newWireMetrics(reg),
 		net:       &netx.Stats{},
 		fr:        flight.NewRecorder("central", flightCapacity),
 		spans:     spans.NewRecorder("central complex", spans.CentralPid, 0),
-		ln:        ln,
-		conns:     make(map[*netx.Conn]struct{}),
 	}
-	c.partSize = c.wl.PartitionSize()
-	if cfg.CentralHotFraction < 1 {
-		c.partialRepl = true
-		c.hotPerPart = uint32(cfg.CentralHotFraction * float64(c.partSize))
-	} else {
-		c.hotPerPart = c.partSize
+	c.link = centralLink{send: c.toSite, stray: c.stray}
+	node, err := hybrid.NewCentralNode(cfg, loop, &c.link, c)
+	if err != nil {
+		loop.Stop()
+		return nil, err
 	}
+	c.node, c.link.node = node, node
 	c.registerMetrics()
-	c.wg.Add(1)
-	go c.acceptLoop()
+	if c.acceptor, err = listen(addr, c.net, c.dispatch); err != nil {
+		loop.Stop()
+		return nil, err
+	}
 	return c, nil
 }
-
-// isCold reports whether a lockspace element is outside the central
-// complex's replicated hot fragment — the same per-partition-offset rule the
-// simulator applies, so a live run and a simulated run of one Config agree
-// element for element on which references pay the fetch.
-func (c *Central) isCold(elem uint32) bool {
-	site := elem / c.partSize
-	if int(site) >= c.cfg.Sites {
-		site = uint32(c.cfg.Sites - 1)
-	}
-	return elem-site*c.partSize >= c.hotPerPart
-}
-
-// flightCapacity is each node's flight-recorder ring size: enough recent
-// wire history to reconstruct a stuck handshake or reconnect storm.
-const flightCapacity = 256
 
 // Metrics returns the node's registry, for a debug listener or a test
 // scrape.
@@ -161,8 +107,8 @@ func (c *Central) Flight() *flight.Recorder { return c.fr }
 func (c *Central) Spans() *spans.Recorder { return c.spans }
 
 // registerMetrics wires the registry: transport gauges read directly from
-// atomics, and a scrape hook that mirrors the loop-confined protocol state
-// in one loop-time instant — which is what lets a scrape assert the exact
+// atomics, and a scrape hook that mirrors the event-derived counters and the
+// node's state in one loop-time instant — which is what lets a scrape assert the exact
 // conservation invariant ship_arrived == commits + in_system.
 func (c *Central) registerMetrics() {
 	registerNetStats(c.reg, c.net)
@@ -188,50 +134,19 @@ func (c *Central) registerMetrics() {
 		counterTo(abortNACK, c.stats.AbortsNACK)
 		counterTo(abortInval, c.stats.AbortsInval)
 		counterTo(abortDead, c.stats.AbortsDeadlock)
-		inSystem.Set(float64(c.inSystem))
-		queue.Set(float64(c.cpu.QueueLength()))
-		locksHeld.Set(float64(c.locks.LocksHeld()))
+		inSystem.Set(float64(c.node.InSystem()))
+		queue.Set(float64(c.node.QueueLength()))
+		locksHeld.Set(float64(c.node.LocksHeld()))
 	})
 }
 
-// Addr returns the listener's address, for sites to dial.
-func (c *Central) Addr() string { return c.ln.Addr().String() }
-
-func (c *Central) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		nc, err := c.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		conn := netx.NewConn(nc, netx.Options{Stats: c.net})
-		c.connMu.Lock()
-		if c.closed {
-			c.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		c.conns[conn] = struct{}{}
-		c.connMu.Unlock()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			conn.Serve(c.dispatch)
-			conn.Close()
-			c.connMu.Lock()
-			delete(c.conns, conn)
-			c.connMu.Unlock()
-		}()
-	}
-}
-
 // dispatch decodes one inbound frame on the read goroutine and posts its
-// handler onto the loop — after the emulated link delay for messages that
-// crossed the star network in the model.
+// handler onto the loop — the handshake at once, the three protocol messages
+// (through the link) after the emulated link delay they crossed the star
+// network with in the model.
 func (c *Central) dispatch(conn *netx.Conn, f netx.Frame) {
 	c.wm.In(f.Type)
-	switch f.Type {
-	case netx.MsgHello:
+	if f.Type == netx.MsgHello {
 		h, err := netx.DecodeHello(f.Payload)
 		if err != nil {
 			c.log.Errorf("bad hello from %s: %v", conn.RemoteAddr(), err)
@@ -241,44 +156,21 @@ func (c *Central) dispatch(conn *netx.Conn, f netx.Frame) {
 		}
 		c.fr.Recordf(flight.In, "hello", "site %d t0=%.6f", h.Site, h.T0)
 		c.loop.Post(func() { c.register(h, conn) })
-	case netx.MsgShip:
-		spec, traced, err := netx.DecodeShip(f.Payload)
-		if err != nil {
-			c.log.Errorf("bad ship from %s: %v", conn.RemoteAddr(), err)
-			c.wm.Error("bad-ship")
-			conn.Close()
-			return
-		}
-		c.fr.Recordf(flight.In, "ship", "txn %d", spec.ID)
-		deliver(c.loop, c.cfg.CommDelay, func() { c.onShip(spec, traced) })
-	case netx.MsgAuthReply, netx.MsgUpdate:
-		// Decoded here (the payload aliases the read buffer), handled on
-		// the loop after the link delay.
-		switch f.Type {
-		case netx.MsgAuthReply:
-			a, err := netx.DecodeAuthReply(f.Payload)
-			if err != nil {
-				c.log.Errorf("bad auth-reply: %v", err)
-				c.wm.Error("bad-auth-reply")
-				conn.Close()
-				return
-			}
-			c.fr.Recordf(flight.In, "auth-reply", "txn %d site %d nack=%v", a.Txn, a.Site, a.NACK)
-			deliver(c.loop, c.cfg.CommDelay, func() { c.onAuthReply(a) })
-		case netx.MsgUpdate:
-			u, err := netx.DecodeUpdate(f.Payload)
-			if err != nil {
-				c.log.Errorf("bad update: %v", err)
-				c.wm.Error("bad-update")
-				conn.Close()
-				return
-			}
-			c.fr.Recordf(flight.In, "update", "txn %d site %d (%d elems)", u.Txn, u.Site, len(u.Elements))
-			deliver(c.loop, c.cfg.CommDelay, func() { c.onUpdate(u) })
-		}
-	default:
-		c.log.Errorf("unexpected %s from %s", netx.MsgName(f.Type), conn.RemoteAddr())
+		return
+	}
+	name := netx.MsgName(f.Type)
+	txn, handle, err := c.link.receive(f.Type, f.Payload)
+	switch {
+	case errors.Is(err, errNotProtocol):
+		c.log.Errorf("unexpected %s from %s", name, conn.RemoteAddr())
 		c.wm.Error("unexpected-type")
+	case err != nil:
+		c.log.Errorf("bad %s from %s: %v", name, conn.RemoteAddr(), err)
+		c.wm.Error("bad-" + name)
+		conn.Close()
+	default:
+		c.fr.Recordf(flight.In, name, "txn %d", txn)
+		c.loop.Schedule(c.cfg.CommDelay, handle)
 	}
 }
 
@@ -307,256 +199,83 @@ func (c *Central) register(h netx.Hello, conn *netx.Conn) {
 	c.fr.Recordf(flight.Out, "hello-ack", "site %d", site)
 }
 
-// toSite sends one protocol message down a site's uplink. A missing or dead
-// uplink loses the message, as a real network would; the site's reconnect
-// restores the link.
+// toSite is the link's send function: one protocol message down a site's
+// uplink. A missing or dead uplink loses the message, as a real network
+// would; the site's reconnect restores the link.
 func (c *Central) toSite(site int, msgType byte, payload []byte) {
-	conn := c.siteConns[site]
-	if conn == nil {
-		c.log.Errorf("dropping %s for unregistered site %d", netx.MsgName(msgType), site)
+	name := netx.MsgName(msgType)
+	if site < 0 || site >= len(c.siteConns) || c.siteConns[site] == nil {
+		c.log.Errorf("dropping %s for unregistered site %d", name, site)
 		c.wm.Error("drop-unregistered")
 		return
 	}
-	if err := conn.Send(msgType, 0, payload); err != nil {
-		c.log.Errorf("send %s to site %d: %v", netx.MsgName(msgType), site, err)
+	if err := c.siteConns[site].Send(msgType, 0, payload); err != nil {
+		c.log.Errorf("send %s to site %d: %v", name, site, err)
 		c.wm.Error("send")
 		return
 	}
 	c.wm.Out(msgType)
-	c.fr.Record(flight.Out, netx.MsgName(msgType), "site "+strconv.Itoa(site))
+	c.fr.Record(flight.Out, name, "site "+strconv.Itoa(site))
 }
 
-// snapshot captures the central state for piggybacking, like the
-// simulator's propagator.snapshotCentral.
-func (c *Central) snapshot() netx.Snapshot {
-	return netx.Snapshot{
-		Queue:    int32(c.cpu.QueueLength()),
-		InSystem: int32(c.inSystem),
-		Locks:    int32(c.locks.LocksHeld()),
-	}
+func (c *Central) stray(msgType byte, txn int64) {
+	name := netx.MsgName(msgType)
+	c.log.Errorf("stray %s for txn %d", name, txn)
+	c.wm.Error("stray-" + name)
 }
 
-// ---- Central execution path (twin of centralPath).
-
-func (c *Central) onShip(spec *workload.Txn, traced bool) {
-	c.stats.ShipArrived++
-	t := &ctxn{spec: spec, attempt: 1, traced: traced}
-	if traced {
-		c.spans.Begin(c.loop.Now(), spec.ID, "exec",
-			spans.KV{K: "home", V: strconv.Itoa(spec.HomeSite)})
-	}
-	c.inSystem++
-	c.running[lock.ID(spec.ID)] = t
-	c.cpu.Submit(c.cfg.InstrOverhead, func() {
-		ioDelay(c.loop, c.disks, uint32(spec.ID), c.cfg.SetupIOTime, func() {
-			c.call(t, 0)
-		})
-	})
-}
-
-func (c *Central) call(t *ctxn, i int) {
-	if i >= c.cfg.CallsPerTxn {
-		c.commitBegin(t)
-		return
-	}
-	c.cpu.Submit(c.cfg.InstrPerCall, func() {
-		// Under partial replication a first-execution reference to a cold
-		// element pays the fetch delay before its lock request; re-runs
-		// find the element cached (the twin of centralPath.callBody).
-		if c.partialRepl && t.attempt == 1 && c.isCold(t.spec.Elements[i]) {
-			c.stats.ColdFetches++
-			if c.cfg.ColdFetchDelay > 0 {
-				c.loop.Schedule(c.cfg.ColdFetchDelay, func() { c.lockCall(t, i) })
-				return
-			}
+// OnEvent implements obs.Observer on the node's bus: the central counters
+// and the transaction spans of the central lane are derived from the
+// lifecycle events. It runs on the loop, inside the handler that emitted it.
+func (c *Central) OnEvent(ev obs.Event) {
+	switch ev.Kind {
+	case obs.ShipArrive:
+		c.stats.ShipArrived++
+		c.spans.Begin(ev.At, ev.Txn, "exec", spans.KV{K: "home", V: strconv.Itoa(int(ev.Aux))})
+	case obs.ColdFetch:
+		c.stats.ColdFetches++
+	case obs.AuthRound:
+		c.stats.AuthRounds++
+		c.authOpen[ev.Txn] = struct{}{}
+		c.spans.Begin(ev.At, ev.Txn, "auth", spans.KV{K: "sites", V: strconv.Itoa(int(ev.Value))})
+	case obs.AbortCentralNACK:
+		c.stats.AbortsNACK++
+		c.abortSpan(ev, "nack")
+	case obs.AbortCentralInval:
+		c.stats.AbortsInval++
+		c.abortSpan(ev, "invalidated")
+	case obs.AbortDeadlockCentral:
+		c.stats.AbortsDeadlock++
+		c.abortSpan(ev, "deadlock")
+	case obs.TxnCentralCommit:
+		c.stats.Commits++
+		c.stats.RepliesSent++
+		c.closeAuth(ev, "commit")
+		c.spans.End(ev.At, ev.Txn, spans.KV{K: "attempts", V: strconv.Itoa(int(ev.Aux))})
+		c.spans.Instant(ev.At, ev.Txn, "commit")
+	case obs.UpdateApplied:
+		c.stats.UpdatesApplied++
+		if ev.Txn != 0 { // a flushed batch belongs to no one transaction's lane
+			c.spans.Instant(ev.At, ev.Txn, "update-applied",
+				spans.KV{K: "site", V: strconv.Itoa(int(ev.Aux))},
+				spans.KV{K: "elems", V: strconv.Itoa(int(ev.Value))})
 		}
-		c.lockCall(t, i)
-	})
-}
-
-// lockCall is the lock acquisition of call i, after the CPU burst and any
-// cold-element fetch.
-func (c *Central) lockCall(t *ctxn, i int) {
-	id := lock.ID(t.spec.ID)
-	elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-	if _, held := c.locks.Holds(id, elem); held {
-		// Re-runs retain surviving locks across an abort (§3.1).
-		c.afterLock(t, i)
-		return
-	}
-	switch c.locks.Acquire(id, elem, mode, func() { c.afterLock(t, i) }) {
-	case lock.Granted:
-		c.afterLock(t, i)
-	case lock.Queued:
-		// The grant callback continues the transaction.
-	case lock.Deadlock:
-		c.deadlockAbort(t)
 	}
 }
 
-func (c *Central) afterLock(t *ctxn, i int) {
-	if t.attempt == 1 {
-		ioDelay(c.loop, c.disks, t.spec.Elements[i], c.cfg.IOTimePerCall, func() { c.call(t, i+1) })
-		return
+// closeAuth ends the transaction's auth span, if one is open.
+func (c *Central) closeAuth(ev obs.Event, outcome string) {
+	if _, open := c.authOpen[ev.Txn]; open {
+		delete(c.authOpen, ev.Txn)
+		c.spans.End(ev.At, ev.Txn, spans.KV{K: "outcome", V: outcome})
 	}
-	c.call(t, i+1)
-}
-
-func (c *Central) restart(t *ctxn) {
-	t.marked = false
-	t.attempt++
-	c.loop.Schedule(c.cfg.RestartDelay, func() { c.call(t, 0) })
 }
 
 // abortSpan closes any open auth span and marks the abort on the
 // transaction's trace lane.
-func (c *Central) abortSpan(t *ctxn, cause string) {
-	if !t.traced {
-		return
-	}
-	now := c.loop.Now()
-	if t.authOpen {
-		t.authOpen = false
-		c.spans.End(now, t.spec.ID, spans.KV{K: "outcome", V: "abort"})
-	}
-	c.spans.Instant(now, t.spec.ID, "abort", spans.KV{K: "cause", V: cause})
-}
-
-func (c *Central) deadlockAbort(t *ctxn) {
-	c.stats.AbortsDeadlock++
-	c.abortSpan(t, "deadlock")
-	c.locks.ReleaseAll(lock.ID(t.spec.ID))
-	c.restart(t)
-}
-
-// ---- Commit protocol (twin of commitProtocol).
-
-func (c *Central) commitBegin(t *ctxn) {
-	if t.marked {
-		c.stats.AbortsInval++
-		c.abortSpan(t, "invalidated")
-		c.restart(t)
-		return
-	}
-	sites := t.spec.SitesTouched(c.wl)
-	t.authPending = len(sites)
-	t.authNACK = false
-	t.authSeized = t.authSeized[:0]
-	c.stats.AuthRounds++
-	if t.traced {
-		t.authOpen = true
-		c.spans.Begin(c.loop.Now(), t.spec.ID, "auth",
-			spans.KV{K: "sites", V: strconv.Itoa(len(sites))})
-	}
-	snap := c.snapshot()
-	for _, site := range sites {
-		var elems []uint32
-		var modes []lock.Mode
-		for j, elem := range t.spec.Elements {
-			if c.wl.PartitionOf(elem) == site {
-				elems = append(elems, elem)
-				modes = append(modes, t.spec.Modes[j])
-			}
-		}
-		c.toSite(site, netx.MsgAuthReq, netx.AppendAuthReq(nil, netx.AuthReq{
-			Txn: t.spec.ID, Elements: elems, Modes: modes, Snap: snap, Traced: t.traced,
-		}))
-	}
-}
-
-func (c *Central) onAuthReply(a netx.AuthReply) {
-	t, ok := c.running[lock.ID(a.Txn)]
-	if !ok || t.authPending == 0 {
-		c.log.Errorf("stray auth-reply for txn %d", a.Txn)
-		c.wm.Error("stray-auth-reply")
-		return
-	}
-	if a.NACK {
-		t.authNACK = true
-	} else {
-		t.authSeized = append(t.authSeized, int(a.Site))
-	}
-	t.authPending--
-	if t.authPending > 0 {
-		return
-	}
-	if t.authNACK || t.marked {
-		if t.authNACK {
-			c.stats.AbortsNACK++
-			c.abortSpan(t, "nack")
-		} else {
-			c.stats.AbortsInval++
-			c.abortSpan(t, "invalidated")
-		}
-		c.releaseAuthLocks(t)
-		c.restart(t)
-		return
-	}
-	c.finish(t)
-}
-
-func (c *Central) releaseAuthLocks(t *ctxn) {
-	snap := c.snapshot()
-	for _, site := range t.authSeized {
-		c.toSite(site, netx.MsgRelease, netx.AppendRelease(nil, netx.Release{Txn: t.spec.ID, Snap: snap}))
-	}
-	t.authSeized = t.authSeized[:0]
-}
-
-func (c *Central) finish(t *ctxn) {
-	id := lock.ID(t.spec.ID)
-	snap := c.snapshot()
-	for _, site := range t.authSeized {
-		c.toSite(site, netx.MsgRelease, netx.AppendRelease(nil, netx.Release{Txn: t.spec.ID, Snap: snap}))
-	}
-	t.authSeized = t.authSeized[:0]
-	c.locks.ReleaseAll(id)
-	c.inSystem--
-	delete(c.running, id)
-	c.stats.Commits++
-	c.stats.RepliesSent++
-	if t.traced {
-		now := c.loop.Now()
-		if t.authOpen {
-			t.authOpen = false
-			c.spans.End(now, t.spec.ID, spans.KV{K: "outcome", V: "commit"})
-		}
-		c.spans.End(now, t.spec.ID, spans.KV{K: "attempts", V: strconv.Itoa(t.attempt)})
-		c.spans.Instant(now, t.spec.ID, "commit")
-	}
-	c.toSite(t.spec.HomeSite, netx.MsgReply, netx.AppendReply(nil, netx.Reply{
-		Txn: t.spec.ID, ClassB: t.spec.Class == workload.ClassB, Snap: c.snapshot(), Traced: t.traced,
-	}))
-}
-
-// ---- Asynchronous update application (twin of propagator).
-
-func (c *Central) onUpdate(u netx.Update) {
-	if c.cfg.UpdateProcInstr > 0 {
-		c.cpu.Submit(c.cfg.UpdateProcInstr, func() { c.applyUpdate(u) })
-		return
-	}
-	c.applyUpdate(u)
-}
-
-func (c *Central) applyUpdate(u netx.Update) {
-	for _, elem := range u.Elements {
-		for _, holder := range c.locks.Holders(elem) {
-			if vt, ok := c.running[holder]; ok {
-				vt.marked = true
-			}
-			c.locks.Release(holder, elem)
-		}
-	}
-	c.stats.UpdatesApplied++
-	if u.Traced {
-		c.spans.Instant(c.loop.Now(), u.Txn, "update-applied",
-			spans.KV{K: "site", V: strconv.Itoa(int(u.Site))},
-			spans.KV{K: "elems", V: strconv.Itoa(len(u.Elements))})
-	}
-	c.toSite(int(u.Site), netx.MsgUpdateAck, netx.AppendUpdateAck(nil, netx.UpdateAck{
-		Elements: u.Elements, Snap: c.snapshot(),
-	}))
+func (c *Central) abortSpan(ev obs.Event, cause string) {
+	c.closeAuth(ev, "abort")
+	c.spans.Instant(ev.At, ev.Txn, "abort", spans.KV{K: "cause", V: cause})
 }
 
 // Stats returns a snapshot taken on the loop, so it is consistent with the
@@ -565,7 +284,7 @@ func (c *Central) Stats() CentralStats {
 	ch := make(chan CentralStats, 1)
 	if !c.loop.Post(func() {
 		st := c.stats
-		st.InSystem = c.inSystem
+		st.InSystem = c.node.InSystem()
 		ch <- st
 	}) {
 		return CentralStats{}
@@ -576,23 +295,7 @@ func (c *Central) Stats() CentralStats {
 // Close shuts the node down: stop accepting, drop every connection, stop
 // the loop.
 func (c *Central) Close() error {
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conns := make([]*netx.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	c.connMu.Unlock()
-
-	err := c.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	c.wg.Wait()
+	err := c.acceptor.close()
 	c.loop.Stop()
 	return err
 }

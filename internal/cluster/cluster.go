@@ -4,15 +4,16 @@
 // processes over real TCP (DESIGN.md §13).
 //
 // Each node — a local site or the central complex — owns an exec.Loop, the
-// wall-clock twin of a simulator shard: network receive goroutines decode
-// frames and post handlers onto the loop, which runs them one at a time, so
-// the lock tables, CPU queues, and per-transaction state need no locking,
-// exactly as in the simulation. The substrates are shared with the
-// simulator, not reimplemented: internal/lock for two-phase locking with
-// seizure and coherence counts, internal/cpu for the FCFS processors (whose
-// service completions are real timers here instead of virtual events),
-// internal/routing for the ship-vs-local strategies, and internal/workload
-// for transaction generation.
+// wall-clock counterpart of a simulator shard, and one hybrid.SiteNode or
+// hybrid.CentralNode built on it: the very partition state and lifecycle
+// methods the simulator runs. Network receive goroutines decode frames and
+// post the node's receive handlers onto the loop, which runs them one at a
+// time, so the lock tables, CPU queues, and per-transaction state need no
+// locking, exactly as in the simulation. What this package adds is what a
+// process needs and a simulation does not: listeners and connections, the
+// Hello handshake, the wire encoding of the seven protocol messages
+// (link.go), the load generator's pending table, and the registry, span and
+// flight-recorder plumbing fed by the node's observer bus.
 //
 // The cluster runs in emulation mode: CPU bursts and I/O hold the real
 // timers of their configured durations, and the configured one-way
@@ -25,64 +26,105 @@ package cluster
 
 import (
 	"fmt"
+	"net"
+	"sync"
 
-	"hybriddb/internal/cpu"
-	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
+	"hybriddb/internal/netx"
 )
 
-// validate rejects configurations the live engine cannot honor.
+// validate rejects configurations the live engine cannot honor: the corners
+// only the whole-system simulator can (hybrid.ValidateStandalone — ideal
+// feedback, the global epoch ticker), and arrival-rate schedules, which are
+// the load generator's business here.
 func validate(cfg hybrid.Config) error {
-	if err := cfg.Validate(); err != nil {
+	if err := hybrid.ValidateStandalone(cfg); err != nil {
 		return err
 	}
 	if cfg.RateSchedules != nil {
 		return fmt.Errorf("cluster: rate schedules are a simulator feature; pace the load generator instead")
 	}
-	if cfg.Feedback == hybrid.FeedbackIdeal {
-		return fmt.Errorf("cluster: ideal feedback requires synchronously readable remote state; a live cluster cannot provide it")
-	}
-	if cfg.UpdateBatchWindow > 0 {
-		return fmt.Errorf("cluster: update batching not implemented in the live engine")
-	}
-	if cfg.EpochLength > 0 {
-		return fmt.Errorf("cluster: epoch-batched propagation not implemented in the live engine")
-	}
 	return nil
 }
 
-// ioDelay performs one emulated I/O keyed to elem: a pure timer under the
-// paper's assumption, or an FCFS wait at the disk holding the element when
-// a disk bank is configured — the live twin of the simulator's scheduleIO.
-func ioDelay(loop *exec.Loop, disks []*cpu.Server, elem uint32, seconds float64, done func()) {
-	if len(disks) == 0 {
-		loop.Schedule(seconds, done)
-		return
-	}
-	disks[int(elem)%len(disks)].Submit(seconds*1e6, done)
+// flightCapacity is each node's flight-recorder ring size: enough recent
+// wire history to reconstruct a stuck handshake or reconnect storm.
+const flightCapacity = 256
+
+// acceptor owns a node's listener and the connections it accepted: each is
+// served on its own read goroutine until it fails or the node closes.
+type acceptor struct {
+	ln      net.Listener
+	opts    netx.Options
+	handler netx.Handler
+
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[*netx.Conn]struct{}
+	closed bool
 }
 
-// newDisks builds an emulated disk bank on the node's loop (unit-rate
-// servers, like the simulator's).
-func newDisks(loop *exec.Loop, n int) []*cpu.Server {
-	if n <= 0 {
+func listen(addr string, stats *netx.Stats, handler netx.Handler) (*acceptor, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	a := &acceptor{ln: ln, opts: netx.Options{Stats: stats}, handler: handler, conns: make(map[*netx.Conn]struct{})}
+	a.wg.Add(1)
+	go a.run()
+	return a, nil
+}
+
+func (a *acceptor) run() {
+	defer a.wg.Done()
+	for {
+		nc, err := a.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		conn := netx.NewConn(nc, a.opts)
+		a.mu.Lock()
+		if a.closed {
+			a.mu.Unlock()
+			conn.Close()
+			return
+		}
+		a.conns[conn] = struct{}{}
+		a.mu.Unlock()
+		a.wg.Add(1)
+		go func() {
+			defer a.wg.Done()
+			conn.Serve(a.handler)
+			conn.Close()
+			a.mu.Lock()
+			delete(a.conns, conn)
+			a.mu.Unlock()
+		}()
+	}
+}
+
+// Addr returns the listener's address.
+func (a *acceptor) Addr() string { return a.ln.Addr().String() }
+
+// close stops accepting, drops every connection, and waits for the read
+// goroutines; a second call does nothing.
+func (a *acceptor) close() error {
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
 		return nil
 	}
-	disks := make([]*cpu.Server, n)
-	for i := range disks {
-		disks[i] = cpu.NewServer(loop, 1)
+	a.closed = true
+	conns := make([]*netx.Conn, 0, len(a.conns))
+	for conn := range a.conns {
+		conns = append(conns, conn)
 	}
-	return disks
-}
+	a.mu.Unlock()
 
-// deliver posts fn onto the loop after the configured one-way delay — the
-// receiver-side emulation of the star network's link latency.
-func deliver(loop *exec.Loop, delay float64, fn func()) {
-	loop.Schedule(delay, fn)
+	err := a.ln.Close()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	a.wg.Wait()
+	return err
 }
-
-// snapshotAge converts a received snapshot into the receiver's timebase:
-// it was taken one emulated link delay ago. Keeping the two processes'
-// clocks out of the protocol costs only the (sub-millisecond on loopback)
-// real transport latency.
-func snapshotAge(now, delay float64) float64 { return now - delay }

@@ -1,0 +1,307 @@
+package cluster
+
+// The protocol through the codec, on simulated time: the proof that the
+// seven netx frames carry everything hybrid's receive handlers need. N site
+// nodes and one central node — the constructors StartSite and StartCentral
+// use — run on one simulator, joined by this package's own siteLink /
+// centralLink: every message is netx-encoded on send and netx-decoded on
+// receive, run pointers are resolved from transaction ids, snapshots are
+// stamped now − CommDelay by the receiver, and delivery rides a
+// comm.Network. One recorded trace is replayed through that assembly and
+// through hybrid.New(cfg).Run(); every count and every response-time sum
+// the bus carries must be equal, exactly.
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"hybriddb/internal/comm"
+	"hybriddb/internal/exec"
+	"hybriddb/internal/hybrid"
+	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/rng"
+	"hybriddb/internal/routing"
+	"hybriddb/internal/sim"
+	"hybriddb/internal/workload"
+)
+
+// busTally folds a run's lifecycle events into counts and sums. Float sums
+// accumulate in emission order, which one event queue fixes, so equal event
+// streams give equal bits.
+type busTally struct {
+	Arrivals, ShippedA, ShippedB []uint64 // per site
+	LocalCommits, Replies        []uint64
+	RTLocal, RTReply             []float64
+	AttemptsLocal                float64
+
+	ShipArrive, CentralCommits uint64
+	AttemptsCentral            float64
+	AuthRounds, AuthSitesAsked uint64
+	ColdFetches                uint64
+	Updates, UpdateElems       uint64
+	LockWaits                  uint64
+	LockWaitSum                float64
+	Aborts                     map[string]uint64
+
+	// ViewAgeSum is the one exempt statistic: a receiver-stamped snapshot
+	// instant (now − D) and the sender's own clock differ by an ulp.
+	ViewAgeSum float64
+}
+
+func newBusTally(sites int) *busTally {
+	return &busTally{
+		Arrivals: make([]uint64, sites), ShippedA: make([]uint64, sites), ShippedB: make([]uint64, sites),
+		LocalCommits: make([]uint64, sites), Replies: make([]uint64, sites),
+		RTLocal: make([]float64, sites), RTReply: make([]float64, sites),
+		Aborts: make(map[string]uint64),
+	}
+}
+
+func (b *busTally) OnEvent(ev obs.Event) {
+	switch ev.Kind {
+	case obs.TxnArrive:
+		b.Arrivals[ev.Site]++
+		switch {
+		case ev.ClassB:
+			b.ShippedB[ev.Site]++
+		case ev.Shipped:
+			b.ShippedA[ev.Site]++
+		}
+		b.ViewAgeSum += ev.Value
+	case obs.TxnLocalCommit:
+		b.LocalCommits[ev.Site]++
+		b.RTLocal[ev.Site] += ev.Value
+		b.AttemptsLocal += ev.Aux
+	case obs.TxnReply:
+		b.Replies[ev.Site]++
+		b.RTReply[ev.Site] += ev.Value
+	case obs.ShipArrive:
+		b.ShipArrive++
+	case obs.TxnCentralCommit:
+		b.CentralCommits++
+		b.AttemptsCentral += ev.Aux
+	case obs.AuthRound:
+		b.AuthRounds++
+		b.AuthSitesAsked += uint64(ev.Value)
+	case obs.ColdFetch:
+		b.ColdFetches++
+	case obs.UpdateApplied:
+		b.Updates++
+		b.UpdateElems += uint64(ev.Value)
+	case obs.LockWaitEnd:
+		b.LockWaits++
+		b.LockWaitSum += ev.Value
+	case obs.AbortDeadlockLocal, obs.AbortDeadlockCentral, obs.AbortLocalSeized,
+		obs.AbortCentralNACK, obs.AbortCentralInval:
+		b.Aborts[ev.Kind.String()]++
+	}
+}
+
+// codecCluster is the node assembly: sites and central on one simulator,
+// their links encoding into each other over a comm.Network.
+type codecCluster struct {
+	sim     *sim.Simulator
+	net     *comm.Network
+	sites   []*hybrid.SiteNode
+	central *hybrid.CentralNode
+}
+
+func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strategy, o obs.Observer) *codecCluster {
+	t.Helper()
+	s := sim.New()
+	cc := &codecCluster{sim: s, net: comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)}
+	stray := func(msgType byte, txn int64) { t.Errorf("stray message type %d for txn %d", msgType, txn) }
+
+	siteLinks := make([]*siteLink, cfg.Sites)
+	centralL := &centralLink{stray: stray}
+	// Like a live node: decode where the frame arrives, run the handler one
+	// link delay later on the receiver's executor.
+	centralL.send = func(site int, msgType byte, payload []byte) {
+		_, handle, err := siteLinks[site].receive(msgType, payload)
+		if err != nil {
+			t.Fatalf("site %d cannot decode message type %d: %v", site, msgType, err)
+		}
+		cc.net.ToSite(site, handle)
+	}
+	var err error
+	if cc.central, err = hybrid.NewCentralNode(cfg, exec.Sim(s), centralL, o); err != nil {
+		t.Fatal(err)
+	}
+	centralL.node = cc.central
+	for i := range siteLinks {
+		i := i
+		l := &siteLink{clock: exec.Sim(s), delay: cfg.CommDelay, stray: stray, shipped: make(map[int64]*hybrid.TxnRun)}
+		l.send = func(msgType byte, _ int64, payload []byte) {
+			_, handle, err := centralL.receive(msgType, payload)
+			if err != nil {
+				t.Fatalf("central cannot decode message type %d from site %d: %v", msgType, i, err)
+			}
+			cc.net.ToCentral(i, handle)
+		}
+		node, err := hybrid.NewSiteNode(cfg, i, exec.Sim(s), strategies[i], l, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.node = node
+		siteLinks[i] = l
+		cc.sites = append(cc.sites, node)
+	}
+	return cc
+}
+
+// replay feeds the trace the way Engine.SetTrace does — per site, each gap
+// relative to that site's previous arrival — and runs to the horizon.
+func (cc *codecCluster) replay(txns []*workload.Txn, gaps []float64, horizon float64) {
+	byTxns := make([][]*workload.Txn, len(cc.sites))
+	byGaps := make([][]float64, len(cc.sites))
+	for i, txn := range txns {
+		byTxns[txn.HomeSite] = append(byTxns[txn.HomeSite], txn)
+		byGaps[txn.HomeSite] = append(byGaps[txn.HomeSite], gaps[i])
+	}
+	var next func(site, idx int)
+	next = func(site, idx int) {
+		if idx >= len(byTxns[site]) || cc.sim.Now()+byGaps[site][idx] > horizon {
+			return
+		}
+		cc.sim.Schedule(byGaps[site][idx], func() {
+			cc.sites[site].Admit(byTxns[site][idx])
+			next(site, idx+1)
+		})
+	}
+	for site := range cc.sites {
+		next(site, 0)
+	}
+	cc.sim.RunUntil(horizon)
+}
+
+func codecConfig() hybrid.Config {
+	cfg := hybrid.DefaultConfig()
+	cfg.Sites = 4
+	cfg.Lockspace = 2000 // 500 elements a partition: real conflicts
+	cfg.PWrite = 0.6
+	cfg.PLocal = 0.7
+	cfg.ArrivalRatePerSite = 1.6
+	cfg.CommDelay = 0.05
+	cfg.RestartDelay = 0.0031
+	cfg.Feedback = hybrid.FeedbackAllMessages
+	cfg.Seed = 11
+	cfg.Warmup = 10
+	cfg.Duration = 240
+	return cfg
+}
+
+func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
+	// Each case names the strategy the engine is given and the instances the
+	// nodes are given; they must be the same decision streams. A stateless
+	// value is shared. For routing.Static the engine forks one instance per
+	// site from its seed tree — the third Split of rng.New(cfg.Seed), one
+	// Uint64 per site in index order — and the nodes get forks seeded the
+	// same way.
+	shared := func(s routing.Strategy) func(hybrid.Config) []routing.Strategy {
+		return func(cfg hybrid.Config) []routing.Strategy {
+			out := make([]routing.Strategy, cfg.Sites)
+			for i := range out {
+				out[i] = s
+			}
+			return out
+		}
+	}
+	static := routing.NewStatic(0.5, 7)
+	staticForks := func(cfg hybrid.Config) []routing.Strategy {
+		root := rng.New(cfg.Seed)
+		root.Split()
+		root.Split()
+		seeds := root.Split()
+		forks := make([]routing.Strategy, cfg.Sites)
+		for i := range forks {
+			forks[i] = static.ForSite(i, seeds.Uint64())
+		}
+		return forks
+	}
+	threshold := routing.QueueThreshold{Theta: 0.2}
+	for _, tc := range []struct {
+		name     string
+		strategy routing.Strategy
+		forNodes func(hybrid.Config) []routing.Strategy
+		tune     func(*hybrid.Config)
+		check    func(t *testing.T, b *busTally)
+	}{
+		{"queue-threshold", threshold, shared(threshold), nil, contended},
+		{"static", static, staticForks, nil, contended},
+		{"batched-partial-replication", threshold, shared(threshold), func(cfg *hybrid.Config) {
+			cfg.UpdateBatchWindow = 0.35
+			cfg.UpdateProcInstr = 20_000
+			cfg.CentralHotFraction = 0.5
+			cfg.ColdFetchDelay = 0.0137
+			cfg.SkewTheta = 0.5
+			cfg.DisksCentral = 6
+		}, func(t *testing.T, b *busTally) {
+			if b.ColdFetches == 0 {
+				t.Error("no cold fetches under partial replication")
+			}
+			var commits uint64
+			for _, n := range b.LocalCommits {
+				commits += n
+			}
+			if b.Updates == 0 || b.Updates >= commits {
+				t.Errorf("%d update messages for %d local commits: the batch window batched nothing", b.Updates, commits)
+			}
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := codecConfig()
+			if tc.tune != nil {
+				tc.tune(&cfg)
+			}
+			var buf bytes.Buffer
+			if err := workload.Capture(&buf, cfg.WorkloadConfig(), 5, cfg.ArrivalRatePerSite, 1600); err != nil {
+				t.Fatal(err)
+			}
+			txns, gaps, err := workload.ReadAll(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			want := newBusTally(cfg.Sites)
+			e, err := hybrid.New(cfg, tc.strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SetTrace(txns, gaps); err != nil {
+				t.Fatal(err)
+			}
+			e.Subscribe(want)
+			res := e.Run()
+
+			got := newBusTally(cfg.Sites)
+			cc := newCodecCluster(t, cfg, tc.forNodes(cfg), got)
+			cc.replay(txns, gaps, cfg.Warmup+cfg.Duration)
+
+			if msgs := cc.net.MessagesSent(); msgs != res.MessagesSent {
+				t.Errorf("codec run sent %d messages, the engine %d", msgs, res.MessagesSent)
+			}
+			t.Logf("%d messages, %d local commits at site 0, %d central commits, aborts %v, view-age sums %v vs %v",
+				res.MessagesSent, want.LocalCommits[0], want.CentralCommits, want.Aborts, got.ViewAgeSum, want.ViewAgeSum)
+			got.ViewAgeSum, want.ViewAgeSum = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("the protocol through the codec diverged from the engine\ncodec:  %+v\nengine: %+v", *got, *want)
+			}
+			if want.CentralCommits == 0 || want.LocalCommits[0] == 0 {
+				t.Errorf("vacuous: %d central commits, %d local commits at site 0", want.CentralCommits, want.LocalCommits[0])
+			}
+			tc.check(t, want)
+		})
+	}
+}
+
+// contended requires the run to have exercised the protocol's hard corners:
+// seizures, NACKs and invalidations.
+func contended(t *testing.T, b *busTally) {
+	for _, k := range []obs.Kind{obs.AbortLocalSeized, obs.AbortCentralNACK, obs.AbortCentralInval} {
+		if b.Aborts[k.String()] == 0 {
+			t.Errorf("no %s in the run: the configuration is too gentle to prove anything", k)
+		}
+	}
+}

@@ -198,6 +198,45 @@ func TestClusterColdFetches(t *testing.T) {
 	}
 }
 
+// TestClusterUpdateBatching drives the live cluster with a batch window: the
+// sites buffer committed updates and flush one Update frame per window — the
+// simulator's propagate/buffer code, on wall-clock timers. Conservation must
+// hold, and the uplinks must carry fewer Update frames than local commits
+// that had something to propagate.
+func TestClusterUpdateBatching(t *testing.T) {
+	cfg := smokeConfig(2)
+	cfg.Warmup = 0.2
+	cfg.Duration = 1.2
+	cfg.ArrivalRatePerSite = 40
+	cfg.PWrite = 0.5 // nearly every local commit has updates
+	cfg.UpdateBatchWindow = 0.1
+	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: 1})
+	defer teardown()
+
+	res, err := RunLoad(context.Background(), addrs, cfg, LoadOptions{
+		Warmup: cfg.Warmup, Duration: cfg.Duration, Ramp: 0.1, Threads: 2,
+	})
+	if err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	if res.Errors != 0 || res.LocalA == 0 {
+		t.Fatalf("%d errors, %d local class A completions", res.Errors, res.LocalA)
+	}
+	var commits, updates float64
+	siteSnaps := make([]map[string]float64, len(sites))
+	for i, s := range sites {
+		siteSnaps[i] = s.Metrics().Snapshot()
+		commits += siteSnaps[i]["site_completed_local_total"]
+		updates += siteSnaps[i][`wire_msgs_out_total{type="update"}`]
+	}
+	centralSnap := central.Metrics().Snapshot()
+	assertConservation(t, centralSnap, siteSnaps)
+	t.Logf("%v local commits, %v update frames, %v applied at central", commits, updates, centralSnap["central_updates_applied_total"])
+	if updates == 0 || updates >= commits/2 {
+		t.Errorf("%v update frames for %v local commits: the batch window batched nothing", updates, commits)
+	}
+}
+
 // testWriter adapts t.Logf for flight-recorder dumps on test failure.
 type testWriter struct{ t *testing.T }
 
@@ -286,16 +325,21 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Error("ideal feedback accepted by StartCentral")
 	}
 	bad = smokeConfig(2)
-	bad.UpdateBatchWindow = 0.05
-	if _, err := StartCentral(bad, "127.0.0.1:0"); err == nil {
-		t.Error("update batching accepted by StartCentral")
-	}
-	bad = smokeConfig(2)
 	bad.EpochLength = 0.5
 	if _, err := StartCentral(bad, "127.0.0.1:0"); err == nil {
 		t.Error("epoch-batched propagation accepted by StartCentral")
 	}
+	if _, err := StartSite(bad, 0, "127.0.0.1:1", "127.0.0.1:0", nil); err == nil {
+		t.Error("epoch-batched propagation accepted by StartSite")
+	}
+	// Update batching is site-local and shared with the simulator: accepted.
 	cfg := smokeConfig(2)
+	cfg.UpdateBatchWindow = 0.05
+	c, err := StartCentral(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("update batching rejected by StartCentral: %v", err)
+	}
+	c.Close()
 	if _, err := StartSite(cfg, 5, "127.0.0.1:1", "127.0.0.1:0", nil); err == nil {
 		t.Error("out-of-range site index accepted")
 	}

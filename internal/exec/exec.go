@@ -80,9 +80,6 @@ func NewDispatch(s Scheduler) Dispatch {
 	return Dispatch{s: s}
 }
 
-// Scheduler returns the wrapped seam interface.
-func (d Dispatch) Scheduler() Scheduler { return d.s }
-
 // Now reads the executor's clock.
 func (d Dispatch) Now() float64 {
 	if d.sim != nil {

@@ -13,129 +13,116 @@ import (
 	"hybriddb/internal/workload"
 )
 
-// centralPath runs transactions at the central computing complex.
-type centralPath struct{ e *Engine }
-
-// ship sends a transaction's input to the central site. It executes on the
-// home shard; the delivery closure executes on the central shard, where
-// ownership of t has transferred with the message.
-func (p centralPath) ship(t *txnRun) {
-	e := p.e
+// ship sends a transaction's input to the central site. It executes at the
+// home site; ownership of t transfers with the message.
+func (s *SiteNode) ship(t *TxnRun) {
 	t.shipped = true
-	home := t.spec.HomeSite
-	ls := e.sites[home]
 	if t.spec.Class == workload.ClassA {
-		ls.shippedOut++
+		s.shippedOut++
 	}
-	ls.shipStarted++
-	e.network.ToCentral(home, func() {
-		e.central.shipArrived++
-		p.start(t)
-	})
+	s.shipStarted++
+	s.env.up.Ship(s.idx, t)
 }
 
-func (p centralPath) start(t *txnRun) {
-	e := p.e
-	e.central.inSystem++
-	e.central.running.Put(t.id(), t)
-	e.central.cpu.Submit(e.cfg.InstrOverhead, t.conts.setup)
+// OnShip receives a shipped transaction's input — the Ship message — and
+// admits it to the central complex.
+func (c *CentralNode) OnShip(t *TxnRun) {
+	c.shipArrived++
+	t.central = c
+	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.ShipArrive, Txn: t.spec.ID, Site: -1, Aux: float64(t.spec.HomeSite)})
+	c.inSystem++
+	c.running.Put(t.id(), t)
+	c.cpu.Submit(c.env.cfg.InstrOverhead, t.conts.setup)
 }
 
 // setupIO runs after the admission CPU burst: the initial I/O, no locks held.
-func (p centralPath) setupIO(t *txnRun) {
-	e := p.e
-	scheduleIO(e.central.sched, e.central.disks, uint32(t.spec.ID), e.cfg.SetupIOTime, t.conts.setupIO)
+func (c *CentralNode) setupIO(t *TxnRun) {
+	scheduleIO(c.sched, c.disks, uint32(t.spec.ID), c.env.cfg.SetupIOTime, t.conts.setupIO)
 }
 
-func (p centralPath) call(t *txnRun, i int) {
-	e := p.e
-	if i >= e.cfg.CallsPerTxn {
-		e.commit.begin(t)
+func (c *CentralNode) call(t *TxnRun, i int) {
+	if i >= c.env.cfg.CallsPerTxn {
+		c.begin(t)
 		return
 	}
 	t.callIdx = i
-	e.central.cpu.Submit(e.cfg.InstrPerCall, t.conts.call)
+	c.cpu.Submit(c.env.cfg.InstrPerCall, t.conts.call)
 }
 
 // callBody is call callIdx's work after its CPU burst. Under partial
 // replication a first-execution reference to a cold element pays the fetch
 // delay before its lock request (re-runs find the element cached, mirroring
 // the first-run-only data I/O); then lockBody requests the lock.
-func (p centralPath) callBody(t *txnRun) {
-	e := p.e
-	if e.partialRepl && t.attempt == 1 && e.isCold(t.spec.Elements[t.callIdx]) {
-		e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.ColdFetch, Site: -1, Value: e.cfg.ColdFetchDelay})
-		if e.cfg.ColdFetchDelay > 0 {
-			e.central.sched.Schedule(e.cfg.ColdFetchDelay, t.conts.fetched)
+func (c *CentralNode) callBody(t *TxnRun) {
+	env := c.env
+	if env.partialRepl && t.attempt == 1 && env.isCold(t.spec.Elements[t.callIdx]) {
+		env.observeAt(c.sched.Now(), obs.Event{Kind: obs.ColdFetch, Txn: t.spec.ID, Site: -1, Value: env.cfg.ColdFetchDelay})
+		if env.cfg.ColdFetchDelay > 0 {
+			c.sched.Schedule(env.cfg.ColdFetchDelay, t.conts.fetched)
 			return
 		}
 		// A zero-delay fetch proceeds inline: scheduling a 0-delay event
 		// would reorder same-time events relative to the full-replication
 		// engine for no modelled reason.
 	}
-	p.lockBody(t)
+	c.lockBody(t)
 }
 
 // lockBody is the lock acquisition of call callIdx.
-func (p centralPath) lockBody(t *txnRun) {
-	e := p.e
+func (c *CentralNode) lockBody(t *TxnRun) {
 	i := t.callIdx
 	elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-	if _, held := e.central.locks.Holds(t.id(), elem); held {
-		p.afterLock(t, i)
+	if _, held := c.locks.Holds(t.id(), elem); held {
+		c.afterLock(t, i)
 		return
 	}
-	e.emit(trace.LockRequest, t.spec.ID, -1, elem, mode.String())
-	switch e.central.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
+	c.emit(trace.LockRequest, t.spec.ID, -1, elem, mode.String())
+	switch c.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		e.emit(trace.LockGranted, t.spec.ID, -1, elem, "")
-		p.afterLock(t, i)
+		c.emit(trace.LockGranted, t.spec.ID, -1, elem, "")
+		c.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
-		t.lockWaitFrom = e.central.sched.Now()
-		e.emit(trace.LockWaitBegin, t.spec.ID, -1, elem, "")
+		t.lockWaitFrom = c.sched.Now()
+		c.emit(trace.LockWaitBegin, t.spec.ID, -1, elem, "")
 	case lock.Deadlock:
-		e.emit(trace.DeadlockAbort, t.spec.ID, -1, elem, "")
-		p.deadlockAbort(t)
+		c.emit(trace.DeadlockAbort, t.spec.ID, -1, elem, "")
+		c.deadlockAbort(t)
 	}
 }
 
 // granted resumes call callIdx after a queued lock request was granted.
-func (p centralPath) granted(t *txnRun) {
-	e := p.e
-	e.recordLockWait(t)
-	e.emit(trace.LockGranted, t.spec.ID, -1, t.spec.Elements[t.callIdx], "")
-	p.afterLock(t, t.callIdx)
+func (c *CentralNode) granted(t *TxnRun) {
+	c.env.recordLockWait(t, c.sched, -1)
+	c.emit(trace.LockGranted, t.spec.ID, -1, t.spec.Elements[t.callIdx], "")
+	c.afterLock(t, t.callIdx)
 }
 
-func (p centralPath) afterLock(t *txnRun, i int) {
-	e := p.e
+func (c *CentralNode) afterLock(t *TxnRun, i int) {
 	if t.attempt == 1 {
-		scheduleIO(e.central.sched, e.central.disks, t.spec.Elements[i], e.cfg.IOTimePerCall, t.conts.io)
+		scheduleIO(c.sched, c.disks, t.spec.Elements[i], c.env.cfg.IOTimePerCall, t.conts.io)
 		return
 	}
-	p.call(t, i+1)
+	c.call(t, i+1)
 }
 
 // restart re-runs an aborted central transaction at the central site,
 // retaining its surviving central locks (§3.1).
-func (p centralPath) restart(t *txnRun) {
-	e := p.e
+func (c *CentralNode) restart(t *TxnRun) {
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if e.Detailed() {
-		e.emit(trace.Rerun, t.spec.ID, -1, 0, fmt.Sprintf("attempt %d", t.attempt))
+	if c.env.detailed() {
+		c.emit(trace.Rerun, t.spec.ID, -1, 0, fmt.Sprintf("attempt %d", t.attempt))
 	}
-	e.central.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	c.sched.Schedule(c.env.cfg.RestartDelay, t.conts.restart)
 }
 
-func (p centralPath) deadlockAbort(t *txnRun) {
-	e := p.e
-	e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Site: -1})
-	e.central.locks.ReleaseAll(t.id())
+func (c *CentralNode) deadlockAbort(t *TxnRun) {
+	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Txn: t.spec.ID, Site: -1})
+	c.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	e.central.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	c.sched.Schedule(c.env.cfg.RestartDelay, t.conts.restart)
 }

@@ -4,69 +4,64 @@ import (
 	"fmt"
 
 	"hybriddb/internal/comm"
-	"hybriddb/internal/cpu"
 	"hybriddb/internal/exec"
-	"hybriddb/internal/flatmap"
 	"hybriddb/internal/hybrid/obs"
-	"hybriddb/internal/lock"
 	"hybriddb/internal/rng"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
-// Engine wires the substrates into the full hybrid system simulation. The
-// logic lives in four layers, each in its own file:
+// Engine wires the substrates into the full hybrid system simulation: N
+// SiteNodes and one CentralNode on simulator event queues, joined by the
+// simulator's wire. The logic lives in layers, each in its own file:
 //
-//   - site layer (site.go): localSite/centralSite state, view snapshots, and
-//     disk/CPU server construction;
-//   - transaction lifecycle layer (local_path.go, central_path.go,
-//     commit.go): the txnRun phase machine and the cross-site
+//   - node layer (node.go): SiteNode/CentralNode state, admission and
+//     routing, view snapshots, and disk/CPU server construction;
+//   - transaction lifecycle layer (txn.go, local_path.go, central_path.go,
+//     commit.go): the TxnRun phase machine and the cross-site
 //     authenticate/ack/nack commit protocol;
 //   - propagation layer (propagate.go): asynchronous update application and
 //     the piggybacked central-state feedback routingState consumes;
+//   - transport seam (seam.go, wire_sim.go): the seven typed messages and
+//     their delivery closures over the simulated star network;
 //   - observer bus (obs package, wired here): metrics, tracing, queue
-//     sampling, and invariant self-checks subscribe to engine events.
+//     sampling, and invariant self-checks subscribe to node events.
 //
-// Engine itself only constructs, wires, and drives the run loop — which is
-// either the single-queue sequential loop (the bit-exact oracle) or the
-// sharded conservative-parallel loop (parallel.go), selected at Run time.
+// Engine itself only constructs, wires, generates arrivals, and drives the
+// run loop — which is either the single-queue sequential loop (the bit-exact
+// oracle) or the sharded conservative-parallel loop (parallel.go), selected
+// at Run time.
 type Engine struct {
-	cfg      Config
+	// env is what the engine's nodes share — configuration, observer bus,
+	// and the two directions of wire. Every observation flows through the
+	// bus; tracing and self-checking subscribe on demand.
+	env      nodeEnv
 	strategy routing.Strategy
-	// strategies holds the per-site decision instances: stateful strategies
-	// (routing.SiteLocal) are forked one per site so each site's decision
-	// stream is a pure function of that site's arrivals; stateless ones are
-	// shared. Both run modes use the same instances, which is what makes
-	// their decision streams bit-identical.
-	strategies []routing.Strategy
 
 	simulator *sim.Simulator // the sequential event queue (shard 0's in a sharded run)
-	network   Transport
+	// wire is the simulator's Transport: typed sends as delivery closures
+	// over comm.Network, or over shardNet in a sharded run.
+	wire      simWire
 	generator *workload.Generator
 	arrivals  []*workload.Arrivals
 	nhpp      []*workload.NHPPArrivals // non-nil when RateSchedules is set
 
-	sites   []*localSite
-	central *centralSite
+	// The partitions. Stateful strategies (routing.SiteLocal) are forked one
+	// per site so each site's decision stream is a pure function of that
+	// site's arrivals; stateless ones are shared. Both run modes use the same
+	// instances, which is what makes their decision streams bit-identical.
+	sites   []*SiteNode
+	central *CentralNode
 
 	// Sharded-run state (parallel.go); group is nil in a sequential run.
 	group    *sim.Group
 	parallel bool
 
-	// Lifecycle and propagation layers (stateless handles on the engine).
-	local  localPath
-	remote centralPath
-	commit commitProtocol
-	prop   propagator
-
-	// Instrumentation: every observation flows through the bus. The metrics
-	// observer is always subscribed (it produces the Result); tracing and
-	// self-checking subscribe on demand. externalObs counts observers from
-	// outside the engine — their presence forces the sequential loop, since
-	// only a single event queue produces one globally ordered event stream.
-	bus         obs.Bus
+	// m is the metrics observer, always subscribed: it produces the Result.
+	// externalObs counts observers from outside the engine — their presence
+	// forces the sequential loop, since only a single event queue produces
+	// one globally ordered event stream.
 	m           *metrics
 	externalObs int
 
@@ -74,13 +69,6 @@ type Engine struct {
 	// grouped by home site and replaces the Poisson generator.
 	replayTxns [][]*workload.Txn
 	replayGaps [][]float64
-
-	// Partial-replication precompute (Config.CentralHotFraction < 1): a
-	// partition element at offset >= hotPerPart is cold — not centrally
-	// resident — and a central-path call on it pays ColdFetchDelay.
-	partialRepl bool
-	hotPerPart  uint32
-	partSize    uint32
 
 	horizon float64
 }
@@ -96,61 +84,41 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 	s := sim.New()
 	root := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:       cfg,
 		strategy:  strategy,
 		simulator: s,
 		generator: workload.NewGenerator(cfg.WorkloadConfig(), root.Split().Uint64()),
 		m:         newMetrics(cfg.SeriesBucket, cfg.Sites),
-		central: &centralSite{
-			sched:   exec.NewDispatch(exec.Sim(s)),
-			cpu:     cpu.NewServer(exec.Sim(s), cfg.CentralMIPS),
-			disks:   newDisks(exec.Sim(s), cfg.DisksCentral),
-			locks:   lock.NewManager(),
-			running: flatmap.New[lock.ID, *txnRun](16),
-		},
-		horizon: cfg.Warmup + cfg.Duration,
+		central:   &CentralNode{},
+		horizon:   cfg.Warmup + cfg.Duration,
 	}
-	e.partSize = cfg.WorkloadConfig().PartitionSize()
-	if cfg.CentralHotFraction < 1 {
-		e.partialRepl = true
-		e.hotPerPart = uint32(cfg.CentralHotFraction * float64(e.partSize))
-	} else {
-		e.hotPerPart = e.partSize
-	}
-	e.network = comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)
-	e.local = localPath{e}
-	e.remote = centralPath{e}
-	e.commit = commitProtocol{e}
-	e.prop = propagator{e}
-	e.bus.Subscribe(e.m)
+	e.env.init(cfg)
+	e.env.poolSpecs = true
+	e.env.up, e.env.down = &e.wire, &e.wire
+	e.central.init(&e.env, exec.Sim(s))
+	e.wire.net = comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)
+	e.env.bus.Subscribe(e.m)
 	if cfg.SelfCheck {
-		e.bus.Subscribe(invariantObserver{e})
+		e.env.bus.Subscribe(invariantObserver{e})
 	}
 	arrivalSeeds := root.Split()
 	for i := 0; i < cfg.Sites; i++ {
-		e.sites = append(e.sites, &localSite{
-			idx:     i,
-			sched:   exec.NewDispatch(exec.Sim(s)),
-			cpu:     cpu.NewServer(exec.Sim(s), cfg.LocalMIPS),
-			disks:   newDisks(exec.Sim(s), cfg.DisksPerSite),
-			locks:   lock.NewManager(),
-			running: flatmap.New[lock.ID, *txnRun](16),
-		})
+		site := &SiteNode{strategy: strategy}
+		site.init(&e.env, i, exec.Sim(s))
+		if cfg.Feedback == FeedbackIdeal {
+			site.ideal = e.central
+		}
+		e.sites = append(e.sites, site)
 		if cfg.RateSchedules != nil {
 			e.nhpp = append(e.nhpp, workload.NewNHPPArrivals(cfg.RateSchedules[i], arrivalSeeds.Uint64()))
 		} else {
 			e.arrivals = append(e.arrivals, workload.NewArrivals(cfg.SiteRate(i), arrivalSeeds.Uint64()))
 		}
 	}
-	e.strategies = make([]routing.Strategy, cfg.Sites)
+	e.wire.sites, e.wire.central = e.sites, e.central
 	if sl, ok := strategy.(routing.SiteLocal); ok {
 		stratSeeds := root.Split()
-		for i := range e.strategies {
-			e.strategies[i] = sl.ForSite(i, stratSeeds.Uint64())
-		}
-	} else {
-		for i := range e.strategies {
-			e.strategies[i] = strategy
+		for i, site := range e.sites {
+			site.strategy = sl.ForSite(i, stratSeeds.Uint64())
 		}
 	}
 	return e, nil
@@ -162,45 +130,8 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 // only a single event queue delivers one globally ordered event stream.
 func (e *Engine) Subscribe(o obs.Observer) {
 	e.externalObs++
-	e.bus.Subscribe(o)
+	e.env.bus.Subscribe(o)
 }
-
-// SetTracer subscribes a protocol-event tracer on the bus. Call before Run;
-// a nil tracer is ignored, and with no tracer subscribed the engine never
-// materializes trace events. Like Subscribe, a tracer forces the sequential
-// loop.
-func (e *Engine) SetTracer(t trace.Tracer) {
-	if t == nil {
-		return
-	}
-	e.externalObs++
-	e.bus.Subscribe(obs.NewTracer(t))
-}
-
-// observeAt emits a lifecycle event stamped with the given simulated time —
-// the clock of whichever shard (or the single queue) the emitting event is
-// executing on.
-func (e *Engine) observeAt(at float64, ev obs.Event) {
-	ev.At = at
-	e.bus.Emit(ev)
-}
-
-// emit records a protocol-detail event. The HasDetail guard keeps the hot
-// loop free of event (and note string) construction when tracing is off;
-// callers with expensive notes should check Detailed themselves. Detail
-// observers imply a sequential run, so the single queue's clock is correct.
-func (e *Engine) emit(kind trace.Kind, txn int64, site int, elem uint32, note string) {
-	if !e.bus.HasDetail() {
-		return
-	}
-	e.bus.EmitDetail(obs.Event{
-		At: e.simulator.Now(), Kind: obs.TraceDetail,
-		Trace: kind, Txn: txn, Site: site, Elem: elem, Note: note,
-	})
-}
-
-// Detailed reports whether a detail (trace) observer is subscribed.
-func (e *Engine) Detailed() bool { return e.bus.HasDetail() }
 
 // SetTrace replaces the synthetic workload with a recorded transaction
 // stream (see workload.Capture/ReadAll): gaps[i] is the interarrival time of
@@ -211,14 +142,14 @@ func (e *Engine) SetTrace(txns []*workload.Txn, gaps []float64) error {
 	if len(txns) != len(gaps) {
 		return fmt.Errorf("hybrid: %d transactions but %d gaps", len(txns), len(gaps))
 	}
-	byTxns := make([][]*workload.Txn, e.cfg.Sites)
-	byGaps := make([][]float64, e.cfg.Sites)
+	byTxns := make([][]*workload.Txn, e.env.cfg.Sites)
+	byGaps := make([][]float64, e.env.cfg.Sites)
 	seen := make(map[int64]struct{}, len(txns))
 	for i, t := range txns {
 		if t == nil {
 			return fmt.Errorf("hybrid: nil transaction at index %d", i)
 		}
-		if t.HomeSite < 0 || t.HomeSite >= e.cfg.Sites {
+		if t.HomeSite < 0 || t.HomeSite >= e.env.cfg.Sites {
 			return fmt.Errorf("hybrid: transaction %d home site %d out of range", t.ID, t.HomeSite)
 		}
 		if gaps[i] < 0 {
@@ -233,6 +164,7 @@ func (e *Engine) SetTrace(txns []*workload.Txn, gaps []float64) error {
 	}
 	e.replayTxns = byTxns
 	e.replayGaps = byGaps
+	e.env.poolSpecs = false // replayed specs belong to the caller
 	return nil
 }
 
@@ -256,18 +188,18 @@ func (e *Engine) Run() Result {
 	if e.parallel {
 		e.runSharded()
 	} else {
-		e.simulator.Schedule(e.cfg.Warmup, e.startMeasurement)
-		if e.cfg.SelfCheck {
+		e.simulator.Schedule(e.env.cfg.Warmup, e.startMeasurement)
+		if e.env.cfg.SelfCheck {
 			e.scheduleSelfCheck()
 		}
 		e.scheduleQueueSample()
-		if e.cfg.EpochLength > 0 {
+		if e.env.cfg.EpochLength > 0 {
 			e.scheduleEpochFlush()
 		}
 		e.simulator.RunUntil(e.horizon)
 	}
-	if e.cfg.SelfCheck {
-		e.observeAt(e.horizon, obs.Event{Kind: obs.SelfCheck})
+	if e.env.cfg.SelfCheck {
+		e.env.observeAt(e.horizon, obs.Event{Kind: obs.SelfCheck})
 	}
 	return e.result()
 }
@@ -291,7 +223,7 @@ func (e *Engine) scheduleArrival(site int) {
 				ls.specFree[n-1] = nil
 				ls.specFree = ls.specFree[:n-1]
 			}
-			e.admit(e.generator.NextInto(site, spec))
+			ls.Admit(e.generator.NextInto(site, spec))
 			e.scheduleArrival(site)
 		}
 	}
@@ -308,7 +240,7 @@ func (e *Engine) scheduleReplay(site, idx int) {
 		return
 	}
 	ls.sched.Schedule(gap, func() {
-		e.admit(e.replayTxns[site][idx])
+		ls.Admit(e.replayTxns[site][idx])
 		e.scheduleReplay(site, idx+1)
 	})
 }
@@ -324,7 +256,7 @@ func (e *Engine) startMeasurement() {
 		ls.busyAtWarmup = ls.cpu.BusyTime()
 	}
 	e.central.busyAtWarmup = e.central.cpu.BusyTime()
-	e.observeAt(e.cfg.Warmup, obs.Event{Kind: obs.MeasureStart})
+	e.env.observeAt(e.env.cfg.Warmup, obs.Event{Kind: obs.MeasureStart})
 }
 
 // sampleQueues is the 1 Hz queue-length observation shared by both run
@@ -335,7 +267,7 @@ func (e *Engine) sampleQueues(at float64) {
 	for _, ls := range e.sites {
 		total += ls.cpu.QueueLength()
 	}
-	e.observeAt(at, obs.Event{
+	e.env.observeAt(at, obs.Event{
 		Kind:  obs.QueueSample,
 		Value: float64(e.central.cpu.QueueLength()),
 		Aux:   float64(total) / float64(len(e.sites)),
@@ -364,12 +296,12 @@ func (e *Engine) scheduleQueueSample() {
 // chain, so a boundary coinciding with a sample instant flushes after the
 // sample in both run modes.
 func (e *Engine) scheduleEpochFlush() {
-	epoch := e.cfg.EpochLength
+	epoch := e.env.cfg.EpochLength
 	if e.simulator.Now()+epoch > e.horizon {
 		return
 	}
 	e.simulator.Schedule(epoch, func() {
-		e.prop.flushEpoch()
+		e.flushEpoch()
 		e.scheduleEpochFlush()
 	})
 }
@@ -380,39 +312,17 @@ func (e *Engine) scheduleSelfCheck() {
 		return
 	}
 	e.simulator.Schedule(interval, func() {
-		e.observeAt(e.simulator.Now(), obs.Event{Kind: obs.SelfCheck})
+		e.env.observeAt(e.simulator.Now(), obs.Event{Kind: obs.SelfCheck})
 		e.scheduleSelfCheck()
 	})
 }
 
-// admit processes one arriving transaction, whatever its source: class B
-// ships unconditionally, class A consults the routing strategy. It executes
-// on the home site's shard.
-func (e *Engine) admit(spec *workload.Txn) {
-	site := spec.HomeSite
-	ls := e.sites[site]
-	ls.generated++
-	t := e.newTxnRun(ls, spec)
-	if e.Detailed() {
-		e.emit(trace.Arrive, spec.ID, site, 0, "class "+spec.Class.String())
+// flushEpoch drains every site's pending epoch batch onto its uplink, in
+// ascending site index.
+func (e *Engine) flushEpoch() {
+	for _, ls := range e.sites {
+		ls.flushPendingUpdates()
 	}
-
-	if spec.Class == workload.ClassB {
-		e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, ClassB: true, Shipped: true, Site: site})
-		e.emit(trace.RouteShip, spec.ID, site, 0, "class B")
-		e.remote.ship(t)
-		return
-	}
-	st := e.routingState(site)
-	shipped := e.strategies[site].Decide(st) == routing.Ship
-	e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, Shipped: shipped, Value: st.ViewAge, Site: site})
-	if shipped {
-		e.emit(trace.RouteShip, spec.ID, site, 0, "")
-		e.remote.ship(t)
-		return
-	}
-	e.emit(trace.RouteLocal, spec.ID, site, 0, "")
-	e.local.start(t)
 }
 
 // generatedTotal sums the per-site admission counters.
@@ -441,18 +351,6 @@ func (e *Engine) inFlightShipTotal() uint64 {
 		sent += ls.shipStarted
 	}
 	return sent - e.central.shipArrived
-}
-
-// isCold reports whether a lockspace element is outside the central
-// complex's replicated hot fragment. Offsets are taken within the element's
-// partition; the remainder elements of an uneven split (attached to the last
-// site) sit past its partition size and are always cold.
-func (e *Engine) isCold(elem uint32) bool {
-	site := elem / e.partSize
-	if int(site) >= e.cfg.Sites {
-		site = uint32(e.cfg.Sites - 1)
-	}
-	return elem-site*e.partSize >= e.hotPerPart
 }
 
 // inFlightReplyTotal counts completion replies still travelling to their

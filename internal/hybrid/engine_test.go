@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/trace"
@@ -391,7 +392,7 @@ func TestTracerObservesProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := trace.NewCounter()
-	e.SetTracer(counter)
+	e.Subscribe(obs.NewTracer(counter))
 	r := e.Run()
 	if counter.Total() == 0 {
 		t.Fatal("tracer saw nothing")
@@ -421,7 +422,7 @@ func TestTracerRingFollowsOneTxn(t *testing.T) {
 	}
 	ring := trace.NewRing(256)
 	ring.FilterTxn(3)
-	e.SetTracer(ring)
+	e.Subscribe(obs.NewTracer(ring))
 	e.Run()
 	events := ring.Events()
 	if len(events) == 0 {

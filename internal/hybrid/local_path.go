@@ -12,151 +12,133 @@ import (
 	"hybriddb/internal/trace"
 )
 
-// localPath runs class A transactions at their home site.
-type localPath struct{ e *Engine }
-
 // start admits a transaction to its home site: transaction initiation +
 // message handling CPU, then the initial I/O (no locks held during either,
 // §3.1).
-func (p localPath) start(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
-	ls.inSystem++
-	ls.running.Put(t.id(), t)
-	ls.cpu.Submit(e.cfg.InstrOverhead, t.conts.setup)
+func (s *SiteNode) start(t *TxnRun) {
+	s.inSystem++
+	s.running.Put(t.id(), t)
+	s.cpu.Submit(s.env.cfg.InstrOverhead, t.conts.setup)
 }
 
 // setupIO runs after the admission CPU burst: the initial I/O, no locks held.
-func (p localPath) setupIO(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
-	scheduleIO(ls.sched, ls.disks, uint32(t.spec.ID), e.cfg.SetupIOTime, t.conts.setupIO)
+func (s *SiteNode) setupIO(t *TxnRun) {
+	scheduleIO(s.sched, s.disks, uint32(t.spec.ID), s.env.cfg.SetupIOTime, t.conts.setupIO)
 }
 
 // call performs database call i of a locally running transaction: CPU burst,
 // then lock acquisition, then (first run only) the I/O.
-func (p localPath) call(t *txnRun, i int) {
-	e := p.e
-	if i >= e.cfg.CallsPerTxn {
-		p.commit(t)
+func (s *SiteNode) call(t *TxnRun, i int) {
+	if i >= s.env.cfg.CallsPerTxn {
+		s.commit(t)
 		return
 	}
 	t.callIdx = i
-	e.sites[t.spec.HomeSite].cpu.Submit(e.cfg.InstrPerCall, t.conts.call)
+	s.cpu.Submit(s.env.cfg.InstrPerCall, t.conts.call)
 }
 
 // callBody is call callIdx's work after its CPU burst: the lock acquisition.
-func (p localPath) callBody(t *txnRun) {
-	e := p.e
+func (s *SiteNode) callBody(t *TxnRun) {
 	i := t.callIdx
-	ls := e.sites[t.spec.HomeSite]
 	elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-	if _, held := ls.locks.Holds(t.id(), elem); held {
+	if _, held := s.locks.Holds(t.id(), elem); held {
 		// Re-run retains locks across a cross-site abort (§3.1).
-		p.afterLock(t, i)
+		s.afterLock(t, i)
 		return
 	}
-	e.emit(trace.LockRequest, t.spec.ID, ls.idx, elem, mode.String())
-	switch ls.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
+	s.emit(trace.LockRequest, t.spec.ID, elem, mode.String())
+	switch s.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		e.emit(trace.LockGranted, t.spec.ID, ls.idx, elem, "")
-		p.afterLock(t, i)
+		s.emit(trace.LockGranted, t.spec.ID, elem, "")
+		s.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
-		t.lockWaitFrom = ls.sched.Now()
-		e.emit(trace.LockWaitBegin, t.spec.ID, ls.idx, elem, "")
+		t.lockWaitFrom = s.sched.Now()
+		s.emit(trace.LockWaitBegin, t.spec.ID, elem, "")
 	case lock.Deadlock:
-		e.emit(trace.DeadlockAbort, t.spec.ID, ls.idx, elem, "")
-		p.deadlockAbort(t)
+		s.emit(trace.DeadlockAbort, t.spec.ID, elem, "")
+		s.deadlockAbort(t)
 	}
 }
 
 // granted resumes call callIdx after a queued lock request was granted.
-func (p localPath) granted(t *txnRun) {
-	e := p.e
-	e.recordLockWait(t)
-	e.emit(trace.LockGranted, t.spec.ID, e.sites[t.spec.HomeSite].idx, t.spec.Elements[t.callIdx], "")
-	p.afterLock(t, t.callIdx)
+func (s *SiteNode) granted(t *TxnRun) {
+	s.env.recordLockWait(t, s.sched, s.idx)
+	s.emit(trace.LockGranted, t.spec.ID, t.spec.Elements[t.callIdx], "")
+	s.afterLock(t, t.callIdx)
 }
 
-func (p localPath) afterLock(t *txnRun, i int) {
-	e := p.e
+func (s *SiteNode) afterLock(t *TxnRun, i int) {
 	if t.attempt == 1 {
 		// First run: fetch the data from disk. Re-runs find all data in
 		// memory (§3.1). conts.io advances to call callIdx+1.
-		ls := e.sites[t.spec.HomeSite]
-		scheduleIO(ls.sched, ls.disks, t.spec.Elements[i], e.cfg.IOTimePerCall, t.conts.io)
+		scheduleIO(s.sched, s.disks, t.spec.Elements[i], s.env.cfg.IOTimePerCall, t.conts.io)
 		return
 	}
-	p.call(t, i+1)
+	s.call(t, i+1)
 }
 
 // commit is the commit point of a locally running class A transaction (§2):
 // abort if marked; otherwise release locks, raise coherence counts on
 // updated elements, and propagate the updates asynchronously — completing
 // without waiting for the central acknowledgement.
-func (p localPath) commit(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
+func (s *SiteNode) commit(t *TxnRun) {
 	if t.marked {
-		e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Site: ls.idx})
-		e.emit(trace.CrossAbortLocal, t.spec.ID, t.spec.HomeSite, 0, "seized by central commit")
-		p.restart(t)
+		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Txn: t.spec.ID, Site: s.idx})
+		s.emit(trace.CrossAbortLocal, t.spec.ID, 0, "seized by central commit")
+		s.restart(t)
 		return
 	}
 	// The update set rides the asynchronous update message, so it cannot be
 	// scratch: propagate takes ownership, and the buffer returns to the
 	// site's pool with the central acknowledgement.
-	updates := t.spec.AppendUpdates(ls.takeUpdBuf())
+	updates := t.spec.AppendUpdates(s.takeUpdBuf())
 	for _, elem := range t.spec.Elements {
-		ls.locks.Release(t.id(), elem)
+		s.locks.Release(t.id(), elem)
 	}
 	for _, elem := range updates {
-		ls.locks.IncrCoherence(elem)
+		s.locks.IncrCoherence(elem)
 	}
 	if len(updates) > 0 {
-		if e.Detailed() {
-			e.emit(trace.UpdatePropagated, t.spec.ID, ls.idx, 0, fmt.Sprintf("%d elements", len(updates)))
+		if s.env.detailed() {
+			s.emit(trace.UpdatePropagated, t.spec.ID, 0, fmt.Sprintf("%d elements", len(updates)))
 		}
-		e.prop.propagate(ls, updates)
+		s.propagate(t.spec.ID, updates)
 	} else if updates != nil {
-		ls.updFree = append(ls.updFree, updates)
+		s.updFree = append(s.updFree, updates)
 	}
-	e.emit(trace.CommitLocal, t.spec.ID, t.spec.HomeSite, 0, "")
+	s.emit(trace.CommitLocal, t.spec.ID, 0, "")
 
-	now := ls.sched.Now()
+	now := s.sched.Now()
 	rt := now - t.arrivedAt
 	t.phase = phaseDone
-	ls.lastLocalRT = rt
-	ls.inSystem--
-	ls.running.Delete(t.id())
-	ls.completed++
-	e.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Site: ls.idx, Value: rt})
-	e.recycleTxnRun(t)
+	s.lastLocalRT = rt
+	s.inSystem--
+	s.running.Delete(t.id())
+	s.completed++
+	s.env.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Txn: t.spec.ID, Site: s.idx, Value: rt, Aux: float64(t.attempt)})
+	s.recycle(t)
 }
 
 // restart re-runs a cross-site-aborted local transaction. Locks other than
 // the seized ones are retained (§3.1); data is in memory.
-func (p localPath) restart(t *txnRun) {
-	e := p.e
+func (s *SiteNode) restart(t *TxnRun) {
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if e.Detailed() {
-		e.emit(trace.Rerun, t.spec.ID, t.spec.HomeSite, 0, fmt.Sprintf("attempt %d", t.attempt))
+	if s.env.detailed() {
+		s.emit(trace.Rerun, t.spec.ID, 0, fmt.Sprintf("attempt %d", t.attempt))
 	}
-	e.sites[t.spec.HomeSite].sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	s.sched.Schedule(s.env.cfg.RestartDelay, t.conts.restart)
 }
 
 // deadlockAbort handles a same-site deadlock: the requester aborts and
 // releases all locks (§4.1), then re-runs.
-func (p localPath) deadlockAbort(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
-	e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Site: ls.idx})
-	ls.locks.ReleaseAll(t.id())
+func (s *SiteNode) deadlockAbort(t *TxnRun) {
+	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Txn: t.spec.ID, Site: s.idx})
+	s.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	ls.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	s.sched.Schedule(s.env.cfg.RestartDelay, t.conts.restart)
 }

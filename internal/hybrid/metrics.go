@@ -374,7 +374,7 @@ func (e *Engine) result() Result {
 		MeanLocalQueue:        agg.localQueue.Mean(),
 		MeanViewAge:           agg.viewAge.Mean(),
 		AuthRounds:            agg.authRounds,
-		MessagesSent:          e.network.MessagesSent(),
+		MessagesSent:          e.wire.net.MessagesSent(),
 		Generated:             e.generatedTotal(),
 		Completed:             e.completedTotal(),
 		InFlightShip:          e.inFlightShipTotal(),
@@ -424,7 +424,7 @@ func (e *Engine) result() Result {
 		}
 		r.RTSeries = append(r.RTSeries, b)
 	}
-	if e.cfg.CaptureHistograms {
+	if e.env.cfg.CaptureHistograms {
 		r.Histograms = &ResultHistograms{
 			All:      aggH.rtHist.Dump(),
 			LocalA:   aggH.histLocalA.Dump(),

@@ -1,0 +1,429 @@
+package hybrid
+
+// The node layer: the two partition types the protocol runs on — SiteNode,
+// one distributed system, and CentralNode, the central computing complex —
+// with their runtime state, server construction, admission and routing, and
+// the strategy's view of them. A node is one partition + its share of the
+// lifecycle + an observer bus, built on any exec.Scheduler: the Engine wires
+// N+1 of them onto simulator queues through simWire, internal/cluster puts
+// one on a wall-clock exec.Loop behind a TCP wire. The lifecycle methods
+// live in local_path.go, central_path.go, commit.go and propagate.go.
+
+import (
+	"fmt"
+
+	"hybriddb/internal/cpu"
+	"hybriddb/internal/exec"
+	"hybriddb/internal/flatmap"
+	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/lock"
+	"hybriddb/internal/routing"
+	"hybriddb/internal/trace"
+	"hybriddb/internal/workload"
+)
+
+// nodeEnv is what the partitions of one system share: configuration, the
+// observer bus, and the two directions of the star network. The Engine
+// embeds one by value for all of its nodes; a standalone node owns its own.
+type nodeEnv struct {
+	cfg  Config
+	bus  obs.Bus
+	up   Uplink
+	down Downlink
+
+	// Partial-replication precompute (Config.CentralHotFraction < 1): a
+	// partition element at offset >= hotPerPart is cold — not centrally
+	// resident — and a central-path call on it pays ColdFetchDelay.
+	partialRepl bool
+	hotPerPart  uint32
+	partSize    uint32
+
+	// poolSpecs says completed transactions' specs are the engine's own
+	// (generator-produced, recycled through NextInto); replayed and
+	// submitted specs belong to their caller and are left alone.
+	poolSpecs bool
+}
+
+func (env *nodeEnv) init(cfg Config) {
+	env.cfg = cfg
+	env.partSize = cfg.WorkloadConfig().PartitionSize()
+	if cfg.CentralHotFraction < 1 {
+		env.partialRepl = true
+		env.hotPerPart = uint32(cfg.CentralHotFraction * float64(env.partSize))
+	} else {
+		env.hotPerPart = env.partSize
+	}
+}
+
+// observeAt emits a lifecycle event stamped with the given time — the clock
+// of whichever partition the emitting handler is executing on.
+func (env *nodeEnv) observeAt(at float64, ev obs.Event) {
+	ev.At = at
+	env.bus.Emit(ev)
+}
+
+// detailed reports whether a detail (trace) observer is subscribed; callers
+// with expensive notes check it before rendering them.
+func (env *nodeEnv) detailed() bool { return env.bus.HasDetail() }
+
+func (env *nodeEnv) emitDetail(at float64, kind trace.Kind, txn int64, site int, elem uint32, note string) {
+	env.bus.EmitDetail(obs.Event{
+		At: at, Kind: obs.TraceDetail,
+		Trace: kind, Txn: txn, Site: site, Elem: elem, Note: note,
+	})
+}
+
+// isCold reports whether a lockspace element is outside the central
+// complex's replicated hot fragment. Offsets are taken within the element's
+// partition; the remainder elements of an uneven split (attached to the last
+// site) sit past its partition size and are always cold.
+func (env *nodeEnv) isCold(elem uint32) bool {
+	site := elem / env.partSize
+	if int(site) >= env.cfg.Sites {
+		site = uint32(env.cfg.Sites - 1)
+	}
+	return elem-site*env.partSize >= env.hotPerPart
+}
+
+// ValidateStandalone reports whether cfg can run on standalone nodes (the
+// live cluster): a valid Config minus the corners only the whole-system
+// Engine can honor — a node on its own executor has no peer state to read
+// synchronously and no global epoch ticker.
+func ValidateStandalone(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Feedback == FeedbackIdeal {
+		return fmt.Errorf("hybrid: ideal feedback requires synchronously readable central state; a standalone node cannot provide it")
+	}
+	if cfg.EpochLength > 0 {
+		return fmt.Errorf("hybrid: epoch-batched propagation is flushed by the engine's global ticker; a standalone node has none")
+	}
+	return nil
+}
+
+// SiteNode is one distributed system. Every field below is owned by the
+// site's executor: lifecycle events touching this site execute on it, and
+// cross-tier interactions arrive as messages. In a sharded run that executor
+// is the site's shard worker; the sequential engine uses the same ownership
+// discipline with a single queue, a live site with its event loop.
+type SiteNode struct {
+	env   *nodeEnv
+	idx   int
+	sched exec.Dispatch // the executor this site's events run on
+	cpu   *cpu.Server
+	disks []*cpu.Server // empty: pure-delay I/O (the paper's assumption)
+	locks *lock.Manager
+
+	// strategy routes this site's class A arrivals: a per-site fork of a
+	// routing.SiteLocal, the event loop's instance of a routing.LoopLocal,
+	// or the shared stateless value.
+	strategy routing.Strategy
+	// ideal is the central node a FeedbackIdeal site reads synchronously —
+	// set by the Engine only, and only in that mode.
+	ideal *CentralNode
+
+	inSystem int                            // n_i: class A transactions present
+	running  *flatmap.Map[lock.ID, *TxnRun] // transactions executing here
+
+	shippedOut int // class A transactions currently shipped from here
+
+	// Stale view of the central state, refreshed per the Feedback mode.
+	view Snapshot
+
+	lastLocalRT   float64
+	lastShippedRT float64
+
+	// Batched asynchronous updates awaiting the next flush
+	// (Config.UpdateBatchWindow or Config.EpochLength > 0).
+	pendingUpdates []uint32
+	flushPending   bool
+
+	busyAtWarmup float64
+
+	// txnFree recycles TxnRun objects across this site's transactions. The
+	// pool is per site (not per engine) so a sharded run never contends on
+	// it: a run is taken at its home site and returns there — after a trip
+	// through the central complex, ownership travels back with the reply.
+	txnFree []*TxnRun
+
+	// specFree recycles workload.Txn specs the same way (generator runs only,
+	// never replayed or submitted ones — those specs belong to the caller).
+	// A spec is reused only after recycle, by which point every in-flight
+	// message payload derived from it has been copied out.
+	specFree []*workload.Txn
+
+	// updFree recycles the update-set slices that ride the asynchronous
+	// update messages of §2. Unlike scratch buffers these live across the
+	// propagate round trip: commit fills one, the message owns it in flight,
+	// and the central acknowledgement hands it back to this pool (the ack
+	// executes on this site's executor).
+	updFree [][]uint32
+
+	// arriveFn is the pre-bound Poisson-arrival callback (admit the next
+	// generated transaction, schedule the following arrival), so steady-state
+	// arrival scheduling allocates no closures.
+	arriveFn func()
+
+	// Conservation counters, owned by this site and summed at
+	// barriers/results: transactions admitted here, completed from here
+	// (local commits and delivered replies), shipped inputs sent, and
+	// completion replies received.
+	generated    uint64
+	completed    uint64
+	shipStarted  uint64
+	replyArrived uint64
+}
+
+// CentralNode is the central computing complex; in a sharded run it owns
+// shard 0.
+type CentralNode struct {
+	env   *nodeEnv
+	sched exec.Dispatch
+	cpu   *cpu.Server
+	disks []*cpu.Server
+	locks *lock.Manager
+
+	inSystem int // n_c: transactions present (class B + shipped class A)
+	running  *flatmap.Map[lock.ID, *TxnRun]
+
+	busyAtWarmup float64
+
+	// Conservation counters: shipped inputs received, completion replies
+	// sent.
+	shipArrived  uint64
+	replyStarted uint64
+
+	// Scratch buffers, reused across events (never captured by a closure or
+	// held across a message): the authentication fan-out's touched-site set
+	// and the update application's holder walk.
+	sitesBuf   []int
+	holdersBuf []lock.ID
+
+	// txnFree recycles the runs of a standalone central node, which adopts
+	// each shipped input into a run of its own (AdoptRun). Unused in an
+	// Engine, where the home site's run itself makes the trip.
+	txnFree []*TxnRun
+}
+
+func (s *SiteNode) init(env *nodeEnv, idx int, sched exec.Scheduler) {
+	s.env = env
+	s.idx = idx
+	s.sched = exec.NewDispatch(sched)
+	s.cpu = cpu.NewServer(sched, env.cfg.LocalMIPS)
+	s.disks = newDisks(sched, env.cfg.DisksPerSite)
+	s.locks = lock.NewManager()
+	s.running = flatmap.New[lock.ID, *TxnRun](16)
+}
+
+func (c *CentralNode) init(env *nodeEnv, sched exec.Scheduler) {
+	c.env = env
+	c.sched = exec.NewDispatch(sched)
+	c.cpu = cpu.NewServer(sched, env.cfg.CentralMIPS)
+	c.disks = newDisks(sched, env.cfg.DisksCentral)
+	c.locks = lock.NewManager()
+	c.running = flatmap.New[lock.ID, *TxnRun](16)
+}
+
+// NewSiteNode builds local site idx as a standalone node: its handlers run
+// on sched, its three outbound messages leave through up, and its lifecycle
+// events reach the given observers. The site is one event loop, so it takes
+// its own instance of a routing.LoopLocal strategy (several sites may be
+// built from one such value); a routing.SiteLocal strategy should arrive
+// already forked for this site. Submitted specs stay the caller's.
+func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy, up Uplink, observers ...obs.Observer) (*SiteNode, error) {
+	if err := ValidateStandalone(cfg); err != nil {
+		return nil, err
+	}
+	if idx < 0 || idx >= cfg.Sites {
+		return nil, fmt.Errorf("hybrid: site index %d out of range [0,%d)", idx, cfg.Sites)
+	}
+	if strategy == nil {
+		return nil, fmt.Errorf("hybrid: nil strategy")
+	}
+	env := &nodeEnv{up: up}
+	env.init(cfg)
+	for _, o := range observers {
+		env.bus.Subscribe(o)
+	}
+	s := &SiteNode{strategy: loopInstance(strategy)}
+	s.init(env, idx, sched)
+	return s, nil
+}
+
+// NewCentralNode builds the central complex as a standalone node: handlers
+// on sched, its four outbound messages through down, events to observers.
+func NewCentralNode(cfg Config, sched Scheduler, down Downlink, observers ...obs.Observer) (*CentralNode, error) {
+	if err := ValidateStandalone(cfg); err != nil {
+		return nil, err
+	}
+	env := &nodeEnv{down: down}
+	env.init(cfg)
+	for _, o := range observers {
+		env.bus.Subscribe(o)
+	}
+	c := &CentralNode{}
+	c.init(env, sched)
+	return c, nil
+}
+
+// loopInstance returns the instance of a strategy that one event loop routes
+// with: a routing.LoopLocal's loop-confined instance, anything else as is
+// (a per-site fork of a routing.SiteLocal is confined already). This is the
+// one place the run path calls ForLoop.
+func loopInstance(s routing.Strategy) routing.Strategy {
+	if _, forked := s.(routing.SiteLocal); forked {
+		return s
+	}
+	if ll, ok := s.(routing.LoopLocal); ok {
+		return ll.ForLoop()
+	}
+	return s
+}
+
+// Strategy returns the instance this site routes with.
+func (s *SiteNode) Strategy() routing.Strategy { return s.strategy }
+
+// InSystem returns the class A transactions executing at this site.
+func (s *SiteNode) InSystem() int { return s.inSystem }
+
+// QueueLength returns the site CPU's queue length, job in service included.
+func (s *SiteNode) QueueLength() int { return s.cpu.QueueLength() }
+
+// LocksHeld returns the locks held in this site's table.
+func (s *SiteNode) LocksHeld() int { return s.locks.LocksHeld() }
+
+// InSystem returns the transactions at central in any phase.
+func (c *CentralNode) InSystem() int { return c.inSystem }
+
+// QueueLength returns the central CPU's queue length, job in service
+// included.
+func (c *CentralNode) QueueLength() int { return c.cpu.QueueLength() }
+
+// LocksHeld returns the locks held in the central table.
+func (c *CentralNode) LocksHeld() int { return c.locks.LocksHeld() }
+
+// emit records a protocol-detail event at this site. The HasDetail guard
+// keeps the hot loop free of event construction when tracing is off.
+func (s *SiteNode) emit(kind trace.Kind, txn int64, elem uint32, note string) {
+	if s.env.bus.HasDetail() {
+		s.env.emitDetail(s.sched.Now(), kind, txn, s.idx, elem, note)
+	}
+}
+
+// emit records a protocol-detail event at the central complex; site is -1
+// for central-side events and the peer's index for messages to a site.
+func (c *CentralNode) emit(kind trace.Kind, txn int64, site int, elem uint32, note string) {
+	if c.env.bus.HasDetail() {
+		c.env.emitDetail(c.sched.Now(), kind, txn, site, elem, note)
+	}
+}
+
+// takeUpdBuf pops a recycled update-set buffer from the site's pool, or
+// returns nil (append then allocates the pool's first generation).
+func (s *SiteNode) takeUpdBuf() []uint32 {
+	if n := len(s.updFree); n > 0 {
+		buf := s.updFree[n-1]
+		s.updFree[n-1] = nil
+		s.updFree = s.updFree[:n-1]
+		return buf[:0]
+	}
+	return nil
+}
+
+// newDisks builds a disk bank; disks are modelled as unit-rate servers whose
+// "instructions" equal the I/O time in microseconds-of-a-1MIPS-machine, so
+// Submit(seconds*1e6) serves for exactly seconds.
+func newDisks(s exec.Scheduler, n int) []*cpu.Server {
+	if n <= 0 {
+		return nil
+	}
+	disks := make([]*cpu.Server, n)
+	for i := range disks {
+		disks[i] = cpu.NewServer(s, 1)
+	}
+	return disks
+}
+
+// scheduleIO performs one I/O of the given duration keyed to elem: a pure
+// delay under the paper's assumption, or an FCFS wait at the disk holding
+// the element when a disk bank is configured.
+func scheduleIO(s exec.Dispatch, disks []*cpu.Server, elem uint32, seconds float64, done func()) {
+	if len(disks) == 0 {
+		s.Schedule(seconds, done)
+		return
+	}
+	disks[int(elem)%len(disks)].Submit(seconds*1e6, done)
+}
+
+// Admit processes one arriving transaction, whatever its source (the
+// engine's arrival process, a replayed trace, a load generator's
+// submission): class B ships unconditionally, class A consults the routing
+// strategy. It executes on the site's executor.
+func (s *SiteNode) Admit(spec *workload.Txn) {
+	s.generated++
+	t := s.newTxnRun(spec)
+	if s.env.detailed() {
+		s.emit(trace.Arrive, spec.ID, 0, "class "+spec.Class.String())
+	}
+
+	if spec.Class == workload.ClassB {
+		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, ClassB: true, Shipped: true, Site: s.idx})
+		s.emit(trace.RouteShip, spec.ID, 0, "class B")
+		s.ship(t)
+		return
+	}
+	st := s.routingState()
+	shipped := s.strategy.Decide(st) == routing.Ship
+	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, Shipped: shipped, Value: st.ViewAge, Site: s.idx})
+	if shipped {
+		s.emit(trace.RouteShip, spec.ID, 0, "")
+		s.ship(t)
+		return
+	}
+	s.emit(trace.RouteLocal, spec.ID, 0, "")
+	s.start(t)
+}
+
+// routingState assembles the strategy's view at the arrival site: local
+// fields observed directly, central fields from the site's (possibly stale)
+// snapshot unless the feedback mode is ideal.
+func (s *SiteNode) routingState() routing.State {
+	st := routing.State{
+		Now:           s.sched.Now(),
+		Site:          s.idx,
+		LocalQueue:    s.cpu.QueueLength(),
+		LocalInSystem: s.inSystem,
+		LocalLocks:    s.locks.LocksHeld(),
+		LastLocalRT:   s.lastLocalRT,
+		LastShippedRT: s.lastShippedRT,
+	}
+	if s.ideal != nil {
+		st.CentralQueue = s.ideal.cpu.QueueLength()
+		st.CentralInSystem = s.ideal.inSystem
+		st.CentralLocks = s.ideal.locks.LocksHeld()
+		st.ViewAge = 0
+	} else {
+		st.CentralQueue = s.view.Queue
+		st.CentralInSystem = s.view.InSystem
+		st.CentralLocks = s.view.Locks
+		st.ViewAge = s.sched.Now() - s.view.At
+	}
+	return st
+}
+
+// siteUtilizations computes per-site CPU utilizations over the measurement
+// window, for Result assembly.
+func siteUtilizations(sites []*SiteNode, window float64) (perSite []float64, mean, max float64) {
+	perSite = make([]float64, len(sites))
+	var busy float64
+	for i, ls := range sites {
+		u := (ls.cpu.BusyTime() - ls.busyAtWarmup) / window
+		perSite[i] = u
+		busy += u
+		if u > max {
+			max = u
+		}
+	}
+	return perSite, busy / float64(len(sites)), max
+}

@@ -5,8 +5,9 @@
 // events:
 //
 //   - Lifecycle events carry numeric payloads only (response times, queue
-//     lengths, abort causes) and are emitted unconditionally; the metrics
-//     observer folds them into the run's Result.
+//     lengths, abort causes) plus the transaction id, and are emitted
+//     unconditionally; the metrics observer folds them into the run's
+//     Result, and a live node derives its counters and spans from them.
 //   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
 //     event stream one-to-one, including rendered note strings. They are
 //     emitted only when a detail observer is subscribed (Bus.HasDetail), so
@@ -29,15 +30,28 @@ const (
 	// staleness of the central-state view at decision time (class A only).
 	TxnArrive
 	// TxnLocalCommit is a class A transaction committing at its home site:
-	// Site is the site index, Value the response time.
+	// Site is the site index, Value the response time, Aux the number of
+	// executions it took.
 	TxnLocalCommit
 	// TxnReply is a completion reply delivered at the origin site for a
 	// centrally executed transaction: ClassB says which class, Value the
 	// response time.
 	TxnReply
+	// ShipArrive is a shipped transaction's input arriving at the central
+	// complex; Aux is its home site.
+	ShipArrive
+	// TxnCentralCommit is a transaction committing at the central complex
+	// (its reply leaves in the same instant); Aux is the number of
+	// executions it took.
+	TxnCentralCommit
+	// UpdateApplied is one asynchronous update message applied at the
+	// central complex: Aux is the originating site, Value the element
+	// count, Txn the committing transaction (0 for a flushed batch).
+	UpdateApplied
 	// LockWaitEnd closes one blocking lock wait; Value is its duration.
 	LockWaitEnd
-	// AuthRound is one authentication round opened by a central commit.
+	// AuthRound is one authentication round opened by a central commit;
+	// Value is the number of master sites asked.
 	AuthRound
 	// Abort causes, one kind per counter.
 	AbortDeadlockLocal
@@ -64,6 +78,9 @@ var kindNames = map[Kind]string{
 	TxnArrive:            "txn-arrive",
 	TxnLocalCommit:       "txn-local-commit",
 	TxnReply:             "txn-reply",
+	ShipArrive:           "ship-arrive",
+	TxnCentralCommit:     "txn-central-commit",
+	UpdateApplied:        "update-applied",
 	LockWaitEnd:          "lock-wait-end",
 	AuthRound:            "auth-round",
 	AbortDeadlockLocal:   "abort-deadlock-local",
@@ -91,10 +108,12 @@ type Event struct {
 	At   float64 // simulated time
 	Kind Kind
 
-	// Protocol-detail payload (Kind == TraceDetail).
+	// Protocol-detail payload (Kind == TraceDetail). Txn and Site are set on
+	// per-transaction lifecycle events too: Site is the emitting partition,
+	// -1 for the central complex.
 	Trace trace.Kind
 	Txn   int64
-	Site  int // also the origin site of TxnArrive/TxnLocalCommit/TxnReply
+	Site  int
 	Elem  uint32
 	Note  string
 

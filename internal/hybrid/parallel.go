@@ -78,17 +78,17 @@ func epochFlushPrio(epoch float64) int {
 // then are external observers known, and no server has work yet so the CPU
 // and disk servers can rebind clocks.
 func (e *Engine) setupRunMode() {
-	e.parallel = e.cfg.Shards > 1 &&
-		e.cfg.CommDelay > 0 && // the lookahead window; zero means no safe lead
-		e.cfg.Feedback != FeedbackIdeal && // ideal feedback reads central state instantaneously
+	e.parallel = e.env.cfg.Shards > 1 &&
+		e.env.cfg.CommDelay > 0 && // the lookahead window; zero means no safe lead
+		e.env.cfg.Feedback != FeedbackIdeal && // ideal feedback reads central state instantaneously
 		e.externalObs == 0 // external observers need the single ordered stream
 	if !e.parallel {
 		e.confineStrategy(nil, 1)
 		return
 	}
-	nShards := e.cfg.Shards
-	if nShards > e.cfg.Sites+1 {
-		nShards = e.cfg.Sites + 1 // no point in more shards than partitions
+	nShards := e.env.cfg.Shards
+	if nShards > e.env.cfg.Sites+1 {
+		nShards = e.env.cfg.Sites + 1 // no point in more shards than partitions
 	}
 	sims := make([]*sim.Simulator, nShards)
 	sims[0] = e.simulator // central keeps the engine's queue as shard 0
@@ -123,12 +123,12 @@ func (e *Engine) setupRunMode() {
 	e.confineStrategy(shardOf, nShards)
 	e.m.setHistGroups(shardOf, nShards)
 	// Two edges per site (uplink, downlink); lookahead = the one-way delay.
-	e.group = sim.NewGroup(sims, 2*len(e.sites), e.cfg.CommDelay)
+	e.group = sim.NewGroup(sims, 2*len(e.sites), e.env.cfg.CommDelay)
 	// Declare the star: sites talk only to central (shard 0), so the
 	// synchronizer can bound site shards by central's clock alone and let
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
-	e.network = newShardNet(e.group, sims, shardOf, e.cfg.CommDelay)
+	e.wire.net = newShardNet(e.group, sims, shardOf, e.env.cfg.CommDelay)
 }
 
 // confineStrategy gives each event loop its own instance of a
@@ -141,20 +141,19 @@ func (e *Engine) confineStrategy(shardOf []int, loops int) {
 	if _, forked := e.strategy.(routing.SiteLocal); forked {
 		return
 	}
-	ll, ok := e.strategy.(routing.LoopLocal)
-	if !ok {
+	if _, ok := e.strategy.(routing.LoopLocal); !ok {
 		return
 	}
 	perLoop := make([]routing.Strategy, loops)
-	for i := range e.strategies {
+	for i, ls := range e.sites {
 		loop := 0
 		if shardOf != nil {
 			loop = shardOf[i]
 		}
 		if perLoop[loop] == nil {
-			perLoop[loop] = ll.ForLoop()
+			perLoop[loop] = loopInstance(e.strategy)
 		}
-		e.strategies[i] = perLoop[loop]
+		ls.strategy = perLoop[loop]
 	}
 }
 
@@ -163,12 +162,12 @@ func (e *Engine) confineStrategy(shardOf []int, loops int) {
 // addition the sequential chains perform, then the synchronizer runs to the
 // horizon.
 func (e *Engine) runSharded() {
-	e.group.ScheduleGlobalAt(e.cfg.Warmup, prioMeasure, e.startMeasurement)
-	if e.cfg.SelfCheck {
+	e.group.ScheduleGlobalAt(e.env.cfg.Warmup, prioMeasure, e.startMeasurement)
+	if e.env.cfg.SelfCheck {
 		e.armSelfCheck(0)
 	}
 	e.armQueueSample(0)
-	if e.cfg.EpochLength > 0 {
+	if e.env.cfg.EpochLength > 0 {
 		e.armEpochFlush(0)
 	}
 	e.group.Run(e.horizon)
@@ -181,12 +180,12 @@ func (e *Engine) runSharded() {
 // instant meets the lookahead bound with equality). Boundary floats are built
 // by the same repeated addition the sequential chain performs.
 func (e *Engine) armEpochFlush(last float64) {
-	next := last + e.cfg.EpochLength
+	next := last + e.env.cfg.EpochLength
 	if next > e.horizon {
 		return
 	}
-	e.group.ScheduleGlobalAt(next, epochFlushPrio(e.cfg.EpochLength), func() {
-		e.prop.flushEpoch()
+	e.group.ScheduleGlobalAt(next, epochFlushPrio(e.env.cfg.EpochLength), func() {
+		e.flushEpoch()
 		e.armEpochFlush(next)
 	})
 }
@@ -201,7 +200,7 @@ func (e *Engine) armSelfCheck(last float64) {
 		return
 	}
 	e.group.ScheduleGlobalAt(next, prioSelfCheck, func() {
-		e.observeAt(next, obs.Event{Kind: obs.SelfCheck})
+		e.env.observeAt(next, obs.Event{Kind: obs.SelfCheck})
 		e.armSelfCheck(next)
 	})
 }

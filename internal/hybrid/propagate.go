@@ -3,41 +3,30 @@ package hybrid
 // The propagation layer: asynchronous update flow from local commits to the
 // central site (with optional batching), central-side invalidation and
 // application, and the piggybacked central-state snapshots whose feedback
-// routingState consumes.
+// routingState consumes. Two messages: Update up, UpdateAck down.
 
 import (
 	"fmt"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/trace"
 )
 
-// centralSnapshot is the central state as piggybacked on messages to sites.
-type centralSnapshot struct {
-	queue    int
-	inSystem int
-	locks    int
-	at       float64
-}
-
 // refreshView installs a newer central-state snapshot at a local site.
-func (ls *localSite) refreshView(snap centralSnapshot) {
-	if snap.at >= ls.view.at {
-		ls.view = snap
+func (s *SiteNode) refreshView(snap Snapshot) {
+	if snap.At >= s.view.At {
+		s.view = snap
 	}
 }
 
-// propagator carries committed updates between the tiers.
-type propagator struct{ e *Engine }
-
-// snapshotCentral captures the central state for piggybacking on a message
-// being sent now (always from the central shard).
-func (p propagator) snapshotCentral() centralSnapshot {
-	e := p.e
-	return centralSnapshot{
-		queue:    e.central.cpu.QueueLength(),
-		inSystem: e.central.inSystem,
-		locks:    e.central.locks.LocksHeld(),
-		at:       e.central.sched.Now(),
+// snapshot captures the central state for piggybacking on a message being
+// sent now.
+func (c *CentralNode) snapshot() Snapshot {
+	return Snapshot{
+		Queue:    c.cpu.QueueLength(),
+		InSystem: c.inSystem,
+		Locks:    c.locks.LocksHeld(),
+		At:       c.sched.Now(),
 	}
 }
 
@@ -50,13 +39,12 @@ func (p propagator) snapshotCentral() centralSnapshot {
 // Propagate owns the updates slice it is handed: an unbatched send parks it
 // in the message and the acknowledgement returns it to the site's pool; a
 // batched send folds it into the pending batch and frees it immediately.
-func (p propagator) propagate(ls *localSite, updates []uint32) {
-	e := p.e
-	site := ls.idx
+func (s *SiteNode) propagate(txnID int64, updates []uint32) {
+	cfg := &s.env.cfg
 	switch {
-	case e.cfg.UpdateBatchWindow > 0:
-		p.buffer(ls, updates, e.cfg.UpdateBatchWindow)
-	case e.cfg.EpochLength > 0:
+	case cfg.UpdateBatchWindow > 0:
+		s.buffer(updates, cfg.UpdateBatchWindow)
+	case cfg.EpochLength > 0:
 		// Epoch-batched (STAR-style) propagation: accumulate only. The
 		// global epoch ticker (engine.go scheduleEpochFlush / parallel.go
 		// armEpochFlush) drains every site's pending batch at each boundary,
@@ -64,105 +52,97 @@ func (p propagator) propagate(ls *localSite, updates []uint32) {
 		// round merge imposes on same-instant uplink arrivals — so the
 		// simultaneous flushes every boundary produces reach the central
 		// queue in one deterministic order in both run modes.
-		p.stash(ls, updates)
+		s.stash(updates)
 	default:
-		e.network.ToCentral(site, func() { p.centralApply(site, updates) })
+		s.env.up.Update(s.idx, txnID, updates)
 	}
 }
 
 // stash folds one commit's updates into the site's pending batch and frees
 // the commit's own slice back to the site pool.
-func (p propagator) stash(ls *localSite, updates []uint32) {
-	if ls.pendingUpdates == nil {
-		ls.pendingUpdates = ls.takeUpdBuf()
+func (s *SiteNode) stash(updates []uint32) {
+	if s.pendingUpdates == nil {
+		s.pendingUpdates = s.takeUpdBuf()
 	}
-	ls.pendingUpdates = append(ls.pendingUpdates, updates...)
-	ls.updFree = append(ls.updFree, updates)
+	s.pendingUpdates = append(s.pendingUpdates, updates...)
+	s.updFree = append(s.updFree, updates)
 }
 
 // buffer stashes one commit's updates and, on the batch's first commit,
 // schedules the flush after the given delay (the batch-window mode).
-func (p propagator) buffer(ls *localSite, updates []uint32, delay float64) {
-	e := p.e
-	site := ls.idx
-	p.stash(ls, updates)
-	if ls.flushPending {
+func (s *SiteNode) buffer(updates []uint32, delay float64) {
+	s.stash(updates)
+	if s.flushPending {
 		return
 	}
-	ls.flushPending = true
-	ls.sched.Schedule(delay, func() {
-		batch := ls.pendingUpdates
-		ls.pendingUpdates = nil
-		ls.flushPending = false
-		e.network.ToCentral(site, func() { p.centralApply(site, batch) })
+	s.flushPending = true
+	s.sched.Schedule(delay, func() {
+		s.flushPending = false
+		s.flushPendingUpdates()
 	})
 }
 
-// flushEpoch drains every site's pending epoch batch onto its uplink. It
-// executes at a global epoch boundary — as a plain event in the sequential
-// run, at a barrier with every shard clock on the boundary in a sharded run —
-// and walks sites in ascending index, which is exactly the (edge index) order
-// the sharded round merge gives the resulting same-instant central arrivals.
-func (p propagator) flushEpoch() {
-	e := p.e
-	for _, ls := range e.sites {
-		if len(ls.pendingUpdates) == 0 {
-			continue
-		}
-		batch := ls.pendingUpdates
-		ls.pendingUpdates = nil
-		site := ls.idx
-		e.network.ToCentral(site, func() { p.centralApply(site, batch) })
+// flushPendingUpdates sends the site's pending batch, if any, as one Update
+// message. The epoch ticker calls it for every site at a global boundary — as
+// a plain event in the sequential run, at a barrier with every shard clock on
+// the boundary in a sharded run — walking sites in ascending index, which is
+// exactly the (edge index) order the sharded round merge gives the resulting
+// same-instant central arrivals.
+func (s *SiteNode) flushPendingUpdates() {
+	if len(s.pendingUpdates) == 0 {
+		return
 	}
+	batch := s.pendingUpdates
+	s.pendingUpdates = nil
+	s.env.up.Update(s.idx, 0, batch)
 }
 
-// centralApply processes an asynchronous update message from a local site:
+// OnUpdate processes an asynchronous update message from a local site:
 // invalidate central locks on the updated elements (mark holders for abort),
 // install the update, and acknowledge so the site can lower its coherence
 // counts.
-func (p propagator) centralApply(site int, updates []uint32) {
-	e := p.e
-	if e.cfg.UpdateProcInstr > 0 {
+func (c *CentralNode) OnUpdate(site int, txnID int64, updates []uint32) {
+	if c.env.cfg.UpdateProcInstr > 0 {
 		// Message handling consumes central CPU before the update applies
 		// (per message, which is what batching amortises).
-		e.central.cpu.Submit(e.cfg.UpdateProcInstr, func() { p.applyNow(site, updates) })
+		c.cpu.Submit(c.env.cfg.UpdateProcInstr, func() { c.applyNow(site, txnID, updates) })
 		return
 	}
-	p.applyNow(site, updates)
+	c.applyNow(site, txnID, updates)
 }
 
 // applyNow performs the §2 invalidate-apply-acknowledge step of an
 // asynchronous update message.
-func (p propagator) applyNow(site int, updates []uint32) {
-	e := p.e
+func (c *CentralNode) applyNow(site int, txnID int64, updates []uint32) {
 	for _, elem := range updates {
-		// Central-shard scratch walk; HoldersAppend copies the IDs out, so
-		// the releases below cannot invalidate the iteration.
-		e.central.holdersBuf = e.central.locks.HoldersAppend(elem, e.central.holdersBuf[:0])
-		for _, holder := range e.central.holdersBuf {
-			if vt, ok := e.central.running.Get(holder); ok {
+		// Scratch walk; HoldersAppend copies the IDs out, so the releases
+		// below cannot invalidate the iteration.
+		c.holdersBuf = c.locks.HoldersAppend(elem, c.holdersBuf[:0])
+		for _, holder := range c.holdersBuf {
+			if vt, ok := c.running.Get(holder); ok {
 				vt.marked = true
 			}
-			e.central.locks.Release(holder, elem)
+			c.locks.Release(holder, elem)
 		}
 	}
-	if e.Detailed() {
-		e.emit(trace.UpdateApplied, 0, -1, 0, fmt.Sprintf("%d elements from site %d", len(updates), site))
+	if c.env.detailed() {
+		c.emit(trace.UpdateApplied, 0, -1, 0, fmt.Sprintf("%d elements from site %d", len(updates), site))
 	}
-	snap := p.snapshotCentral()
-	e.network.ToSite(site, func() {
-		ls := e.sites[site]
-		if e.cfg.Feedback == FeedbackAllMessages {
-			ls.refreshView(snap)
-		}
-		for _, elem := range updates {
-			ls.locks.DecrCoherence(elem)
-		}
-		e.emit(trace.UpdateAcked, 0, site, 0, "")
-		// The acknowledgement executes on the originating site's shard, so
-		// it can hand the update buffer back to that site's pool.
-		if updates != nil {
-			ls.updFree = append(ls.updFree, updates)
-		}
-	})
+	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.UpdateApplied, Txn: txnID, Site: -1, Value: float64(len(updates)), Aux: float64(site)})
+	c.env.down.UpdateAck(site, updates, c.snapshot())
+}
+
+// OnUpdateAck lowers the coherence counts an acknowledged update raised and
+// takes the update buffer back into this site's pool.
+func (s *SiteNode) OnUpdateAck(updates []uint32, snap Snapshot) {
+	if s.env.cfg.Feedback == FeedbackAllMessages {
+		s.refreshView(snap)
+	}
+	for _, elem := range updates {
+		s.locks.DecrCoherence(elem)
+	}
+	s.emit(trace.UpdateAcked, 0, 0, "")
+	if updates != nil {
+		s.updFree = append(s.updFree, updates)
+	}
 }

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"testing"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/trace"
 )
@@ -51,7 +52,7 @@ func runTracedContended(t *testing.T) *eventLog {
 		t.Fatal(err)
 	}
 	log := &eventLog{byTxn: make(map[int64][]trace.Kind)}
-	e.SetTracer(log)
+	e.Subscribe(obs.NewTracer(log))
 	e.Run()
 	return log
 }

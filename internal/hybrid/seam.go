@@ -1,35 +1,79 @@
 package hybrid
 
 // The seams of the transaction core (DESIGN.md §13). The lifecycle layers —
-// classify/route (engine.go), local execution (local_path.go), central
+// classify/route (node.go), local execution (local_path.go), central
 // execution (central_path.go), the commit protocol (commit.go), and update
-// propagation (propagate.go) — never touch an event queue directly: every
-// "read the clock", "do this later", and "send a message to the other tier"
-// goes through the three narrow interfaces below. The discrete-event
-// simulator is one implementation of the seams (exec.Sim over internal/sim
-// for time, comm.Network / shardNet for transport); the live networked
-// engine in internal/cluster is the second (exec.Loop for wall-clock time,
-// framed TCP through internal/netx for transport).
+// propagation (propagate.go) — are methods of the two partition types,
+// SiteNode and CentralNode. They never touch an event queue or a socket:
+// every "read the clock" and "do this later" goes through the node's
+// Scheduler, and every "tell the other tier" is one of the seven typed
+// sends below. The discrete-event simulator is one implementation of the
+// seams (exec.Sim over internal/sim for time, wire_sim.go over comm.Network
+// / shardNet for transport); the live cluster is the second (exec.Loop for
+// wall-clock time, internal/cluster encoding each send as an internal/netx
+// frame). Both deliver into the same receive handlers — SiteNode.OnAuthReq,
+// CentralNode.OnShip and so on — so there is one protocol implementation.
 
-import "hybriddb/internal/exec"
-
-// Clock reads the current time of the executor a handler runs on.
-type Clock = exec.Clock
+import (
+	"hybriddb/internal/exec"
+	"hybriddb/internal/lock"
+)
 
 // Scheduler is the clock-plus-timer seam each partition (a local site or the
 // central complex) schedules its lifecycle continuations on.
 type Scheduler = exec.Scheduler
 
-// Transport abstracts the star network between the sites and the central
-// complex. The sequential engine uses comm.Network (messages scheduled on
-// the single event queue); the sharded engine uses shardNet (messages posted
-// across shard boundaries through the Group synchronizer); the live engine
-// sends frames over TCP. All deliver site->central and central->site
-// messages FIFO per link with the same fixed delay, so the lifecycle layers
-// are transport-agnostic.
+// Snapshot is the central state piggybacked on every central->site message,
+// the feedback a site's routing strategy consumes (§4.2). At is the instant
+// it was taken, in the receiver's timebase: the simulator carries the
+// sender's clock (all partitions share virtual time), a live receiver stamps
+// its own clock minus the one-way delay.
+type Snapshot struct {
+	Queue    int // central CPU queue length, job in service included
+	InSystem int // transactions at central in any phase
+	Locks    int // locks held at central
+	At       float64
+}
+
+// Uplink carries the three site->central messages of the §2 protocol. Every
+// implementation delivers FIFO per site with the configured one-way delay.
+// A send hands the receiver whatever the message names: a *TxnRun rides by
+// pointer in the simulator and by transaction id on a wire, which is why
+// AuthReply carries both — the site-side handler never dereferences the run,
+// it only routes the answer back to it.
+type Uplink interface {
+	// Ship transfers a transaction's input — and ownership of its run — to
+	// the central complex; CentralNode.OnShip receives it.
+	Ship(home int, t *TxnRun)
+	// AuthReply answers an authentication request; CentralNode.OnAuthReply
+	// receives it.
+	AuthReply(site int, t *TxnRun, txn int64, nack bool)
+	// Update carries committed updates (one commit's, or a flushed batch's
+	// with txn 0) and ownership of the slice; CentralNode.OnUpdate receives
+	// it.
+	Update(site int, txn int64, updates []uint32)
+}
+
+// Downlink carries the four central->site messages, each piggybacking a
+// Snapshot. Sends issued by one handler reach a site in the order issued.
+type Downlink interface {
+	// AuthReq runs the commit-time authentication phase at a master site;
+	// SiteNode.OnAuthReq receives it.
+	AuthReq(site int, t *TxnRun, txn int64, elems []uint32, modes []lock.Mode, snap Snapshot)
+	// Release frees a transaction's seized authentication locks;
+	// SiteNode.OnRelease receives it.
+	Release(site int, txn int64, snap Snapshot)
+	// UpdateAck acknowledges an Update so the site lowers its coherence
+	// counts and takes the slice back; SiteNode.OnUpdateAck receives it.
+	UpdateAck(site int, updates []uint32, snap Snapshot)
+	// Reply completes a shipped transaction at its home site and returns
+	// ownership of the run; SiteNode.OnReply receives it.
+	Reply(home int, t *TxnRun, snap Snapshot)
+}
+
+// Transport is the whole star network: what the simulator's wire implements
+// for every partition of an engine at once.
 type Transport interface {
-	ToCentral(site int, deliver func())
-	ToSite(site int, deliver func())
-	MessagesSent() uint64
-	MessagesInFlight() uint64
+	Uplink
+	Downlink
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/trace"
 )
@@ -65,7 +66,7 @@ func TestQuickProtocolStress(t *testing.T) {
 			return false
 		}
 		counter := trace.NewCounter()
-		engine.SetTracer(counter)
+		engine.Subscribe(obs.NewTracer(counter))
 		r := engine.Run() // SelfCheck panics on any invariant violation
 		if r.Completed > r.Generated {
 			return false

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestScheduleRunAllocFree guards the kernel's steady-state allocation
 // contract: once the slot slab has reached the high-water population, a full
@@ -41,81 +38,5 @@ func TestScheduleStepAllocFree(t *testing.T) {
 		i++
 	}); got != 0 {
 		t.Errorf("schedule+step allocates %v times per run, want 0", got)
-	}
-}
-
-// TestHoldCalendarAllocFree guards the calendar queue's steady-state hold
-// model at the population where BenchmarkHoldCalendar/n65536 used to report
-// 90–99 B/op: with the slab threaded into intrusive chains and the free
-// list's capacity paired to it, pop+push must allocate nothing.
-func TestHoldCalendarAllocFree(t *testing.T) {
-	const n = 65536
-	rng := rand.New(rand.NewSource(12345))
-	incs := make([]Time, n)
-	for i := range incs {
-		incs[i] = Time(rng.ExpFloat64())
-	}
-	q := NewCalendarQueue(1.0 / Time(n))
-	action := func() {}
-	for i := 0; i < n; i++ {
-		q.Push(incs[i], action)
-	}
-	var clock Time
-	i := 0
-	if got := testing.AllocsPerRun(5000, func() {
-		at, _, ok := q.PopMin()
-		if !ok {
-			t.Fatal("calendar drained")
-		}
-		clock = at
-		q.Push(clock+incs[i%n], action)
-		i++
-	}); got != 0 {
-		t.Errorf("hold cycle allocates %v times per run, want 0", got)
-	}
-}
-
-// TestCalendarSampleWidthInvisible pins the Brown-style width probe: the
-// destructive dequeue of up to 25 events inside sampleWidth must leave the
-// calendar — chains, cursor, and count — exactly as it found it.
-func TestCalendarSampleWidthInvisible(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(9000 + trial)))
-		q := NewCalendarQueue(0.5)
-		var clock Time
-		for i := 0; i < 200; i++ {
-			if rng.Intn(10) < 6 || q.count == 0 {
-				q.Push(clock+Time(rng.Intn(4000))*0.25, func() {})
-			} else {
-				at, _, _ := q.PopMin()
-				clock = at
-			}
-		}
-		snapB := append([]int32(nil), q.buckets...)
-		type slotKey struct {
-			at   Time
-			seq  uint64
-			next int32
-		}
-		snapS := make([]slotKey, len(q.slots))
-		for i, s := range q.slots {
-			snapS[i] = slotKey{s.at, s.seq, s.next}
-		}
-		la, li, ld, c := q.lastAt, q.lastIdx, q.lastDay, q.count
-		q.sampleWidth()
-		if q.lastAt != la || q.lastIdx != li || q.lastDay != ld || q.count != c {
-			t.Fatalf("trial %d: cursor/count changed", trial)
-		}
-		for i := range snapB {
-			if q.buckets[i] != snapB[i] {
-				t.Fatalf("trial %d: bucket %d head %d -> %d", trial, i, snapB[i], q.buckets[i])
-			}
-		}
-		for i := range snapS {
-			s := q.slots[i]
-			if s.next != snapS[i].next || s.at != snapS[i].at || s.seq != snapS[i].seq {
-				t.Fatalf("trial %d: slot %d changed", trial, i)
-			}
-		}
 	}
 }

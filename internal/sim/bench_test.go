@@ -43,11 +43,10 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
-// holdSizes are the standing populations for the classic hold-model race
-// between the kernel's 4-ary heap and the calendar queue. The hybrid engine
-// keeps roughly one pending event per busy resource, so the small sizes are
-// the realistic regime and the large one is the high-density stress the
-// calendar-queue literature targets.
+// holdSizes are the standing populations of the classic hold model. The
+// hybrid engine keeps roughly one pending event per busy resource, so the
+// small sizes are the realistic regime and the large one is the high-density
+// stress (a thousand sites keep a deep heap).
 var holdSizes = []struct {
 	name string
 	n    int
@@ -58,7 +57,7 @@ var holdSizes = []struct {
 }
 
 // holdIncrements precomputes an exponential(1) increment stream so the RNG
-// cost is identical (and out of the timed loop shape) for both contenders.
+// cost stays out of the timed loop.
 func holdIncrements(n int) []Time {
 	rng := rand.New(rand.NewSource(12345))
 	incs := make([]Time, n)
@@ -84,31 +83,6 @@ func BenchmarkHoldHeap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Step()
 				s.Schedule(incs[i%len(incs)], action)
-			}
-		})
-	}
-}
-
-// BenchmarkHoldCalendar runs the identical hold model on the calendar queue.
-func BenchmarkHoldCalendar(b *testing.B) {
-	incs := holdIncrements(1 << 16)
-	for _, size := range holdSizes {
-		b.Run(size.name, func(b *testing.B) {
-			q := NewCalendarQueue(1.0 / Time(size.n))
-			action := func() {}
-			var clock Time
-			for i := 0; i < size.n; i++ {
-				q.Push(incs[i%len(incs)], action)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				at, _, ok := q.PopMin()
-				if !ok {
-					b.Fatal("calendar drained")
-				}
-				clock = at
-				q.Push(clock+incs[i%len(incs)], action)
 			}
 		})
 	}
