@@ -12,7 +12,7 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzDecideMemo:./internal/routing FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest
 
-.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke bench-selftest simtest fuzz-smoke cluster-smoke check bench-pair figures
+.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke bench-selftest alloc-gate simtest fuzz-smoke cluster-smoke check bench-pair figures
 
 all: build test
 
@@ -103,7 +103,14 @@ bench-selftest:
 	cd bench/hybridbench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/hybridbench/run.sh --quick
 
-check: vet staticcheck race simtest race-stress smoke bench-smoke bench-selftest fuzz-smoke cluster-smoke
+# Allocation gate: allocs_per_txn on the three simulator workloads is exactly
+# reproducible at a fixed seed, so one run of the merge-base and one of the
+# working tree decide whether a change allocates more than BENCHMARK.json's
+# bound allows (scripts/allocgate.sh; about three minutes).
+alloc-gate:
+	bash scripts/allocgate.sh
+
+check: vet staticcheck race simtest race-stress smoke bench-smoke bench-selftest alloc-gate fuzz-smoke cluster-smoke
 
 # Paired parent/change runs of one bench/hybridbench workload in this session
 # (merge-base exported to a scratch directory, alternating order, fresh

@@ -8,15 +8,12 @@ package cluster
 // derived from the node's observer bus.
 
 import (
-	"errors"
 	"strconv"
 
-	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
-	"hybriddb/internal/obsx/logx"
 	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/obsx/spans"
 )
@@ -37,9 +34,7 @@ type CentralStats struct {
 
 // Central is the live central node.
 type Central struct {
-	cfg hybrid.Config
-
-	loop *exec.Loop
+	shell
 	node *hybrid.CentralNode
 	link centralLink
 
@@ -51,13 +46,6 @@ type Central struct {
 	stats    CentralStats
 	authOpen map[int64]struct{}
 
-	log   logx.Logger
-	reg   *metrics.Registry
-	wm    *wireMetrics
-	net   *netx.Stats
-	fr    *flight.Recorder
-	spans *spans.Recorder
-
 	*acceptor // the listener and its connections; Addr
 }
 
@@ -67,44 +55,25 @@ func StartCentral(cfg hybrid.Config, addr string) (*Central, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	loop := exec.NewLoop()
-	reg := metrics.NewRegistry()
 	c := &Central{
-		cfg:       cfg,
-		loop:      loop,
+		shell:     newShell(cfg, "central", "central complex", spans.CentralPid),
 		siteConns: make([]*netx.Conn, cfg.Sites),
 		authOpen:  make(map[int64]struct{}),
-		log:       logx.New("central"),
-		reg:       reg,
-		wm:        newWireMetrics(reg),
-		net:       &netx.Stats{},
-		fr:        flight.NewRecorder("central", flightCapacity),
-		spans:     spans.NewRecorder("central complex", spans.CentralPid, 0),
 	}
-	c.link = centralLink{send: c.toSite, stray: c.stray}
-	node, err := hybrid.NewCentralNode(cfg, loop, &c.link, c)
+	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, duplicate: c.duplicateShip}
+	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, c)
 	if err != nil {
-		loop.Stop()
+		c.loop.Stop()
 		return nil, err
 	}
 	c.node, c.link.node = node, node
 	c.registerMetrics()
 	if c.acceptor, err = listen(addr, c.net, c.dispatch); err != nil {
-		loop.Stop()
+		c.loop.Stop()
 		return nil, err
 	}
 	return c, nil
 }
-
-// Metrics returns the node's registry, for a debug listener or a test
-// scrape.
-func (c *Central) Metrics() *metrics.Registry { return c.reg }
-
-// Flight returns the node's flight recorder of recent wire events.
-func (c *Central) Flight() *flight.Recorder { return c.fr }
-
-// Spans returns the node's live span recorder (central timebase).
-func (c *Central) Spans() *spans.Recorder { return c.spans }
 
 // registerMetrics wires the registry: transport gauges read directly from
 // atomics, and a scrape hook that mirrors the event-derived counters and the
@@ -158,20 +127,8 @@ func (c *Central) dispatch(conn *netx.Conn, f netx.Frame) {
 		c.loop.Post(func() { c.register(h, conn) })
 		return
 	}
-	name := netx.MsgName(f.Type)
-	txn, handle, err := c.link.receive(f.Type, f.Payload)
-	switch {
-	case errors.Is(err, errNotProtocol):
-		c.log.Errorf("unexpected %s from %s", name, conn.RemoteAddr())
-		c.wm.Error("unexpected-type")
-	case err != nil:
-		c.log.Errorf("bad %s from %s: %v", name, conn.RemoteAddr(), err)
-		c.wm.Error("bad-" + name)
-		conn.Close()
-	default:
-		c.fr.Recordf(flight.In, name, "txn %d", txn)
-		c.loop.Schedule(c.cfg.CommDelay, handle)
-	}
+	txn, handle, err := c.link.receive(conn, f.Type, f.Payload)
+	c.deliver(conn, f, txn, handle, err)
 }
 
 // register installs a site's uplink and answers its Hello with the central
@@ -218,10 +175,12 @@ func (c *Central) toSite(site int, msgType byte, payload []byte) {
 	c.fr.Record(flight.Out, name, "site "+strconv.Itoa(site))
 }
 
-func (c *Central) stray(msgType byte, txn int64) {
-	name := netx.MsgName(msgType)
-	c.log.Errorf("stray %s for txn %d", name, txn)
-	c.wm.Error("stray-" + name)
+// duplicateShip refuses a Ship naming a transaction already executing here
+// and drops the uplink that sent it (the site redials).
+func (c *Central) duplicateShip(from *netx.Conn, txn int64) {
+	c.log.Errorf("bad ship from %s: txn %d is already executing", from.RemoteAddr(), txn)
+	c.wm.Error("bad-ship")
+	from.Close()
 }
 
 // OnEvent implements obs.Observer on the node's bus: the central counters

@@ -25,12 +25,18 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 
+	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/netx"
+	"hybriddb/internal/obsx/flight"
+	"hybriddb/internal/obsx/logx"
+	"hybriddb/internal/obsx/metrics"
+	"hybriddb/internal/obsx/spans"
 )
 
 // validate rejects configurations the live engine cannot honor: the corners
@@ -50,6 +56,71 @@ func validate(cfg hybrid.Config) error {
 // flightCapacity is each node's flight-recorder ring size: enough recent
 // wire history to reconstruct a stuck handshake or reconnect storm.
 const flightCapacity = 256
+
+// shell is the process around one hybrid node, the same at both tiers: the
+// event loop the node runs on and the logging, registry, wire-counter,
+// flight-recorder and span plumbing every frame passes.
+type shell struct {
+	cfg   hybrid.Config
+	loop  *exec.Loop
+	log   logx.Logger
+	reg   *metrics.Registry
+	wm    *wireMetrics
+	net   *netx.Stats
+	fr    *flight.Recorder
+	spans *spans.Recorder
+}
+
+// newShell names the process in logs and flight dumps, and its lane in span
+// traces.
+func newShell(cfg hybrid.Config, name, lane string, pid int) shell {
+	reg := metrics.NewRegistry()
+	return shell{
+		cfg: cfg, loop: exec.NewLoop(), log: logx.New(name),
+		reg: reg, wm: newWireMetrics(reg), net: &netx.Stats{},
+		fr:    flight.NewRecorder(name, flightCapacity),
+		spans: spans.NewRecorder(lane, pid, 0),
+	}
+}
+
+// Metrics returns the node's registry, for a debug listener or a test
+// scrape.
+func (sh *shell) Metrics() *metrics.Registry { return sh.reg }
+
+// Flight returns the node's flight recorder of recent wire events.
+func (sh *shell) Flight() *flight.Recorder { return sh.fr }
+
+// Spans returns the node's live span recorder, in the node's own timebase (a
+// site's is stamped with the handshake's clock-offset estimate).
+func (sh *shell) Spans() *spans.Recorder { return sh.spans }
+
+// deliver finishes the receive of one protocol frame a link decoded on the
+// read goroutine: the handler runs on the loop after the emulated link delay
+// the message crossed the star network with in the model; a frame that is
+// not one of this direction's messages is counted, one that does not decode
+// or validate also costs its sender the connection.
+func (sh *shell) deliver(conn *netx.Conn, f netx.Frame, txn int64, handle func(), err error) {
+	name := netx.MsgName(f.Type)
+	switch {
+	case errors.Is(err, errNotProtocol):
+		sh.log.Errorf("unexpected %s from %s", name, conn.RemoteAddr())
+		sh.wm.Error("unexpected-type")
+	case err != nil:
+		sh.log.Errorf("bad %s from %s: %v", name, conn.RemoteAddr(), err)
+		sh.wm.Error("bad-" + name)
+		conn.Close()
+	default:
+		sh.fr.Recordf(flight.In, name, "txn %d", txn)
+		sh.loop.Schedule(sh.cfg.CommDelay, handle)
+	}
+}
+
+// stray counts a message naming a transaction the node does not know.
+func (sh *shell) stray(msgType byte, txn int64) {
+	name := netx.MsgName(msgType)
+	sh.log.Errorf("stray %s for txn %d", name, txn)
+	sh.wm.Error("stray-" + name)
+}
 
 // acceptor owns a node's listener and the connections it accepted: each is
 // served on its own read goroutine until it fails or the node closes.

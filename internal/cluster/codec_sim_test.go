@@ -5,8 +5,8 @@ package cluster
 // nodes and one central node — the constructors StartSite and StartCentral
 // use — run on one simulator, joined by this package's own siteLink /
 // centralLink: every message is netx-encoded on send and netx-decoded on
-// receive, run pointers are resolved from transaction ids, snapshots are
-// stamped now − CommDelay by the receiver, and delivery rides a
+// receive, each node resolves transaction ids against its own tables,
+// snapshots are stamped now − CommDelay by the receiver, and delivery rides a
 // comm.Network. One recorded trace is replayed through that assembly and
 // through hybrid.New(cfg).Run(); every count and every response-time sum
 // the bus carries must be equal, exactly.
@@ -20,6 +20,7 @@ import (
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/netx"
 	"hybriddb/internal/rng"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
@@ -114,7 +115,9 @@ func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strat
 	stray := func(msgType byte, txn int64) { t.Errorf("stray message type %d for txn %d", msgType, txn) }
 
 	siteLinks := make([]*siteLink, cfg.Sites)
-	centralL := &centralLink{stray: stray}
+	centralL := &centralLink{cfg: &cfg, stray: stray, duplicate: func(_ *netx.Conn, txn int64) {
+		t.Errorf("duplicate ship of txn %d", txn)
+	}}
 	// Like a live node: decode where the frame arrives, run the handler one
 	// link delay later on the receiver's executor.
 	centralL.send = func(site int, msgType byte, payload []byte) {
@@ -131,9 +134,9 @@ func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strat
 	centralL.node = cc.central
 	for i := range siteLinks {
 		i := i
-		l := &siteLink{clock: exec.Sim(s), delay: cfg.CommDelay, stray: stray, shipped: make(map[int64]*hybrid.TxnRun)}
+		l := &siteLink{clock: exec.Sim(s), delay: cfg.CommDelay, stray: stray}
 		l.send = func(msgType byte, _ int64, payload []byte) {
-			_, handle, err := centralL.receive(msgType, payload)
+			_, handle, err := centralL.receive(nil, msgType, payload)
 			if err != nil {
 				t.Fatalf("central cannot decode message type %d from site %d: %v", msgType, i, err)
 			}

@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
 	"hybriddb/internal/hybrid"
+	"hybriddb/internal/netx"
 	"hybriddb/internal/routing"
+	"hybriddb/internal/workload"
 )
 
 // smokeConfig is a small, fast operating point: millisecond-scale service
@@ -361,4 +364,127 @@ func TestLoadOptionsValidation(t *testing.T) {
 	if _, err := RunLoad(ctx, []string{"a", "b"}, cfg, LoadOptions{Duration: 1}); err == nil {
 		t.Error("address/site count mismatch accepted")
 	}
+}
+
+// rawPeer is a bare connection to a node, for frames no well-behaved peer
+// sends. closed is closed when the read loop ends — the node dropped us.
+type rawPeer struct {
+	*netx.Conn
+	closed chan struct{}
+}
+
+func dialRaw(t *testing.T, addr string) rawPeer {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rawPeer{netx.NewConn(nc, netx.Options{}), make(chan struct{})}
+	go func() {
+		defer close(p.closed)
+		p.Serve(func(*netx.Conn, netx.Frame) {})
+	}()
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func (p rawPeer) wantDropped(t *testing.T, why string) {
+	t.Helper()
+	select {
+	case <-p.closed:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: the node kept the connection open", why)
+	}
+}
+
+// TestClusterSurvivesMalformedInputs sends each node the transaction inputs
+// that used to take its loop goroutine down or corrupt its tables — a spec
+// with the wrong number of elements (the lifecycle indexes Elements by call
+// number), one homed elsewhere, and an id already in flight — on Submit and
+// on Ship. Every one must be refused, counted under wire_errors_total, cost
+// its sender the connection, and leave the node serving: a valid submission
+// afterwards completes through both tiers and conservation still holds.
+func TestClusterSurvivesMalformedInputs(t *testing.T) {
+	cfg := smokeConfig(2)
+	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: -1}) // ship everything
+	defer teardown()
+	gen := workload.NewGenerator(cfg.WorkloadConfig(), 99)
+	spec := func(id int64, mutate func(*workload.Txn)) []byte {
+		txn := gen.Next(0)
+		txn.ID = id
+		if mutate != nil {
+			mutate(txn)
+		}
+		return netx.AppendTxn(nil, txn)
+	}
+	short := func(txn *workload.Txn) { txn.Elements, txn.Modes = txn.Elements[:2], txn.Modes[:2] }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	for why, payload := range map[string][]byte{
+		"submit with 2 of 6 elements":   spec(1001, short),
+		"submit homed at another site":  spec(1002, func(txn *workload.Txn) { txn.HomeSite = 1 }),
+		"submit homed outside the star": spec(1003, func(txn *workload.Txn) { txn.HomeSite = 7 }),
+	} {
+		p := dialRaw(t, addrs[0])
+		if _, err := p.Call(ctx, netx.MsgSubmit, payload); err == nil {
+			t.Errorf("%s was answered", why)
+		}
+		p.wantDropped(t, why)
+	}
+	// Two submissions of one id, back to back: the first is admitted, the
+	// second must not overwrite it.
+	p := dialRaw(t, addrs[0])
+	for i := 0; i < 2; i++ {
+		if err := p.Send(netx.MsgSubmit, uint64(i+1), spec(1004, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.wantDropped(t, "duplicate submit")
+
+	// The same at central, from a peer posing as a site. The admitted first
+	// copy of 2002 completes, and its Reply reaches site 0 as a stray.
+	p = dialRaw(t, central.Addr())
+	if err := p.Send(netx.MsgShip, 0, append(spec(2001, short), 1)); err != nil {
+		t.Fatal(err)
+	}
+	p.wantDropped(t, "ship with 2 of 6 elements")
+	p = dialRaw(t, central.Addr())
+	for i := 0; i < 2; i++ {
+		if err := p.Send(netx.MsgShip, 0, append(spec(2002, nil), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.wantDropped(t, "duplicate ship")
+
+	p = dialRaw(t, addrs[0])
+	f, err := p.Call(ctx, netx.MsgSubmit, spec(3001, nil))
+	if err != nil {
+		t.Fatalf("valid submission after the malformed ones: %v", err)
+	}
+	if res, err := netx.DecodeResult(f.Payload); err != nil || res.Txn != 3001 || !res.Shipped {
+		t.Errorf("valid submission answered %+v, %v; want txn 3001 shipped", res, err)
+	}
+
+	// 2002's stray reply is the last thing in flight; wait for site 0 to
+	// have counted it before reading the books.
+	stray := `wire_errors_total{type="stray-reply"}`
+	for deadline := time.Now().Add(5 * time.Second); sites[0].Metrics().Snapshot()[stray] == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	siteSnaps := []map[string]float64{sites[0].Metrics().Snapshot(), sites[1].Metrics().Snapshot()}
+	centralSnap := central.Metrics().Snapshot()
+	for name, want := range map[string]float64{`wire_errors_total{type="bad-submit"}`: 4, stray: 1} {
+		if got := siteSnaps[0][name]; got != want {
+			t.Errorf("site 0 %s = %v, want %v", name, got, want)
+		}
+	}
+	if got := centralSnap[`wire_errors_total{type="bad-ship"}`]; got != 2 {
+		t.Errorf(`central wire_errors_total{type="bad-ship"} = %v, want 2`, got)
+	}
+	if got := centralSnap["central_ship_arrived_total"]; got != 3 { // 1004, 2002, 3001
+		t.Errorf("central admitted %v ships, want 3", got)
+	}
+	// 1004 completed with nobody left to tell; the books still balance.
+	assertConservation(t, centralSnap, siteSnaps)
 }

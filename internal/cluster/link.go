@@ -2,16 +2,17 @@ package cluster
 
 // The wire implementation of hybrid's Transport seam: each of the protocol's
 // seven typed sends is encoded as an internal/netx payload and handed to the
-// owning node's send function; each received payload is decoded, its
-// transaction id resolved to the run it names (the pointer that rides the
-// message in simulation), and the same hybrid receive handler the simulator
-// delivers into is returned for the caller to run once the emulated one-way
-// delay has passed. The links know nothing of sockets: a live node's send
-// function writes to a netx.Conn, the codec-on-simulated-time test's
-// schedules the peer's handler on a comm.Network.
+// owning node's send function; each received payload is decoded and the same
+// hybrid receive handler the simulator delivers into is returned for the
+// caller to run once the emulated one-way delay has passed. The node itself
+// resolves a transaction id; one it does not know is reported as a stray.
+// The links know nothing of sockets: a live node's send function writes to a
+// netx.Conn, the codec-on-simulated-time test's schedules the peer's handler
+// on a comm.Network.
 
 import (
 	"errors"
+	"fmt"
 
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
@@ -24,6 +25,18 @@ import (
 // errNotProtocol is what a link's receive returns for a frame type that is
 // not one of its direction's protocol messages.
 var errNotProtocol = errors.New("cluster: not a protocol message")
+
+// checkSpec rejects a decoded transaction input the lifecycle cannot run: it
+// indexes Elements by call number and sends the completion to HomeSite.
+func checkSpec(cfg *hybrid.Config, spec *workload.Txn) error {
+	if len(spec.Elements) != cfg.CallsPerTxn {
+		return fmt.Errorf("txn %d has %d elements, the configuration runs %d calls", spec.ID, len(spec.Elements), cfg.CallsPerTxn)
+	}
+	if spec.HomeSite >= cfg.Sites {
+		return fmt.Errorf("txn %d home site %d out of range [0,%d)", spec.ID, spec.HomeSite, cfg.Sites)
+	}
+	return nil
+}
 
 // toWire drops a snapshot's instant: it is not on the wire.
 func toWire(s hybrid.Snapshot) netx.Snapshot {
@@ -43,19 +56,13 @@ type siteLink struct {
 	stray func(msgType byte, txn int64)
 	// spans, when set, marks each authentication answer on the site's lane.
 	spans *spans.Recorder
-
-	// shipped holds the runs whose transactions are away at central: the
-	// Reply names one by id.
-	shipped map[int64]*hybrid.TxnRun
 }
 
-func (l *siteLink) Ship(_ int, t *hybrid.TxnRun) {
-	spec := t.Spec()
-	l.shipped[spec.ID] = t
+func (l *siteLink) Ship(_ int, spec *workload.Txn) {
 	l.send(netx.MsgShip, spec.ID, netx.AppendShip(nil, spec, true))
 }
 
-func (l *siteLink) AuthReply(site int, _ *hybrid.TxnRun, txn int64, nack bool) {
+func (l *siteLink) AuthReply(site int, txn int64, nack bool) {
 	if l.spans != nil {
 		verdict := "auth-ack"
 		if nack {
@@ -89,7 +96,7 @@ func (l *siteLink) receive(msgType byte, p []byte) (txn int64, handle func(), er
 	switch msgType {
 	case netx.MsgAuthReq:
 		a, err := netx.DecodeAuthReq(p)
-		return a.Txn, func() { l.node.OnAuthReq(nil, a.Txn, a.Elements, a.Modes, l.received(a.Snap)) }, err
+		return a.Txn, func() { l.node.OnAuthReq(a.Txn, a.Elements, a.Modes, l.received(a.Snap)) }, err
 	case netx.MsgRelease:
 		r, err := netx.DecodeRelease(p)
 		return r.Txn, func() { l.node.OnRelease(r.Txn, l.received(r.Snap)) }, err
@@ -99,13 +106,9 @@ func (l *siteLink) receive(msgType byte, p []byte) (txn int64, handle func(), er
 	case netx.MsgReply:
 		r, err := netx.DecodeReply(p)
 		return r.Txn, func() {
-			t, ok := l.shipped[r.Txn]
-			if !ok {
+			if !l.node.OnReply(r.Txn, l.received(r.Snap)) {
 				l.stray(msgType, r.Txn)
-				return
 			}
-			delete(l.shipped, r.Txn)
-			l.node.OnReply(t, l.received(r.Snap))
 		}, err
 	}
 	return 0, nil, errNotProtocol
@@ -115,13 +118,17 @@ func (l *siteLink) receive(msgType byte, p []byte) (txn int64, handle func(), er
 // hybrid.Downlink, and the decoder of the three site->central messages.
 type centralLink struct {
 	node *hybrid.CentralNode
+	cfg  *hybrid.Config
 
 	// send transmits one downlink frame to a site.
 	send  func(site int, msgType byte, payload []byte)
 	stray func(msgType byte, txn int64)
+	// duplicate reports a Ship whose transaction is already executing here;
+	// from is the connection it arrived on.
+	duplicate func(from *netx.Conn, txn int64)
 }
 
-func (l *centralLink) AuthReq(site int, _ *hybrid.TxnRun, txn int64, elems []uint32, modes []lock.Mode, snap hybrid.Snapshot) {
+func (l *centralLink) AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap hybrid.Snapshot) {
 	l.send(site, netx.MsgAuthReq, netx.AppendAuthReq(nil, netx.AuthReq{
 		Txn: txn, Elements: elems, Modes: modes, Snap: toWire(snap), Traced: true,
 	}))
@@ -135,35 +142,37 @@ func (l *centralLink) UpdateAck(site int, updates []uint32, snap hybrid.Snapshot
 	l.send(site, netx.MsgUpdateAck, netx.AppendUpdateAck(nil, netx.UpdateAck{Elements: updates, Snap: toWire(snap)}))
 }
 
-// Reply encodes the completion and returns the adopted run to the node's
-// pool: across a wire the home site completes its own run.
-func (l *centralLink) Reply(home int, t *hybrid.TxnRun, snap hybrid.Snapshot) {
-	spec := t.Spec()
+func (l *centralLink) Reply(home int, txn int64, classB bool, snap hybrid.Snapshot) {
 	l.send(home, netx.MsgReply, netx.AppendReply(nil, netx.Reply{
-		Txn: spec.ID, ClassB: spec.Class == workload.ClassB, Snap: toWire(snap), Traced: true,
+		Txn: txn, ClassB: classB, Snap: toWire(snap), Traced: true,
 	}))
-	l.node.FreeRun(t)
 }
 
-// receive decodes one site->central frame. The returned handler must run on
-// the node's executor, after the emulated link delay.
-func (l *centralLink) receive(msgType byte, p []byte) (txn int64, handle func(), err error) {
+// receive decodes one site->central frame that arrived on from. The returned
+// handler must run on the node's executor, after the emulated link delay.
+func (l *centralLink) receive(from *netx.Conn, msgType byte, p []byte) (txn int64, handle func(), err error) {
 	switch msgType {
 	case netx.MsgShip:
 		spec, _, err := netx.DecodeShip(p)
+		if err == nil {
+			err = checkSpec(l.cfg, spec)
+		}
 		if err != nil {
 			return 0, nil, err
 		}
-		return spec.ID, func() { l.node.OnShip(l.node.AdoptRun(spec)) }, nil
+		return spec.ID, func() {
+			if l.node.Running(spec.ID) {
+				l.duplicate(from, spec.ID)
+				return
+			}
+			l.node.OnShip(spec)
+		}, nil
 	case netx.MsgAuthReply:
 		a, err := netx.DecodeAuthReply(p)
 		return a.Txn, func() {
-			t := l.node.AwaitingAuth(a.Txn)
-			if t == nil {
+			if !l.node.OnAuthReply(int(a.Site), a.Txn, a.NACK) {
 				l.stray(msgType, a.Txn)
-				return
 			}
-			l.node.OnAuthReply(t, int(a.Site), a.NACK)
 		}, err
 	case netx.MsgUpdate:
 		u, err := netx.DecodeUpdate(p)

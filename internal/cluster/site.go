@@ -10,15 +10,13 @@ package cluster
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"strconv"
 
-	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
-	"hybriddb/internal/obsx/logx"
 	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/routing"
@@ -47,10 +45,8 @@ type SiteStats struct {
 
 // Site is one live local site.
 type Site struct {
-	cfg hybrid.Config
-	idx int
-
-	loop *exec.Loop
+	shell
+	idx  int
 	node *hybrid.SiteNode
 	link siteLink
 
@@ -59,13 +55,6 @@ type Site struct {
 
 	// stats is derived from the node's bus events (OnEvent), on the loop.
 	stats SiteStats
-
-	log   logx.Logger
-	reg   *metrics.Registry
-	wm    *wireMetrics
-	net   *netx.Stats
-	fr    *flight.Recorder
-	spans *spans.Recorder
 
 	// rtLocal / rtShipped are observed on the loop at completion — the live
 	// counterparts of the simulator's per-route RT histograms.
@@ -91,29 +80,19 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	if strategy == nil {
 		strategy = routing.AlwaysLocal{}
 	}
-	loop := exec.NewLoop()
-	reg := metrics.NewRegistry()
 	name := "site " + strconv.Itoa(idx)
 	s := &Site{
-		cfg:     cfg,
+		shell:   newShell(cfg, name, name, spans.SitePid(idx)),
 		idx:     idx,
-		loop:    loop,
 		pending: make(map[int64]pendingSubmit),
-		log:     logx.New(name),
-		reg:     reg,
-		wm:      newWireMetrics(reg),
-		net:     &netx.Stats{},
-		fr:      flight.NewRecorder(name, flightCapacity),
-		spans:   spans.NewRecorder(name, spans.SitePid(idx), 0),
 	}
 	s.link = siteLink{
-		clock: loop, delay: cfg.CommDelay, spans: s.spans,
+		clock: s.loop, delay: cfg.CommDelay, spans: s.spans,
 		send: s.sendUp, stray: s.stray,
-		shipped: make(map[int64]*hybrid.TxnRun),
 	}
-	node, err := hybrid.NewSiteNode(cfg, idx, loop, strategy, &s.link, s)
+	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, s)
 	if err != nil {
-		loop.Stop()
+		s.loop.Stop()
 		return nil, err
 	}
 	s.node, s.link.node = node, node
@@ -133,22 +112,11 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	// Accept load generators last: a submission may ship at once.
 	if s.acceptor, err = listen(addr, s.net, s.dispatchLoad); err != nil {
 		s.up.Close()
-		loop.Stop()
+		s.loop.Stop()
 		return nil, err
 	}
 	return s, nil
 }
-
-// Metrics returns the node's registry, for a debug listener or a test
-// scrape.
-func (s *Site) Metrics() *metrics.Registry { return s.reg }
-
-// Flight returns the node's flight recorder of recent wire events.
-func (s *Site) Flight() *flight.Recorder { return s.fr }
-
-// Spans returns the node's live span recorder (local timebase, stamped with
-// the handshake's clock-offset estimate).
-func (s *Site) Spans() *spans.Recorder { return s.spans }
 
 // registerMetrics wires the registry: transport gauges read straight from
 // atomics, per-route RT histograms observed on the loop, and one scrape
@@ -205,18 +173,34 @@ func (s *Site) dispatchLoad(conn *netx.Conn, f netx.Frame) {
 		return
 	}
 	spec, err := netx.DecodeTxn(f.Payload)
+	if err == nil {
+		err = checkSpec(&s.cfg, spec)
+	}
+	if err == nil && spec.HomeSite != s.idx {
+		err = fmt.Errorf("txn %d is homed at site %d, this is site %d", spec.ID, spec.HomeSite, s.idx)
+	}
 	if err != nil {
-		s.log.Errorf("bad submit: %v", err)
-		s.wm.Error("bad-submit")
-		conn.Close()
+		s.badSubmit(conn, err)
 		return
 	}
 	s.fr.Recordf(flight.In, "submit", "txn %d", spec.ID)
 	reqID := f.ReqID
 	s.loop.Post(func() {
+		if _, dup := s.pending[spec.ID]; dup {
+			s.badSubmit(conn, fmt.Errorf("txn %d is already in flight", spec.ID))
+			return
+		}
 		s.pending[spec.ID] = pendingSubmit{conn: conn, reqID: reqID}
 		s.node.Admit(spec)
 	})
+}
+
+// badSubmit refuses a submission the node cannot run and drops the load
+// connection that sent it.
+func (s *Site) badSubmit(conn *netx.Conn, err error) {
+	s.log.Errorf("bad submit: %v", err)
+	s.wm.Error("bad-submit")
+	conn.Close()
 }
 
 // dispatchCentral handles frames arriving on the uplink: the handshake
@@ -241,20 +225,8 @@ func (s *Site) dispatchCentral(conn *netx.Conn, f netx.Frame) {
 		s.log.Debugf("clock offset vs central: %.6fs (rtt %.6fs)", offset, t1-ack.T0)
 		return
 	}
-	name := netx.MsgName(f.Type)
 	txn, handle, err := s.link.receive(f.Type, f.Payload)
-	switch {
-	case errors.Is(err, errNotProtocol):
-		s.log.Errorf("unexpected %s from central", name)
-		s.wm.Error("unexpected-type")
-	case err != nil:
-		s.log.Errorf("bad %s: %v", name, err)
-		s.wm.Error("bad-" + name)
-		conn.Close()
-	default:
-		s.fr.Recordf(flight.In, name, "txn %d", txn)
-		s.loop.Schedule(s.cfg.CommDelay, handle)
-	}
+	s.deliver(conn, f, txn, handle, err)
 }
 
 // sendUp is the link's send function: one protocol frame up to central. A
@@ -273,12 +245,6 @@ func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 	}
 	s.wm.Out(msgType)
 	s.fr.Recordf(flight.Out, name, "txn %d", txn)
-}
-
-func (s *Site) stray(msgType byte, txn int64) {
-	name := netx.MsgName(msgType)
-	s.log.Errorf("stray %s for txn %d", name, txn)
-	s.wm.Error("stray-" + name)
 }
 
 // OnEvent implements obs.Observer on the node's bus: the site's counters,

@@ -1,10 +1,12 @@
 package hybrid
 
-// The cross-site commit protocol of §2: the optimistic authentication phase
-// a centrally running transaction executes against the master sites of the
-// data it locked, the ack/nack gathering at the central site, and the final
-// commit or abort-and-restart. Four messages — AuthReq, AuthReply, Release,
-// Reply — each sent by one node and received by a handler on the other.
+// The two commit points of §2 — where the tiers' executions differ — and the
+// cross-site commit protocol behind the central one: the optimistic
+// authentication phase a centrally running transaction executes against the
+// master sites of the data it locked, the ack/nack gathering at the central
+// site, and the final commit or abort-and-restart. Four messages — AuthReq,
+// AuthReply, Release, Reply — each sent by one node and received by a
+// handler on the other, each naming the transaction by id.
 
 import (
 	"fmt"
@@ -15,15 +17,65 @@ import (
 	"hybriddb/internal/workload"
 )
 
-// begin is the commit point of a centrally running transaction: abort if
-// invalidated, otherwise run the authentication phase against every master
-// site of the data locked (§2).
-func (c *CentralNode) begin(t *TxnRun) {
+// commitPoint of a locally running class A transaction (§2): abort if
+// marked; otherwise release locks, raise coherence counts on updated
+// elements, and propagate the updates asynchronously — completing without
+// waiting for the central acknowledgement.
+func (s *SiteNode) commitPoint(t *txnRun) {
+	if t.marked {
+		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Txn: t.spec.ID, Site: s.idx})
+		s.emit(trace.CrossAbortLocal, t.spec.ID, 0, "seized by central commit")
+		s.restart(t)
+		return
+	}
+	// The update set rides the asynchronous update message, so it cannot be
+	// scratch: propagate takes ownership, and the buffer returns to the
+	// site's pool with the central acknowledgement.
+	updates := t.spec.AppendUpdates(s.takeUpdBuf())
+	for _, elem := range t.spec.Elements {
+		s.locks.Release(t.id(), elem)
+	}
+	for _, elem := range updates {
+		s.locks.IncrCoherence(elem)
+	}
+	if len(updates) > 0 {
+		if s.env.detailed() {
+			s.emit(trace.UpdatePropagated, t.spec.ID, 0, fmt.Sprintf("%d elements", len(updates)))
+		}
+		s.propagate(t.spec.ID, updates)
+	} else if updates != nil {
+		s.updFree = append(s.updFree, updates)
+	}
+	s.emit(trace.CommitLocal, t.spec.ID, 0, "")
+
+	now := s.sched.Now()
+	rt := now - t.arrivedAt
+	s.lastLocalRT = rt
+	s.inSystem--
+	s.running.Delete(t.id())
+	s.completed++
+	s.env.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Txn: t.spec.ID, Site: s.idx, Value: rt, Aux: float64(t.attempt)})
+	s.recycleSpec(t.spec)
+	s.freeRun(t)
+}
+
+// recycleSpec returns a completed transaction's input to the site's pool
+// when it is the engine's own (generator-produced, reused through NextInto);
+// replayed and submitted specs belong to their caller and must survive the
+// run. It executes on the home site's executor, as every completion does.
+func (s *SiteNode) recycleSpec(spec *workload.Txn) {
+	if s.env.poolSpecs {
+		s.specFree = append(s.specFree, spec)
+	}
+}
+
+// commitPoint of a centrally running transaction: abort if invalidated,
+// otherwise run the authentication phase against every master site of the
+// data locked (§2).
+func (c *CentralNode) commitPoint(t *txnRun) {
 	env := c.env
 	if t.marked {
-		env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Txn: t.spec.ID, Site: -1})
-		c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, "invalidated by async update")
-		c.restart(t)
+		c.abort(t, obs.AbortCentralInval, "invalidated by async update")
 		return
 	}
 	wl := env.cfg.WorkloadConfig()
@@ -37,10 +89,6 @@ func (c *CentralNode) begin(t *TxnRun) {
 	t.authSeized = t.authSeized[:0]
 	env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AuthRound, Txn: t.spec.ID, Site: -1, Value: float64(len(sites))})
 
-	// The request payload (ID, elements, modes, snapshot) travels by value:
-	// while the run waits in phaseAuthWait the central node owns it, so the
-	// site-side handler must not dereference t. The pointer itself rides
-	// along only to route the reply, which executes back at central.
 	txnID := t.spec.ID
 	snap := c.snapshot()
 	for _, site := range sites {
@@ -53,20 +101,17 @@ func (c *CentralNode) begin(t *TxnRun) {
 			}
 		}
 		if env.detailed() {
-			c.emit(trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", len(elems)))
+			env.emitDetail(c.sched.Now(), trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", len(elems)))
 		}
-		env.down.AuthReq(site, t, txnID, elems, modes, snap)
+		env.down.AuthReq(site, txnID, elems, modes, snap)
 	}
 }
 
 // OnAuthReq processes an authentication request at a local site: NACK if
 // any element has in-flight asynchronous updates; otherwise seize the locks,
-// marking conflicting local holders for abort, and ACK. It touches only
-// site-owned state — the transaction ID arrives by value, and t passes
-// through untouched to the reply (nil when the request crossed a wire).
-// Authentication messages always refresh the site's view of the central
-// state (§4.2).
-func (s *SiteNode) OnAuthReq(t *TxnRun, txnID int64, elems []uint32, modes []lock.Mode, snap Snapshot) {
+// marking conflicting local holders for abort, and ACK. Authentication
+// messages always refresh the site's view of the central state (§4.2).
+func (s *SiteNode) OnAuthReq(txnID int64, elems []uint32, modes []lock.Mode, snap Snapshot) {
 	s.refreshView(snap)
 	tid := lock.ID(txnID)
 	nack := false
@@ -96,7 +141,7 @@ func (s *SiteNode) OnAuthReq(t *TxnRun, txnID int64, elems []uint32, modes []loc
 	} else {
 		s.emit(trace.AuthNACK, txnID, 0, "in-flight updates")
 	}
-	s.env.up.AuthReply(s.idx, t, txnID, nack)
+	s.env.up.AuthReply(s.idx, txnID, nack)
 }
 
 // markVictim marks the local holder of a seized lock for abort. A victim ID
@@ -114,8 +159,14 @@ func (s *SiteNode) markVictim(v lock.ID) {
 
 // OnAuthReply folds one site's authentication answer into the transaction;
 // when the last reply is in, the final commit gate of §2 decides: every site
-// positive and the central locks not invalidated meanwhile.
-func (c *CentralNode) OnAuthReply(t *TxnRun, site int, nack bool) {
+// positive and the central locks not invalidated meanwhile. An answer naming
+// no transaction that awaits one — a stray, duplicate or late message —
+// changes nothing and reports false.
+func (c *CentralNode) OnAuthReply(site int, txnID int64, nack bool) bool {
+	t, ok := c.running.Get(lock.ID(txnID))
+	if !ok || t.phase != phaseAuthWait || t.authPending == 0 {
+		return false
+	}
 	if nack {
 		t.authNACK = true
 	} else {
@@ -123,33 +174,30 @@ func (c *CentralNode) OnAuthReply(t *TxnRun, site int, nack bool) {
 	}
 	t.authPending--
 	if t.authPending > 0 {
-		return
+		return true
 	}
-	if t.authNACK || t.marked {
-		if t.authNACK {
-			c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AbortCentralNACK, Txn: t.spec.ID, Site: -1})
-		} else {
-			c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Txn: t.spec.ID, Site: -1})
-		}
-		if c.env.detailed() {
-			reason := "invalidated during authentication"
-			if t.authNACK {
-				reason = "authentication NACK"
-			}
-			c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, reason)
-		}
-		c.releaseAuthLocks(t, c.snapshot())
-		c.restart(t)
-		return
+	switch {
+	case t.authNACK:
+		c.abort(t, obs.AbortCentralNACK, "authentication NACK")
+	case t.marked:
+		c.abort(t, obs.AbortCentralInval, "invalidated during authentication")
+	default:
+		c.finish(t)
 	}
-	c.finish(t)
+	return true
+}
+
+// abort re-runs a transaction that failed its commit point, after telling
+// the sites that seized locks for it (none before authentication) to let go.
+func (c *CentralNode) abort(t *txnRun, cause obs.Kind, reason string) {
+	c.env.observeAt(c.sched.Now(), obs.Event{Kind: cause, Txn: t.spec.ID, Site: -1})
+	c.emit(trace.CrossAbortCentral, t.spec.ID, 0, reason)
+	c.releaseAuthLocks(t, c.snapshot())
+	c.restart(t)
 }
 
 // releaseAuthLocks tells every site that seized locks for t to release them.
-// The message carries the ID, not the run: the run is pooled, and by the time
-// the message arrives the transaction may have restarted, committed, and been
-// recycled for a different transaction.
-func (c *CentralNode) releaseAuthLocks(t *TxnRun, snap Snapshot) {
+func (c *CentralNode) releaseAuthLocks(t *txnRun, snap Snapshot) {
 	for _, site := range t.authSeized {
 		c.env.down.Release(site, t.spec.ID, snap)
 	}
@@ -170,37 +218,47 @@ func (s *SiteNode) OnRelease(txnID int64, snap Snapshot) {
 // central locks are released, and the completion reply travels to the origin
 // where the response time is recorded. The reply piggybacks the snapshot
 // taken before the central release, like the releases sent with it.
-func (c *CentralNode) finish(t *TxnRun) {
+func (c *CentralNode) finish(t *txnRun) {
 	snap := c.snapshot()
 	c.releaseAuthLocks(t, snap)
 	c.locks.ReleaseAll(t.id())
 	c.inSystem--
 	c.running.Delete(t.id())
-	t.phase = phaseDone
-	c.emit(trace.CommitCentral, t.spec.ID, -1, 0, "")
+	c.emit(trace.CommitCentral, t.spec.ID, 0, "")
 	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.TxnCentralCommit, Txn: t.spec.ID, Site: -1, Aux: float64(t.attempt)})
 
 	c.replyStarted++
-	c.env.down.Reply(t.spec.HomeSite, t, snap)
+	c.env.down.Reply(t.spec.HomeSite, t.spec.ID, t.spec.Class == workload.ClassB, snap)
+	c.freeRun(t)
 }
 
-// OnReply completes a shipped transaction at its home site: the Reply hands
-// ownership of t back. It is the last touch — the seized-lock releases were
-// sent earlier at the same instant over equal-delay links, so FIFO
-// tie-breaking guarantees they have already run.
-func (s *SiteNode) OnReply(t *TxnRun, snap Snapshot) {
+// OnReply completes a shipped transaction at its home site. It is the last
+// touch — the seized-lock releases were sent earlier at the same instant over
+// equal-delay links, so FIFO tie-breaking guarantees they have already run. A
+// reply naming no transaction parked here — a stray or duplicate message —
+// changes nothing and reports false.
+func (s *SiteNode) OnReply(txnID int64, snap Snapshot) bool {
+	if s.parked == nil {
+		return false
+	}
+	p, ok := s.parked.Get(lock.ID(txnID))
+	if !ok {
+		return false
+	}
+	s.parked.Delete(lock.ID(txnID))
 	s.replyArrived++
-	s.emit(trace.ReplyDelivered, t.spec.ID, 0, "")
+	s.emit(trace.ReplyDelivered, txnID, 0, "")
 	if s.env.cfg.Feedback == FeedbackAllMessages {
 		s.refreshView(snap)
 	}
-	rt := s.sched.Now() - t.arrivedAt
+	rt := s.sched.Now() - p.arrivedAt
 	s.completed++
-	classB := t.spec.Class != workload.ClassA
+	classB := p.spec.Class != workload.ClassA
 	if !classB {
 		s.shippedOut--
 		s.lastShippedRT = rt
 	}
-	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnReply, Txn: t.spec.ID, ClassB: classB, Value: rt, Site: s.idx})
-	s.recycle(t)
+	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnReply, Txn: txnID, ClassB: classB, Value: rt, Site: s.idx})
+	s.recycleSpec(p.spec)
+	return true
 }

@@ -18,8 +18,8 @@ import (
 //
 //   - node layer (node.go): SiteNode/CentralNode state, admission and
 //     routing, view snapshots, and disk/CPU server construction;
-//   - transaction lifecycle layer (txn.go, local_path.go, central_path.go,
-//     commit.go): the TxnRun phase machine and the cross-site
+//   - transaction lifecycle layer (txn.go, path.go,
+//     commit.go): the run phase machine and the cross-site
 //     authenticate/ack/nack commit protocol;
 //   - propagation layer (propagate.go): asynchronous update application and
 //     the piggybacked central-state feedback routingState consumes;
@@ -91,7 +91,7 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 		central:   &CentralNode{},
 		horizon:   cfg.Warmup + cfg.Duration,
 	}
-	e.env.init(cfg)
+	e.env.init(cfg, nil)
 	e.env.poolSpecs = true
 	e.env.up, e.env.down = &e.wire, &e.wire
 	e.central.init(&e.env, exec.Sim(s))
@@ -325,40 +325,16 @@ func (e *Engine) flushEpoch() {
 	}
 }
 
-// generatedTotal sums the per-site admission counters.
-func (e *Engine) generatedTotal() uint64 {
-	var n uint64
+// flow sums the partition-owned conservation counters: transactions
+// generated and completed, shipped inputs still travelling to the central
+// site, and completion replies still travelling to their origin.
+func (e *Engine) flow() (generated, completed, shipping, replying uint64) {
+	var shipped, replied uint64
 	for _, ls := range e.sites {
-		n += ls.generated
+		generated += ls.generated
+		completed += ls.completed
+		shipped += ls.shipStarted
+		replied += ls.replyArrived
 	}
-	return n
-}
-
-// completedTotal sums the per-site completion counters.
-func (e *Engine) completedTotal() uint64 {
-	var n uint64
-	for _, ls := range e.sites {
-		n += ls.completed
-	}
-	return n
-}
-
-// inFlightShipTotal counts shipped inputs still travelling to the central
-// site: inputs sent minus inputs received.
-func (e *Engine) inFlightShipTotal() uint64 {
-	var sent uint64
-	for _, ls := range e.sites {
-		sent += ls.shipStarted
-	}
-	return sent - e.central.shipArrived
-}
-
-// inFlightReplyTotal counts completion replies still travelling to their
-// origin: replies sent minus replies delivered.
-func (e *Engine) inFlightReplyTotal() uint64 {
-	var delivered uint64
-	for _, ls := range e.sites {
-		delivered += ls.replyArrived
-	}
-	return e.central.replyStarted - delivered
+	return generated, completed, shipped - e.central.shipArrived, e.central.replyStarted - replied
 }

@@ -27,30 +27,30 @@ func (o invariantObserver) OnEvent(ev obs.Event) {
 func (e *Engine) checkInvariants() {
 	var present uint64
 	for _, ls := range e.sites {
-		ls.locks.CheckInvariants()
-		if ls.inSystem < 0 {
-			panic(fmt.Sprintf("hybrid: negative inSystem at site %d", ls.idx))
+		present += ls.check()
+		// One owner per run: a shipped transaction holds no run at home,
+		// only its parked input, from the Ship send to the Reply's delivery.
+		if sent := ls.shipStarted - ls.replyArrived; uint64(ls.away()) != sent {
+			panic(fmt.Sprintf("hybrid: site %d parks %d shipped transactions, %d are unanswered",
+				ls.idx, ls.away(), sent))
 		}
-		if ls.running.Len() != ls.inSystem {
-			panic(fmt.Sprintf("hybrid: site %d running=%d inSystem=%d",
-				ls.idx, ls.running.Len(), ls.inSystem))
-		}
-		present += uint64(ls.inSystem)
 	}
-	e.central.locks.CheckInvariants()
-	if e.central.running.Len() != e.central.inSystem {
-		panic(fmt.Sprintf("hybrid: central running=%d inSystem=%d",
-			e.central.running.Len(), e.central.inSystem))
-	}
-	present += uint64(e.central.inSystem)
-	generated := e.generatedTotal()
-	completed := e.completedTotal()
-	shipping := e.inFlightShipTotal()
-	replying := e.inFlightReplyTotal()
+	present += e.central.check()
+	generated, completed, shipping, replying := e.flow()
 	total := completed + present + shipping + replying
 	if total != generated {
 		panic(fmt.Sprintf("hybrid: conservation violated: generated=%d accounted=%d "+
 			"(completed=%d present=%d shipping=%d replying=%d)",
 			generated, total, completed, present, shipping, replying))
 	}
+}
+
+// check audits one partition's lock table and resident-transaction
+// accounting and returns the transactions present.
+func (p *partition) check() uint64 {
+	p.locks.CheckInvariants()
+	if p.inSystem < 0 || p.running.Len() != p.inSystem {
+		panic(fmt.Sprintf("hybrid: partition %d running=%d inSystem=%d", p.idx, p.running.Len(), p.inSystem))
+	}
+	return uint64(p.inSystem)
 }

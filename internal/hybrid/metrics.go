@@ -375,11 +375,8 @@ func (e *Engine) result() Result {
 		MeanViewAge:           agg.viewAge.Mean(),
 		AuthRounds:            agg.authRounds,
 		MessagesSent:          e.wire.net.MessagesSent(),
-		Generated:             e.generatedTotal(),
-		Completed:             e.completedTotal(),
-		InFlightShip:          e.inFlightShipTotal(),
-		InFlightReply:         e.inFlightReplyTotal(),
 	}
+	r.Generated, r.Completed, r.InFlightShip, r.InFlightReply = e.flow()
 	for _, ls := range e.sites {
 		r.InSystemAtEnd += uint64(ls.inSystem)
 	}

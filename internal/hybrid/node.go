@@ -6,13 +6,14 @@ package hybrid
 // the strategy's view of them. A node is one partition + its share of the
 // lifecycle + an observer bus, built on any exec.Scheduler: the Engine wires
 // N+1 of them onto simulator queues through simWire, internal/cluster puts
-// one on a wall-clock exec.Loop behind a TCP wire. The lifecycle methods
-// live in local_path.go, central_path.go, commit.go and propagate.go.
+// one on a wall-clock exec.Loop behind a TCP wire. What the two tiers share
+// — servers, lock table, resident runs and the execution path — is the
+// embedded partition (path.go); the commit points and the commit protocol are
+// in commit.go, update propagation in propagate.go.
 
 import (
 	"fmt"
 
-	"hybriddb/internal/cpu"
 	"hybriddb/internal/exec"
 	"hybriddb/internal/flatmap"
 	"hybriddb/internal/hybrid/obs"
@@ -44,8 +45,11 @@ type nodeEnv struct {
 	poolSpecs bool
 }
 
-func (env *nodeEnv) init(cfg Config) {
+func (env *nodeEnv) init(cfg Config, observers []obs.Observer) {
 	env.cfg = cfg
+	for _, o := range observers {
+		env.bus.Subscribe(o)
+	}
 	env.partSize = cfg.WorkloadConfig().PartitionSize()
 	if cfg.CentralHotFraction < 1 {
 		env.partialRepl = true
@@ -102,18 +106,11 @@ func ValidateStandalone(cfg Config) error {
 	return nil
 }
 
-// SiteNode is one distributed system. Every field below is owned by the
-// site's executor: lifecycle events touching this site execute on it, and
-// cross-tier interactions arrive as messages. In a sharded run that executor
-// is the site's shard worker; the sequential engine uses the same ownership
-// discipline with a single queue, a live site with its event loop.
+// SiteNode is one distributed system: a partition executing the class A
+// transactions it retains, plus admission, routing and the site's side of
+// the protocol.
 type SiteNode struct {
-	env   *nodeEnv
-	idx   int
-	sched exec.Dispatch // the executor this site's events run on
-	cpu   *cpu.Server
-	disks []*cpu.Server // empty: pure-delay I/O (the paper's assumption)
-	locks *lock.Manager
+	partition
 
 	// strategy routes this site's class A arrivals: a per-site fork of a
 	// routing.SiteLocal, the event loop's instance of a routing.LoopLocal,
@@ -123,8 +120,12 @@ type SiteNode struct {
 	// set by the Engine only, and only in that mode.
 	ideal *CentralNode
 
-	inSystem int                            // n_i: class A transactions present
-	running  *flatmap.Map[lock.ID, *TxnRun] // transactions executing here
+	// parked holds what OnReply needs of each transaction shipped from here
+	// and not yet answered — its input and arrival instant, by id. A shipped
+	// transaction takes no run at home: central executes it in one of its
+	// own. Nil until the first ship: construction stays as cheap as for a
+	// site that retains everything.
+	parked *flatmap.Map[lock.ID, parkedTxn]
 
 	shippedOut int // class A transactions currently shipped from here
 
@@ -139,18 +140,11 @@ type SiteNode struct {
 	pendingUpdates []uint32
 	flushPending   bool
 
-	busyAtWarmup float64
-
-	// txnFree recycles TxnRun objects across this site's transactions. The
-	// pool is per site (not per engine) so a sharded run never contends on
-	// it: a run is taken at its home site and returns there — after a trip
-	// through the central complex, ownership travels back with the reply.
-	txnFree []*TxnRun
-
-	// specFree recycles workload.Txn specs the same way (generator runs only,
-	// never replayed or submitted ones — those specs belong to the caller).
-	// A spec is reused only after recycle, by which point every in-flight
-	// message payload derived from it has been copied out.
+	// specFree recycles the workload.Txn specs of completed transactions
+	// (generator runs only, never replayed or submitted ones — those specs
+	// belong to the caller). A spec is reused only after its completion here,
+	// by which point central's run has dropped it and every in-flight message
+	// payload derived from it has been copied out.
 	specFree []*workload.Txn
 
 	// updFree recycles the update-set slices that ride the asynchronous
@@ -175,19 +169,17 @@ type SiteNode struct {
 	replyArrived uint64
 }
 
-// CentralNode is the central computing complex; in a sharded run it owns
-// shard 0.
+// parkedTxn is a shipped transaction as its home site remembers it.
+type parkedTxn struct {
+	spec      *workload.Txn
+	arrivedAt float64
+}
+
+// CentralNode is the central computing complex: a partition executing class
+// B and shipped class A transactions, plus central's side of the protocol.
+// In a sharded run it owns shard 0.
 type CentralNode struct {
-	env   *nodeEnv
-	sched exec.Dispatch
-	cpu   *cpu.Server
-	disks []*cpu.Server
-	locks *lock.Manager
-
-	inSystem int // n_c: transactions present (class B + shipped class A)
-	running  *flatmap.Map[lock.ID, *TxnRun]
-
-	busyAtWarmup float64
+	partition
 
 	// Conservation counters: shipped inputs received, completion replies
 	// sent.
@@ -199,30 +191,15 @@ type CentralNode struct {
 	// and the update application's holder walk.
 	sitesBuf   []int
 	holdersBuf []lock.ID
-
-	// txnFree recycles the runs of a standalone central node, which adopts
-	// each shipped input into a run of its own (AdoptRun). Unused in an
-	// Engine, where the home site's run itself makes the trip.
-	txnFree []*TxnRun
 }
 
 func (s *SiteNode) init(env *nodeEnv, idx int, sched exec.Scheduler) {
-	s.env = env
-	s.idx = idx
-	s.sched = exec.NewDispatch(sched)
-	s.cpu = cpu.NewServer(sched, env.cfg.LocalMIPS)
-	s.disks = newDisks(sched, env.cfg.DisksPerSite)
-	s.locks = lock.NewManager()
-	s.running = flatmap.New[lock.ID, *TxnRun](16)
+	s.partition.init(env, idx, sched, env.cfg.LocalMIPS, env.cfg.DisksPerSite, s)
 }
 
 func (c *CentralNode) init(env *nodeEnv, sched exec.Scheduler) {
-	c.env = env
-	c.sched = exec.NewDispatch(sched)
-	c.cpu = cpu.NewServer(sched, env.cfg.CentralMIPS)
-	c.disks = newDisks(sched, env.cfg.DisksCentral)
-	c.locks = lock.NewManager()
-	c.running = flatmap.New[lock.ID, *TxnRun](16)
+	c.partition.init(env, -1, sched, env.cfg.CentralMIPS, env.cfg.DisksCentral, c)
+	c.coldFetch = env.partialRepl
 }
 
 // NewSiteNode builds local site idx as a standalone node: its handlers run
@@ -242,10 +219,7 @@ func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy
 		return nil, fmt.Errorf("hybrid: nil strategy")
 	}
 	env := &nodeEnv{up: up}
-	env.init(cfg)
-	for _, o := range observers {
-		env.bus.Subscribe(o)
-	}
+	env.init(cfg, observers)
 	s := &SiteNode{strategy: loopInstance(strategy)}
 	s.init(env, idx, sched)
 	return s, nil
@@ -258,10 +232,7 @@ func NewCentralNode(cfg Config, sched Scheduler, down Downlink, observers ...obs
 		return nil, err
 	}
 	env := &nodeEnv{down: down}
-	env.init(cfg)
-	for _, o := range observers {
-		env.bus.Subscribe(o)
-	}
+	env.init(cfg, observers)
 	c := &CentralNode{}
 	c.init(env, sched)
 	return c, nil
@@ -284,41 +255,6 @@ func loopInstance(s routing.Strategy) routing.Strategy {
 // Strategy returns the instance this site routes with.
 func (s *SiteNode) Strategy() routing.Strategy { return s.strategy }
 
-// InSystem returns the class A transactions executing at this site.
-func (s *SiteNode) InSystem() int { return s.inSystem }
-
-// QueueLength returns the site CPU's queue length, job in service included.
-func (s *SiteNode) QueueLength() int { return s.cpu.QueueLength() }
-
-// LocksHeld returns the locks held in this site's table.
-func (s *SiteNode) LocksHeld() int { return s.locks.LocksHeld() }
-
-// InSystem returns the transactions at central in any phase.
-func (c *CentralNode) InSystem() int { return c.inSystem }
-
-// QueueLength returns the central CPU's queue length, job in service
-// included.
-func (c *CentralNode) QueueLength() int { return c.cpu.QueueLength() }
-
-// LocksHeld returns the locks held in the central table.
-func (c *CentralNode) LocksHeld() int { return c.locks.LocksHeld() }
-
-// emit records a protocol-detail event at this site. The HasDetail guard
-// keeps the hot loop free of event construction when tracing is off.
-func (s *SiteNode) emit(kind trace.Kind, txn int64, elem uint32, note string) {
-	if s.env.bus.HasDetail() {
-		s.env.emitDetail(s.sched.Now(), kind, txn, s.idx, elem, note)
-	}
-}
-
-// emit records a protocol-detail event at the central complex; site is -1
-// for central-side events and the peer's index for messages to a site.
-func (c *CentralNode) emit(kind trace.Kind, txn int64, site int, elem uint32, note string) {
-	if c.env.bus.HasDetail() {
-		c.env.emitDetail(c.sched.Now(), kind, txn, site, elem, note)
-	}
-}
-
 // takeUpdBuf pops a recycled update-set buffer from the site's pool, or
 // returns nil (append then allocates the pool's first generation).
 func (s *SiteNode) takeUpdBuf() []uint32 {
@@ -331,38 +267,12 @@ func (s *SiteNode) takeUpdBuf() []uint32 {
 	return nil
 }
 
-// newDisks builds a disk bank; disks are modelled as unit-rate servers whose
-// "instructions" equal the I/O time in microseconds-of-a-1MIPS-machine, so
-// Submit(seconds*1e6) serves for exactly seconds.
-func newDisks(s exec.Scheduler, n int) []*cpu.Server {
-	if n <= 0 {
-		return nil
-	}
-	disks := make([]*cpu.Server, n)
-	for i := range disks {
-		disks[i] = cpu.NewServer(s, 1)
-	}
-	return disks
-}
-
-// scheduleIO performs one I/O of the given duration keyed to elem: a pure
-// delay under the paper's assumption, or an FCFS wait at the disk holding
-// the element when a disk bank is configured.
-func scheduleIO(s exec.Dispatch, disks []*cpu.Server, elem uint32, seconds float64, done func()) {
-	if len(disks) == 0 {
-		s.Schedule(seconds, done)
-		return
-	}
-	disks[int(elem)%len(disks)].Submit(seconds*1e6, done)
-}
-
 // Admit processes one arriving transaction, whatever its source (the
 // engine's arrival process, a replayed trace, a load generator's
 // submission): class B ships unconditionally, class A consults the routing
 // strategy. It executes on the site's executor.
 func (s *SiteNode) Admit(spec *workload.Txn) {
 	s.generated++
-	t := s.newTxnRun(spec)
 	if s.env.detailed() {
 		s.emit(trace.Arrive, spec.ID, 0, "class "+spec.Class.String())
 	}
@@ -370,7 +280,7 @@ func (s *SiteNode) Admit(spec *workload.Txn) {
 	if spec.Class == workload.ClassB {
 		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, ClassB: true, Shipped: true, Site: s.idx})
 		s.emit(trace.RouteShip, spec.ID, 0, "class B")
-		s.ship(t)
+		s.ship(spec)
 		return
 	}
 	st := s.routingState()
@@ -378,11 +288,43 @@ func (s *SiteNode) Admit(spec *workload.Txn) {
 	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, Shipped: shipped, Value: st.ViewAge, Site: s.idx})
 	if shipped {
 		s.emit(trace.RouteShip, spec.ID, 0, "")
-		s.ship(t)
+		s.ship(spec)
 		return
 	}
 	s.emit(trace.RouteLocal, spec.ID, 0, "")
+	t := s.takeRun(spec)
+	t.arrivedAt = s.sched.Now()
 	s.start(t)
+}
+
+// away returns the transactions shipped from here and not yet answered.
+func (s *SiteNode) away() int {
+	if s.parked == nil {
+		return 0
+	}
+	return s.parked.Len()
+}
+
+// ship sends a transaction's input to the central complex and parks what its
+// completion will need.
+func (s *SiteNode) ship(spec *workload.Txn) {
+	if spec.Class == workload.ClassA {
+		s.shippedOut++
+	}
+	s.shipStarted++
+	if s.parked == nil {
+		s.parked = flatmap.New[lock.ID, parkedTxn](0)
+	}
+	s.parked.Put(lock.ID(spec.ID), parkedTxn{spec: spec, arrivedAt: s.sched.Now()})
+	s.env.up.Ship(s.idx, spec)
+}
+
+// OnShip receives a shipped transaction's input — the Ship message — and
+// starts it in a run of central's own.
+func (c *CentralNode) OnShip(spec *workload.Txn) {
+	c.shipArrived++
+	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.ShipArrive, Txn: spec.ID, Site: -1, Aux: float64(spec.HomeSite)})
+	c.start(c.takeRun(spec))
 }
 
 // routingState assembles the strategy's view at the arrival site: local

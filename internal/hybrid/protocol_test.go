@@ -1,11 +1,16 @@
 package hybrid
 
 import (
+	"bytes"
 	"testing"
 
+	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/lock"
 	"hybriddb/internal/routing"
+	"hybriddb/internal/sim"
 	"hybriddb/internal/trace"
+	"hybriddb/internal/workload"
 )
 
 // eventLog collects every event grouped by transaction.
@@ -181,4 +186,227 @@ func TestProtocolUpdatesOnlyAfterCommit(t *testing.T) {
 	if !seen {
 		t.Fatal("no update propagation traced")
 	}
+}
+
+// recWire is a Transport that records what a standalone node sends.
+type recWire struct {
+	ships    []int64
+	authReqs []int64
+	replies  []int64
+	releases int
+}
+
+func (w *recWire) Ship(_ int, spec *workload.Txn) { w.ships = append(w.ships, spec.ID) }
+func (w *recWire) AuthReply(int, int64, bool)     {}
+func (w *recWire) Update(int, int64, []uint32)    {}
+func (w *recWire) AuthReq(_ int, txn int64, _ []uint32, _ []lock.Mode, _ Snapshot) {
+	w.authReqs = append(w.authReqs, txn)
+}
+func (w *recWire) Release(int, int64, Snapshot)               { w.releases++ }
+func (w *recWire) UpdateAck(int, []uint32, Snapshot)          {}
+func (w *recWire) Reply(_ int, txn int64, _ bool, _ Snapshot) { w.replies = append(w.replies, txn) }
+
+// kindCount counts lifecycle events by kind.
+type kindCount map[obs.Kind]int
+
+func (k kindCount) OnEvent(ev obs.Event) { k[ev.Kind]++ }
+
+func standaloneConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Sites = 1 // every element is mastered at site 0: one AuthReq a round
+	return cfg
+}
+
+// TestSiteNodeIgnoresStrayReplies: a Reply naming no transaction parked at
+// the site — never shipped, or already answered — is reported to the caller
+// and changes nothing, the piggybacked view included.
+func TestSiteNodeIgnoresStrayReplies(t *testing.T) {
+	wire, events, s := &recWire{}, kindCount{}, sim.New()
+	node, err := NewSiteNode(standaloneConfig(), 0, exec.Sim(s), routing.AlwaysLocal{}, wire, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.NewGenerator(standaloneConfig().WorkloadConfig(), 3).Next(0)
+	spec.Class = workload.ClassB // ships whatever the strategy
+	node.Admit(spec)
+	if len(wire.ships) != 1 || node.away() != 1 {
+		t.Fatalf("class B admission sent %d ships and parked %d", len(wire.ships), node.away())
+	}
+	state := func() [6]uint64 {
+		return [6]uint64{node.replyArrived, node.completed, uint64(node.away()),
+			uint64(events[obs.TxnReply]), uint64(len(node.txnFree)), uint64(node.view.Queue)}
+	}
+	fresh := Snapshot{Queue: 9, At: 1}
+
+	before := state()
+	if node.OnReply(spec.ID+1, fresh) {
+		t.Error("a reply for an unknown transaction was accepted")
+	}
+	if after := state(); after != before {
+		t.Errorf("a stray reply changed the site: %v -> %v", before, after)
+	}
+	if !node.OnReply(spec.ID, fresh) {
+		t.Fatal("the reply for the shipped transaction was refused")
+	}
+	if events[obs.TxnReply] != 1 || node.completed != 1 || node.away() != 0 {
+		t.Errorf("after the reply: %d TxnReply events, %d completed, %d parked", events[obs.TxnReply], node.completed, node.away())
+	}
+	before = state()
+	if node.OnReply(spec.ID, Snapshot{Queue: 4, At: 2}) {
+		t.Error("a duplicate reply was accepted")
+	}
+	if after := state(); after != before {
+		t.Errorf("a duplicate reply changed the site: %v -> %v", before, after)
+	}
+	if len(node.txnFree) != 0 {
+		t.Errorf("a shipped transaction drew %d runs from its home site's pool", len(node.txnFree))
+	}
+}
+
+// TestCentralNodeIgnoresStrayAuthReplies: an AuthReply is folded in only
+// while its transaction awaits one. An answer for an unknown id, one arriving
+// after a NACK already sent the transaction back to re-run, and one arriving
+// after the commit are each reported and change nothing.
+func TestCentralNodeIgnoresStrayAuthReplies(t *testing.T) {
+	cfg := standaloneConfig()
+	wire, events, s := &recWire{}, kindCount{}, sim.New()
+	node, err := NewCentralNode(cfg, exec.Sim(s), wire, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.NewGenerator(cfg.WorkloadConfig(), 3).Next(0)
+	node.OnShip(spec)
+	run, _ := node.running.Get(lock.ID(spec.ID))
+	type state struct {
+		run                       txnRunState
+		inSystem, locks, releases int
+		aborts, commits           int
+	}
+	snapshot := func() state {
+		return state{run.state(), node.inSystem, node.locks.LocksHeld(), wire.releases,
+			events[obs.AbortCentralNACK], events[obs.TxnCentralCommit]}
+	}
+	unchangedBy := func(why string, txn int64) {
+		t.Helper()
+		before := snapshot()
+		if node.OnAuthReply(0, txn, false) {
+			t.Errorf("%s: the answer was accepted", why)
+		}
+		if after := snapshot(); after != before {
+			t.Errorf("%s: the answer changed central: %+v -> %+v", why, before, after)
+		}
+	}
+
+	unchangedBy("before the first round", spec.ID) // still executing its calls
+	s.RunUntil(5)
+	if len(wire.authReqs) != 1 || run.phase != phaseAuthWait {
+		t.Fatalf("%d auth requests, phase %d: the transaction never reached its commit point", len(wire.authReqs), run.phase)
+	}
+	unchangedBy("unknown id", spec.ID+1)
+	if !node.OnAuthReply(0, spec.ID, true) {
+		t.Fatal("the NACK of the open round was refused")
+	}
+	if events[obs.AbortCentralNACK] != 1 || run.attempt != 2 {
+		t.Fatalf("after the NACK: %d aborts, attempt %d", events[obs.AbortCentralNACK], run.attempt)
+	}
+	unchangedBy("late answer after the NACK-restart", spec.ID)
+	s.RunUntil(10)
+	if len(wire.authReqs) != 2 {
+		t.Fatalf("%d auth requests after the re-run, want 2", len(wire.authReqs))
+	}
+	if !node.OnAuthReply(0, spec.ID, false) {
+		t.Fatal("the ACK of the second round was refused")
+	}
+	if len(wire.replies) != 1 || node.InSystem() != 0 || wire.releases != 1 {
+		t.Fatalf("after the ACK: %d replies, %d in system, %d releases", len(wire.replies), node.InSystem(), wire.releases)
+	}
+	if len(node.txnFree) != 1 || node.txnFree[0] != run {
+		t.Error("the finished run did not return to central's own pool")
+	}
+	unchangedBy("answer after the commit", spec.ID)
+}
+
+// txnRunState is what of a run a protocol message may change.
+type txnRunState struct {
+	phase       txnPhase
+	attempt     int
+	authPending int
+	authNACK    bool
+	seized      int
+	marked      bool
+}
+
+func (t *txnRun) state() txnRunState {
+	return txnRunState{t.phase, t.attempt, t.authPending, t.authNACK, len(t.authSeized), t.marked}
+}
+
+// TestRunsStayWithTheirPartition is the one-owner rule on the sharded core
+// (run it under -race): after a replayed trace has drained, every run sits
+// in the pool of the partition that allocated it — none migrated with a
+// message, none is in two pools — every pool holds only idle runs, and no
+// site still parks a shipped transaction.
+func TestRunsStayWithTheirPartition(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sites = 6
+	cfg.Shards = 3
+	cfg.SelfCheck = true
+	cfg.Lockspace = 3000 // conflicts: seizures, NACKs and re-runs recycle runs too
+	cfg.PWrite = 0.5
+	cfg.Warmup, cfg.Duration = 0, 400
+	var buf bytes.Buffer
+	const n = 2400
+	if err := workload.Capture(&buf, cfg.WorkloadConfig(), 5, 2.0, n); err != nil {
+		t.Fatal(err)
+	}
+	txns, gaps, err := workload.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(cfg, routing.NewStatic(0.5, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetTrace(txns, gaps); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Run()
+	if !e.Parallel() {
+		t.Fatal("the sharded core did not engage")
+	}
+	if res.Completed != n || res.InSystemAtEnd+res.InFlightShip+res.InFlightReply != 0 {
+		t.Fatalf("the run did not drain: %d of %d completed, %d resident, %d+%d in flight",
+			res.Completed, n, res.InSystemAtEnd, res.InFlightShip, res.InFlightReply)
+	}
+	if res.TotalAborts() == 0 {
+		t.Error("no aborts: the configuration is too gentle to recycle a re-run")
+	}
+
+	pooledAt := make(map[*txnRun]int)
+	check := func(p *partition) {
+		if p.running.Len() != 0 || p.inSystem != 0 {
+			t.Errorf("partition %d still holds %d runs (inSystem %d)", p.idx, p.running.Len(), p.inSystem)
+		}
+		if len(p.txnFree) == 0 {
+			t.Errorf("partition %d executed nothing", p.idx)
+		}
+		for _, r := range p.txnFree {
+			if r.owner != p {
+				t.Errorf("partition %d freed a run partition %d allocated", p.idx, r.owner.idx)
+			}
+			if at, dup := pooledAt[r]; dup {
+				t.Errorf("one run is pooled twice, at partitions %d and %d", at, p.idx)
+			}
+			pooledAt[r] = p.idx
+			if r.spec != nil {
+				t.Errorf("partition %d pools a run still holding transaction %d", p.idx, r.spec.ID)
+			}
+		}
+	}
+	for _, s := range e.sites {
+		check(&s.partition)
+		if s.away() != 0 {
+			t.Errorf("site %d still parks %d shipped transactions", s.idx, s.away())
+		}
+	}
+	check(&e.central.partition)
 }

@@ -1,13 +1,12 @@
 package hybrid
 
 // The seams of the transaction core (DESIGN.md §13). The lifecycle layers —
-// classify/route (node.go), local execution (local_path.go), central
-// execution (central_path.go), the commit protocol (commit.go), and update
-// propagation (propagate.go) — are methods of the two partition types,
-// SiteNode and CentralNode. They never touch an event queue or a socket:
-// every "read the clock" and "do this later" goes through the node's
-// Scheduler, and every "tell the other tier" is one of the seven typed
-// sends below. The discrete-event simulator is one implementation of the
+// classify/route (node.go), execution (path.go), the commit points and the
+// commit protocol (commit.go), and update propagation (propagate.go) — are
+// methods of the two partition types, SiteNode and CentralNode. They never
+// touch an event queue or a socket: every "read the clock" and "do this
+// later" goes through the node's Scheduler, and every "tell the other tier"
+// is one of the seven typed sends below. The discrete-event simulator is one implementation of the
 // seams (exec.Sim over internal/sim for time, wire_sim.go over comm.Network
 // / shardNet for transport); the live cluster is the second (exec.Loop for
 // wall-clock time, internal/cluster encoding each send as an internal/netx
@@ -17,6 +16,7 @@ package hybrid
 import (
 	"hybriddb/internal/exec"
 	"hybriddb/internal/lock"
+	"hybriddb/internal/workload"
 )
 
 // Scheduler is the clock-plus-timer seam each partition (a local site or the
@@ -37,17 +37,16 @@ type Snapshot struct {
 
 // Uplink carries the three site->central messages of the §2 protocol. Every
 // implementation delivers FIFO per site with the configured one-way delay.
-// A send hands the receiver whatever the message names: a *TxnRun rides by
-// pointer in the simulator and by transaction id on a wire, which is why
-// AuthReply carries both — the site-side handler never dereferences the run,
-// it only routes the answer back to it.
+// Messages carry values — a transaction's input, its id, element lists —
+// never a run: a run belongs to the partition that took it from its pool,
+// and the receiving node resolves an id against its own tables.
 type Uplink interface {
-	// Ship transfers a transaction's input — and ownership of its run — to
-	// the central complex; CentralNode.OnShip receives it.
-	Ship(home int, t *TxnRun)
+	// Ship transfers a transaction's input to the central complex, which
+	// executes it in a run of its own; CentralNode.OnShip receives it.
+	Ship(home int, spec *workload.Txn)
 	// AuthReply answers an authentication request; CentralNode.OnAuthReply
 	// receives it.
-	AuthReply(site int, t *TxnRun, txn int64, nack bool)
+	AuthReply(site int, txn int64, nack bool)
 	// Update carries committed updates (one commit's, or a flushed batch's
 	// with txn 0) and ownership of the slice; CentralNode.OnUpdate receives
 	// it.
@@ -59,16 +58,17 @@ type Uplink interface {
 type Downlink interface {
 	// AuthReq runs the commit-time authentication phase at a master site;
 	// SiteNode.OnAuthReq receives it.
-	AuthReq(site int, t *TxnRun, txn int64, elems []uint32, modes []lock.Mode, snap Snapshot)
+	AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap Snapshot)
 	// Release frees a transaction's seized authentication locks;
 	// SiteNode.OnRelease receives it.
 	Release(site int, txn int64, snap Snapshot)
 	// UpdateAck acknowledges an Update so the site lowers its coherence
 	// counts and takes the slice back; SiteNode.OnUpdateAck receives it.
 	UpdateAck(site int, updates []uint32, snap Snapshot)
-	// Reply completes a shipped transaction at its home site and returns
-	// ownership of the run; SiteNode.OnReply receives it.
-	Reply(home int, t *TxnRun, snap Snapshot)
+	// Reply completes a shipped transaction at its home site, which parked
+	// its input and arrival instant under the id; SiteNode.OnReply receives
+	// it.
+	Reply(home int, txn int64, classB bool, snap Snapshot)
 }
 
 // Transport is the whole star network: what the simulator's wire implements

@@ -1,13 +1,11 @@
 // Package stats provides the estimators used to summarise simulation output:
-// streaming mean/variance (Welford), time-weighted averages for state
-// variables such as queue length, fixed-width histograms, and batch-means
-// confidence intervals for steady-state simulation estimates.
+// streaming mean/variance (Welford) with Student-t confidence intervals, and
+// fixed-width histograms with mergeable, serialisable snapshots.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates a sample mean and variance in one pass. The zero value
@@ -126,56 +124,6 @@ func TQuantile95(df int) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// TimeWeighted tracks the time-average of a piecewise-constant state
-// variable (for example, number of jobs in a queue).
-type TimeWeighted struct {
-	started  bool
-	lastTime float64
-	value    float64
-	area     float64
-	span     float64
-}
-
-// Set records that the variable took value v at time now. The variable is
-// assumed to have held its previous value since the previous Set.
-func (t *TimeWeighted) Set(now, v float64) {
-	if t.started {
-		dt := now - t.lastTime
-		if dt < 0 {
-			panic(fmt.Sprintf("stats: TimeWeighted time went backwards: %v -> %v", t.lastTime, now))
-		}
-		t.area += t.value * dt
-		t.span += dt
-	}
-	t.started = true
-	t.lastTime = now
-	t.value = v
-}
-
-// Finish closes the observation window at time now without changing the value.
-func (t *TimeWeighted) Finish(now float64) { t.Set(now, t.value) }
-
-// Value returns the current value of the tracked variable.
-func (t *TimeWeighted) Value() float64 { return t.value }
-
-// Mean returns the time-average over the observed span, or 0 if no time has
-// elapsed.
-func (t *TimeWeighted) Mean() float64 {
-	if t.span == 0 {
-		return 0
-	}
-	return t.area / t.span
-}
-
-// Reset restarts the observation window at time now, keeping the current
-// value. Used to discard a warmup period.
-func (t *TimeWeighted) Reset(now float64) {
-	t.area = 0
-	t.span = 0
-	t.lastTime = now
-	t.started = true
 }
 
 // Histogram is a fixed-width histogram over [lo, hi) with overflow and
@@ -351,111 +299,4 @@ func (d HistogramDump) Quantile(q float64) float64 {
 		cum = next
 	}
 	return d.Hi
-}
-
-// BatchMeans implements the method of (non-overlapping) batch means for
-// steady-state confidence intervals: observations are grouped into batches
-// of fixed size, and the batch averages are treated as approximately
-// independent samples.
-type BatchMeans struct {
-	batchSize uint64
-	current   Welford
-	batches   []float64
-}
-
-// NewBatchMeans groups observations into batches of size batchSize.
-func NewBatchMeans(batchSize uint64) *BatchMeans {
-	if batchSize == 0 {
-		panic("stats: batch size must be positive")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add records one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.Count() == b.batchSize {
-		b.batches = append(b.batches, b.current.Mean())
-		b.current = Welford{}
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int { return len(b.batches) }
-
-// Mean returns the grand mean of completed batches (0 if none completed).
-func (b *BatchMeans) Mean() float64 {
-	var w Welford
-	for _, m := range b.batches {
-		w.Add(m)
-	}
-	return w.Mean()
-}
-
-// ConfidenceInterval returns the half-width of an approximate 95% confidence
-// interval on the mean, using a normal critical value (adequate for the
-// ≥20 batches the harness uses). It returns 0 with fewer than 2 batches.
-func (b *BatchMeans) ConfidenceInterval() float64 {
-	if len(b.batches) < 2 {
-		return 0
-	}
-	var w Welford
-	for _, m := range b.batches {
-		w.Add(m)
-	}
-	return 1.96 * w.StdDev() / math.Sqrt(float64(len(b.batches)))
-}
-
-// Series is an ordered set of (x, y) points, used for figure output.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds a point to the series.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// Sort orders the points by x.
-func (s *Series) Sort() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(s.X))
-	y := make([]float64, len(s.Y))
-	for i, j := range idx {
-		x[i], y[i] = s.X[j], s.Y[j]
-	}
-	s.X, s.Y = x, y
-}
-
-// InterpolateAt returns the linearly interpolated y at x. Outside the x
-// range it clamps to the end values. The series must be sorted and nonempty.
-func (s *Series) InterpolateAt(x float64) float64 {
-	if s.Len() == 0 {
-		panic("stats: InterpolateAt on empty series")
-	}
-	if x <= s.X[0] {
-		return s.Y[0]
-	}
-	n := s.Len()
-	if x >= s.X[n-1] {
-		return s.Y[n-1]
-	}
-	i := sort.SearchFloat64s(s.X, x)
-	// s.X[i-1] < x <= s.X[i]
-	x0, x1 := s.X[i-1], s.X[i]
-	y0, y1 := s.Y[i-1], s.Y[i]
-	if x1 == x0 {
-		return y1
-	}
-	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }

@@ -85,50 +85,6 @@ func TestWelfordMergeIntoEmpty(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 1) // value 1 on [0,2)
-	tw.Set(2, 3) // value 3 on [2,4)
-	tw.Finish(4)
-	// mean = (1*2 + 3*2)/4 = 2
-	if !almostEqual(tw.Mean(), 2, 1e-12) {
-		t.Errorf("time-weighted mean = %v, want 2", tw.Mean())
-	}
-	if tw.Value() != 3 {
-		t.Errorf("value = %v, want 3", tw.Value())
-	}
-}
-
-func TestTimeWeightedReset(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 10)
-	tw.Reset(5) // discard warmup, value stays 10
-	tw.Set(7, 0)
-	tw.Finish(10)
-	// After reset: 10 on [5,7), 0 on [7,10) -> mean = 20/5 = 4
-	if !almostEqual(tw.Mean(), 4, 1e-12) {
-		t.Errorf("mean after reset = %v, want 4", tw.Mean())
-	}
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("time going backwards did not panic")
-		}
-	}()
-	tw.Set(4, 1)
-}
-
-func TestTimeWeightedNoSpan(t *testing.T) {
-	var tw TimeWeighted
-	if tw.Mean() != 0 {
-		t.Error("empty TimeWeighted mean not 0")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 42} {
@@ -174,66 +130,6 @@ func TestNewHistogramPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(1, 0, 10)
-}
-
-func TestBatchMeans(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 100; i++ {
-		b.Add(5)
-	}
-	if b.Batches() != 10 {
-		t.Fatalf("batches = %d, want 10", b.Batches())
-	}
-	if !almostEqual(b.Mean(), 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", b.Mean())
-	}
-	if b.ConfidenceInterval() != 0 {
-		t.Errorf("CI of constant data = %v, want 0", b.ConfidenceInterval())
-	}
-}
-
-func TestBatchMeansCIShrinks(t *testing.T) {
-	mk := func(n int) float64 {
-		b := NewBatchMeans(10)
-		for i := 0; i < n; i++ {
-			b.Add(float64(i % 7))
-		}
-		return b.ConfidenceInterval()
-	}
-	small, large := mk(100), mk(10000)
-	if large >= small {
-		t.Errorf("CI did not shrink with more data: %v -> %v", small, large)
-	}
-}
-
-func TestBatchMeansIncompleteBatchIgnored(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 15; i++ {
-		b.Add(1)
-	}
-	if b.Batches() != 1 {
-		t.Fatalf("batches = %d, want 1", b.Batches())
-	}
-}
-
-func TestSeriesSortAndInterpolate(t *testing.T) {
-	s := &Series{Name: "t"}
-	s.Append(3, 30)
-	s.Append(1, 10)
-	s.Append(2, 20)
-	s.Sort()
-	if s.X[0] != 1 || s.X[2] != 3 {
-		t.Fatalf("sort failed: %v", s.X)
-	}
-	if v := s.InterpolateAt(1.5); !almostEqual(v, 15, 1e-12) {
-		t.Errorf("interp(1.5) = %v, want 15", v)
-	}
-	if v := s.InterpolateAt(0); v != 10 {
-		t.Errorf("clamp low = %v, want 10", v)
-	}
-	if v := s.InterpolateAt(99); v != 30 {
-		t.Errorf("clamp high = %v, want 30", v)
-	}
 }
 
 func TestQuickHistogramCountConserved(t *testing.T) {
@@ -311,54 +207,6 @@ func TestHistogramQuantilePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	h.Quantile(2)
-}
-
-func TestBatchMeansZeroSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero batch size did not panic")
-		}
-	}()
-	NewBatchMeans(0)
-}
-
-func TestBatchMeansCIWithOneBatch(t *testing.T) {
-	b := NewBatchMeans(5)
-	for i := 0; i < 5; i++ {
-		b.Add(float64(i))
-	}
-	if b.Batches() != 1 {
-		t.Fatalf("batches = %d", b.Batches())
-	}
-	if ci := b.ConfidenceInterval(); ci != 0 {
-		t.Errorf("CI with one batch = %v, want 0", ci)
-	}
-}
-
-func TestSeriesInterpolateEmptyPanics(t *testing.T) {
-	s := &Series{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty interpolation did not panic")
-		}
-	}()
-	s.InterpolateAt(1)
-}
-
-func TestSeriesInterpolateDuplicateX(t *testing.T) {
-	s := &Series{}
-	s.Append(1, 10)
-	s.Append(1, 20)
-	s.Append(2, 30)
-	s.Sort()
-	// Interpolating exactly at a duplicated x must return a defined value.
-	v := s.InterpolateAt(1)
-	if v != 10 && v != 20 {
-		t.Errorf("interp at duplicate x = %v", v)
-	}
-	if got := s.InterpolateAt(1.5); got < 20 || got > 30 {
-		t.Errorf("interp(1.5) = %v", got)
-	}
 }
 
 // TestTQuantile95Monotone checks the t-table decreases toward the normal

@@ -2,8 +2,8 @@
 // protocol-level step of a transaction's life (arrival, routing, lock waits,
 // aborts, authentication, commit) can be recorded with its simulated
 // timestamp and replayed, filtered, or printed. Tracing is how one debugs a
-// discrete-event protocol simulation; the engine emits events through a
-// Tracer interface so the zero-cost default (Nop) stays out of hot paths.
+// discrete-event protocol simulation; the engine emits events to a Tracer
+// only while one is subscribed, so tracing stays out of hot paths.
 package trace
 
 import (
@@ -111,12 +111,6 @@ type Tracer interface {
 	Record(Event)
 }
 
-// Nop discards every event. It is the engine default.
-type Nop struct{}
-
-// Record implements Tracer.
-func (Nop) Record(Event) {}
-
 // Ring keeps the most recent Capacity events in a ring buffer, which keeps
 // tracing affordable on arbitrarily long runs.
 type Ring struct {
@@ -142,11 +136,6 @@ func (r *Ring) Filter(keep func(Event) bool) { r.filter = keep }
 // FilterTxn keeps only events of the given transaction.
 func (r *Ring) FilterTxn(txn int64) {
 	r.Filter(func(e Event) bool { return e.Txn == txn })
-}
-
-// FilterElem keeps only events touching the given element.
-func (r *Ring) FilterElem(elem uint32) {
-	r.Filter(func(e Event) bool { return e.Elem == elem })
 }
 
 // Record implements Tracer.
@@ -210,14 +199,4 @@ func (c *Counter) Total() uint64 {
 		total += n
 	}
 	return total
-}
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Record implements Tracer.
-func (m Multi) Record(e Event) {
-	for _, t := range m {
-		t.Record(e)
-	}
 }

@@ -4,23 +4,20 @@
 #
 #   scripts/benchpair.sh <workload> [pairs=10]
 #
-# The parent is the merge-base with main — HEAD itself when the working tree
-# has uncommitted changes on top of it, HEAD~1 when a clean HEAD is already on
-# main — exported with `git archive` into a scratch directory and built there
-# by its own bench/hybridbench/run.sh; the change is this working tree. Each
+# The parent (scripts/benchparent.sh: the merge-base with main, exported with
+# `git archive` into a scratch directory) is built there by its own
+# bench/hybridbench/run.sh; the change is this working tree. Each
 # pair runs both sides at one fresh seed, alternating which side goes first.
 # Prints every end-to-end metric's median and quartiles per side, wins and
 # ties, and the verdict for the claimed metric: a gain needs the change to win
 # at least 9/10 of the pairs (ties count for neither) and the medians to
 # differ by more than the parent's interquartile distance.
 #
-# Environment:
-#   BASE      parent commit (default: see above)
+# Environment (and BASE, SCRATCH: see scripts/benchparent.sh):
 #   METRIC    the claimed metric (default txn_per_s)
 #   SEED0     first seed (default 101; 1-8 carry pinned digests and were used
 #             while the benchmark was written, so claims use others)
 #   SECONDS_  --seconds for every run (default: BENCHMARK.json's run_seconds)
-#   SCRATCH   where the parent is unpacked and results kept (default: mktemp -d)
 set -euo pipefail
 
 workload="${1:?usage: scripts/benchpair.sh <workload> [pairs=10]}"
@@ -33,21 +30,7 @@ cd "$root"
 
 seconds="${SECONDS_:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)}"
 
-base="${BASE:-}"
-if [ -z "$base" ]; then
-	base="$(git merge-base HEAD main)"
-	if [ "$base" = "$(git rev-parse HEAD)" ] && [ -z "$(git status --porcelain --untracked-files=no)" ]; then
-		base="$(git rev-parse HEAD~1)"
-	fi
-fi
-base="$(git rev-parse --verify "$base^{commit}")"
-
-scratch="${SCRATCH:-$(mktemp -d)}"
-parent="$scratch/parent-${base:0:12}"
-if [ ! -d "$parent" ]; then
-	mkdir -p "$parent"
-	git archive "$base" | tar -x -C "$parent"
-fi
+. scripts/benchparent.sh
 results="$scratch/benchpair-$workload.tsv" # side, seed, metric, value
 : >"$results"
 
