@@ -1,7 +1,8 @@
 // Command hybridd runs one node of a live hybrid distributed–centralized
 // database cluster: either the central node or one local site. The nodes
-// run the same transaction lifecycle as the simulator (internal/cluster is
-// the wall-clock twin of internal/hybrid) over length-prefixed TCP frames.
+// run the simulator's own transaction lifecycle (internal/cluster puts one
+// internal/hybrid node on a wall-clock event loop) over length-prefixed TCP
+// frames.
 //
 // A minimal loopback cluster:
 //
@@ -17,10 +18,11 @@
 // port) and shuts down cleanly on SIGINT/SIGTERM, printing its counters.
 //
 // Observability: -debug-addr serves /metrics (Prometheus text),
-// /debug/vars, and /debug/pprof; -spans writes the node's span trace on
-// shutdown (merge per-process files with `trace merge`); SIGQUIT dumps the
-// flight recorder of recent wire events to stderr; -v / -q adjust log
-// verbosity.
+// /debug/vars, and /debug/pprof; -spans subscribes a span collector to the
+// node and writes its trace on shutdown (merge per-process files with
+// `trace merge`) — without it the node builds no trace event at all;
+// SIGQUIT dumps the flight recorder of recent wire events to stderr;
+// -v / -q adjust log verbosity.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 
 	"hybriddb/internal/cluster"
 	"hybriddb/internal/experiments"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/obsx/flight"
 	"hybriddb/internal/obsx/logx"
 	"hybriddb/internal/obsx/metrics"
@@ -58,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		listen    = fs.String("listen", "127.0.0.1:0", "listen address (port 0 picks a free port)")
 		strategy  = fs.String("strategy", "threshold:0", "routing strategy, site role only: "+strings.Join(experiments.StrategyNames(), ", "))
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-		spansOut  = fs.String("spans", "", "write the node's span trace (Chrome trace-event JSON) here on shutdown")
+		spansOut  = fs.String("spans", "", "trace the node's transactions and write the spans (Chrome trace-event JSON) here on shutdown")
 	)
 	cf := cluster.RegisterConfigFlags(fs)
 	applyLog := logx.RegisterFlags(fs)
@@ -88,21 +91,30 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "hybridd: debug listener on http://%s/metrics\n", bound)
 		return nil
 	}
-	writeSpans := func(rec *spans.Recorder) error {
-		if *spansOut == "" {
+	// -spans is the node's one tracing switch: the collector rides the
+	// node's bus, on its loop, and is written once the loop has stopped.
+	var collector *spans.Collector
+	var observers []obs.Observer
+	if *spansOut != "" {
+		collector = spans.NewCollector(cfg.Sites)
+		observers = append(observers, collector)
+	}
+	writeSpans := func(site int, clockOffset float64) error {
+		if collector == nil {
 			return nil
 		}
-		if err := rec.WriteFile(*spansOut); err != nil {
+		collector.SetProcess(site, clockOffset)
+		if err := collector.WriteFile(*spansOut); err != nil {
 			return fmt.Errorf("writing spans: %w", err)
 		}
-		fmt.Fprintf(out, "hybridd: %d span events written to %s (%d dropped)\n",
-			rec.Events(), *spansOut, rec.Dropped())
+		fmt.Fprintf(out, "hybridd: %d span events written to %s (%d transaction arrivals not traced)\n",
+			collector.Events(), *spansOut, collector.Dropped())
 		return nil
 	}
 
 	switch *role {
 	case "central":
-		node, err := cluster.StartCentral(cfg, *listen)
+		node, err := cluster.StartCentral(cfg, *listen, observers...)
 		if err != nil {
 			return err
 		}
@@ -117,7 +129,7 @@ func run(args []string, out io.Writer) error {
 			"%d NACK aborts, %d invalidation aborts, %d deadlock aborts, %d updates applied\n",
 			st.ShipArrived, st.Commits, st.AuthRounds,
 			st.AbortsNACK, st.AbortsInval, st.AbortsDeadlock, st.UpdatesApplied)
-		return writeSpans(node.Spans())
+		return writeSpans(-1, 0)
 
 	case "site":
 		if *central == "" {
@@ -140,7 +152,7 @@ func run(args []string, out io.Writer) error {
 		if sl, ok := strat.(routing.SiteLocal); ok {
 			strat = sl.ForSite(*id, cfg.Seed+uint64(*id)*0x9E3779B97F4A7C15+0x1234)
 		}
-		node, err := cluster.StartSite(cfg, *id, *central, *listen, strat)
+		node, err := cluster.StartSite(cfg, *id, *central, *listen, strat, observers...)
 		if err != nil {
 			return err
 		}
@@ -156,7 +168,7 @@ func run(args []string, out io.Writer) error {
 			"%d/%d class A/B shipped, %d seized aborts, %d deadlock aborts, %d ship send errors\n",
 			*id, st.Generated, st.CompletedLocal, st.RepliesDelivered,
 			st.ShippedA, st.ShippedB, st.AbortsSeized, st.AbortsDeadlock, st.ShipSendErrors)
-		return writeSpans(node.Spans())
+		return writeSpans(*id, node.ClockOffset())
 
 	case "":
 		return fmt.Errorf("missing -role (central or site)")

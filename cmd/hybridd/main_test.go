@@ -3,16 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"os/exec"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"hybriddb/internal/cluster"
+	"hybriddb/internal/hybrid"
 	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/obsx/spans"
+	"hybriddb/internal/routing"
 )
 
 // TestRunFlagValidation pins the CLI's error paths without booting anything.
@@ -146,13 +152,55 @@ func debugURL(t *testing.T, line string) string {
 	return strings.Fields(after)[0]
 }
 
+// spanVocabulary reads a Chrome trace-event file and returns the kinds of
+// event in it, each as "lane kind|phase|name|arg keys": what a trace says,
+// with the ids, sites and times taken out.
+func spanVocabulary(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Pid  int               `json:"pid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	laneKind := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			laneKind[ev.Pid], _, _ = strings.Cut(ev.Args["name"], " ") // "central complex", "site 3"
+		}
+	}
+	vocab := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			continue
+		}
+		keys := make([]string, 0, len(ev.Args))
+		for k := range ev.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		vocab[strings.Join([]string{laneKind[ev.Pid], ev.Ph, ev.Name, strings.Join(keys, ",")}, "|")] = true
+	}
+	return vocab
+}
+
 // TestClusterProcessSmoke is the `make cluster-smoke` gate at the process
 // level: build both binaries, boot 1 central + 4 sites as real processes on
 // loopback (DefaultLiveConfig, ports picked by the kernel), run a short
 // paced load, scrape every node's /metrics and require transaction
 // conservation per site and cluster-wide, then require nonzero commits,
 // zero request errors, clean SIGTERM shutdowns all around, and a merged
-// span trace with at least one transaction crossing two processes.
+// span trace with at least one transaction crossing two processes that says
+// nothing a simulator's export of the same configuration does not.
 func TestClusterProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: builds binaries and runs a paced cluster")
@@ -285,5 +333,31 @@ func TestClusterProcessSmoke(t *testing.T) {
 	}
 	if info.CrossProcessTxns == 0 {
 		t.Error("no transaction's span tree crosses processes in the merged trace")
+	}
+
+	// One span vocabulary: the live nodes fold their traces with the
+	// simulator's collector, so every kind of event in the merged trace
+	// occurs in a (much longer) simulated run of the same configuration.
+	cfg := cluster.DefaultLiveConfig()
+	cfg.Warmup, cfg.Duration = 0, 600
+	engine, err := hybrid.New(cfg, routing.QueueThreshold{Theta: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector := spans.NewCollector(cfg.Sites)
+	engine.Subscribe(collector)
+	engine.Run()
+	simulated := dir + "/simulated.json"
+	if err := collector.WriteFile(simulated); err != nil {
+		t.Fatal(err)
+	}
+	live, sim := spanVocabulary(t, merged), spanVocabulary(t, simulated)
+	for kind := range live {
+		if !sim[kind] {
+			t.Errorf("the live trace has a %q event; the simulator's export has none", kind)
+		}
+	}
+	if !live["site|B|attempt|n"] || !live["central|B|attempt|n"] {
+		t.Errorf("the live trace shows no execution attempt at both tiers: %v", live)
 	}
 }

@@ -11,7 +11,7 @@
 // (routing, locks, authentication, aborts) for debugging; export renders
 // every transaction's lifecycle as a span tree loadable in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing; merge fuses the
-// per-process span files a live cluster writes (hybridd -spans-dir) into
+// per-process span files a live cluster writes (hybridd -spans) into
 // one Perfetto-loadable view, shifting each file by its handshake-estimated
 // clock offset so cross-site transactions read as a single span tree.
 package main
@@ -188,7 +188,7 @@ func export(args []string, out io.Writer) error {
 		return err
 	}
 	if n := c.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "trace: buffer full; %d transactions not traced (raise -max-events or shorten -duration)\n", n)
+		fmt.Fprintf(os.Stderr, "trace: buffer full; %d transaction arrivals not traced, a shipped transaction counting at each tier (raise -max-events or shorten -duration)\n", n)
 	}
 	fmt.Fprintf(out, "wrote %d span events to %s (open in Perfetto: https://ui.perfetto.dev)\n", c.Events(), *path)
 	return nil

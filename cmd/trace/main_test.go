@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/obsx/spans"
+	"hybriddb/internal/trace"
 )
 
 func TestCaptureThenReplay(t *testing.T) {
@@ -102,15 +104,20 @@ func TestExportWritesSpans(t *testing.T) {
 	}
 }
 
-func TestMergeFusesRecorderFiles(t *testing.T) {
+func TestMergeFusesProcessFiles(t *testing.T) {
 	dir := t.TempDir()
-	site := spans.NewRecorder("site 0", spans.SitePid(0), 0)
-	site.SetClockOffset(2.0)
-	site.Begin(1.0, 7, "txn")
-	site.End(1.5, 7)
-	central := spans.NewRecorder("central complex", spans.CentralPid, 0)
-	central.Begin(3.1, 7, "exec")
-	central.End(3.4, 7)
+	detail := func(at float64, kind trace.Kind, site int) obs.Event {
+		return obs.Event{At: at, Kind: obs.TraceDetail, Trace: kind, Txn: 7, Site: site}
+	}
+	site := spans.NewCollector(1)
+	site.OnEvent(detail(1.0, trace.Arrive, 0))
+	site.OnEvent(detail(1.0, trace.RouteShip, 0))
+	site.OnEvent(detail(1.5, trace.ReplyDelivered, 0))
+	site.SetProcess(0, 2.0)
+	central := spans.NewCollector(1)
+	central.OnEvent(obs.Event{At: 3.1, Kind: obs.ShipArrive, Txn: 7, Site: -1})
+	central.OnEvent(detail(3.4, trace.CommitCentral, -1))
+	central.SetProcess(-1, 0)
 	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
 	if err := site.WriteFile(a); err != nil {
 		t.Fatal(err)

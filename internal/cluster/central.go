@@ -4,10 +4,11 @@ package cluster
 // protocol messages to a hybrid.CentralNode running on the node's exec.Loop
 // — the same central execution path, commit protocol and update application
 // the simulator runs. This file is the process around the node: listener
-// and site connections, the Hello handshake, and the counters and spans
-// derived from the node's observer bus.
+// and site connections, the Hello handshake, and the counters derived from
+// the node's observer bus.
 
 import (
+	"fmt"
 	"strconv"
 
 	"hybriddb/internal/hybrid"
@@ -15,7 +16,7 @@ import (
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
 	"hybriddb/internal/obsx/metrics"
-	"hybriddb/internal/obsx/spans"
+	"hybriddb/internal/workload"
 )
 
 // CentralStats is a loop-consistent snapshot of the central node's state.
@@ -41,27 +42,25 @@ type Central struct {
 	// siteConns is written and read only on the loop.
 	siteConns []*netx.Conn
 
-	// stats is derived from the node's bus events (OnEvent), on the loop;
-	// authOpen holds the transactions whose auth span is open in the trace.
-	stats    CentralStats
-	authOpen map[int64]struct{}
+	// stats is derived from the node's bus events (OnEvent), on the loop.
+	stats CentralStats
 
 	*acceptor // the listener and its connections; Addr
 }
 
 // StartCentral boots a central node listening on addr ("host:0" picks a
-// free port; see Addr).
-func StartCentral(cfg hybrid.Config, addr string) (*Central, error) {
+// free port; see Addr). Observers join the node's own on its bus, as for
+// StartSite.
+func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*Central, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	c := &Central{
-		shell:     newShell(cfg, "central", "central complex", spans.CentralPid),
+		shell:     newShell(cfg, "central"),
 		siteConns: make([]*netx.Conn, cfg.Sites),
-		authOpen:  make(map[int64]struct{}),
 	}
-	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, duplicate: c.duplicateShip}
-	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, c)
+	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, accept: c.acceptShip}
+	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, append([]obs.Observer{c}, observers...)...)
 	if err != nil {
 		c.loop.Stop()
 		return nil, err
@@ -175,66 +174,50 @@ func (c *Central) toSite(site int, msgType byte, payload []byte) {
 	c.fr.Record(flight.Out, name, "site "+strconv.Itoa(site))
 }
 
-// duplicateShip refuses a Ship naming a transaction already executing here
-// and drops the uplink that sent it (the site redials).
-func (c *Central) duplicateShip(from *netx.Conn, txn int64) {
-	c.log.Errorf("bad ship from %s: txn %d is already executing", from.RemoteAddr(), txn)
+// acceptShip is the link's admission check, on the loop: a Ship naming a
+// transaction already executing here, or a home site other than the one
+// registered on the uplink it arrived on (its Reply would stray there while
+// the real sender's submission timed out), is refused and costs its sender
+// the connection (a site redials).
+func (c *Central) acceptShip(from *netx.Conn, spec *workload.Txn) bool {
+	var why string
+	switch {
+	case c.node.Running(spec.ID):
+		why = "is already executing"
+	case c.siteConns[spec.HomeSite] != from:
+		why = fmt.Sprintf("is homed at site %d, not the site registered on this uplink", spec.HomeSite)
+	default:
+		return true
+	}
+	c.log.Errorf("bad ship from %s: txn %d %s", from.RemoteAddr(), spec.ID, why)
 	c.wm.Error("bad-ship")
 	from.Close()
+	return false
 }
 
 // OnEvent implements obs.Observer on the node's bus: the central counters
-// and the transaction spans of the central lane are derived from the
-// lifecycle events. It runs on the loop, inside the handler that emitted it.
+// are derived from the lifecycle events. It runs on the loop, inside the
+// handler that emitted it.
 func (c *Central) OnEvent(ev obs.Event) {
 	switch ev.Kind {
 	case obs.ShipArrive:
 		c.stats.ShipArrived++
-		c.spans.Begin(ev.At, ev.Txn, "exec", spans.KV{K: "home", V: strconv.Itoa(int(ev.Aux))})
 	case obs.ColdFetch:
 		c.stats.ColdFetches++
 	case obs.AuthRound:
 		c.stats.AuthRounds++
-		c.authOpen[ev.Txn] = struct{}{}
-		c.spans.Begin(ev.At, ev.Txn, "auth", spans.KV{K: "sites", V: strconv.Itoa(int(ev.Value))})
 	case obs.AbortCentralNACK:
 		c.stats.AbortsNACK++
-		c.abortSpan(ev, "nack")
 	case obs.AbortCentralInval:
 		c.stats.AbortsInval++
-		c.abortSpan(ev, "invalidated")
 	case obs.AbortDeadlockCentral:
 		c.stats.AbortsDeadlock++
-		c.abortSpan(ev, "deadlock")
 	case obs.TxnCentralCommit:
 		c.stats.Commits++
 		c.stats.RepliesSent++
-		c.closeAuth(ev, "commit")
-		c.spans.End(ev.At, ev.Txn, spans.KV{K: "attempts", V: strconv.Itoa(int(ev.Aux))})
-		c.spans.Instant(ev.At, ev.Txn, "commit")
 	case obs.UpdateApplied:
 		c.stats.UpdatesApplied++
-		if ev.Txn != 0 { // a flushed batch belongs to no one transaction's lane
-			c.spans.Instant(ev.At, ev.Txn, "update-applied",
-				spans.KV{K: "site", V: strconv.Itoa(int(ev.Aux))},
-				spans.KV{K: "elems", V: strconv.Itoa(int(ev.Value))})
-		}
 	}
-}
-
-// closeAuth ends the transaction's auth span, if one is open.
-func (c *Central) closeAuth(ev obs.Event, outcome string) {
-	if _, open := c.authOpen[ev.Txn]; open {
-		delete(c.authOpen, ev.Txn)
-		c.spans.End(ev.At, ev.Txn, spans.KV{K: "outcome", V: outcome})
-	}
-}
-
-// abortSpan closes any open auth span and marks the abort on the
-// transaction's trace lane.
-func (c *Central) abortSpan(ev obs.Event, cause string) {
-	c.closeAuth(ev, "abort")
-	c.spans.Instant(ev.At, ev.Txn, "abort", spans.KV{K: "cause", V: cause})
 }
 
 // Stats returns a snapshot taken on the loop, so it is consistent with the

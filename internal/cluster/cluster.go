@@ -12,8 +12,10 @@
 // locking, exactly as in the simulation. What this package adds is what a
 // process needs and a simulation does not: listeners and connections, the
 // Hello handshake, the wire encoding of the seven protocol messages
-// (link.go), the load generator's pending table, and the registry, span and
-// flight-recorder plumbing fed by the node's observer bus.
+// (link.go), the load generator's pending table, and the registry and
+// flight-recorder plumbing fed by the node's observer bus. Observers the
+// caller supplies ride the same bus; a spans.Collector among them is how a
+// process traces (hybridd -spans), and without one no trace event is built.
 //
 // The cluster runs in emulation mode: CPU bursts and I/O hold the real
 // timers of their configured durations, and the configured one-way
@@ -36,13 +38,12 @@ import (
 	"hybriddb/internal/obsx/flight"
 	"hybriddb/internal/obsx/logx"
 	"hybriddb/internal/obsx/metrics"
-	"hybriddb/internal/obsx/spans"
 )
 
-// validate rejects configurations the live engine cannot honor: the corners
+// validate rejects configurations the live engine cannot honor: the corner
 // only the whole-system simulator can (hybrid.ValidateStandalone — ideal
-// feedback, the global epoch ticker), and arrival-rate schedules, which are
-// the load generator's business here.
+// feedback), and arrival-rate schedules, which are the load generator's
+// business here.
 func validate(cfg hybrid.Config) error {
 	if err := hybrid.ValidateStandalone(cfg); err != nil {
 		return err
@@ -58,28 +59,25 @@ func validate(cfg hybrid.Config) error {
 const flightCapacity = 256
 
 // shell is the process around one hybrid node, the same at both tiers: the
-// event loop the node runs on and the logging, registry, wire-counter,
-// flight-recorder and span plumbing every frame passes.
+// event loop the node runs on and the logging, registry, wire-counter and
+// flight-recorder plumbing every frame passes.
 type shell struct {
-	cfg   hybrid.Config
-	loop  *exec.Loop
-	log   logx.Logger
-	reg   *metrics.Registry
-	wm    *wireMetrics
-	net   *netx.Stats
-	fr    *flight.Recorder
-	spans *spans.Recorder
+	cfg  hybrid.Config
+	loop *exec.Loop
+	log  logx.Logger
+	reg  *metrics.Registry
+	wm   *wireMetrics
+	net  *netx.Stats
+	fr   *flight.Recorder
 }
 
-// newShell names the process in logs and flight dumps, and its lane in span
-// traces.
-func newShell(cfg hybrid.Config, name, lane string, pid int) shell {
+// newShell names the process in logs and flight dumps.
+func newShell(cfg hybrid.Config, name string) shell {
 	reg := metrics.NewRegistry()
 	return shell{
 		cfg: cfg, loop: exec.NewLoop(), log: logx.New(name),
 		reg: reg, wm: newWireMetrics(reg), net: &netx.Stats{},
-		fr:    flight.NewRecorder(name, flightCapacity),
-		spans: spans.NewRecorder(lane, pid, 0),
+		fr: flight.NewRecorder(name, flightCapacity),
 	}
 }
 
@@ -89,10 +87,6 @@ func (sh *shell) Metrics() *metrics.Registry { return sh.reg }
 
 // Flight returns the node's flight recorder of recent wire events.
 func (sh *shell) Flight() *flight.Recorder { return sh.fr }
-
-// Spans returns the node's live span recorder, in the node's own timebase (a
-// site's is stamped with the handshake's clock-offset estimate).
-func (sh *shell) Spans() *spans.Recorder { return sh.spans }
 
 // deliver finishes the receive of one protocol frame a link decoded on the
 // read goroutine: the handler runs on the loop after the emulated link delay

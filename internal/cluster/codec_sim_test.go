@@ -115,8 +115,12 @@ func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strat
 	stray := func(msgType byte, txn int64) { t.Errorf("stray message type %d for txn %d", msgType, txn) }
 
 	siteLinks := make([]*siteLink, cfg.Sites)
-	centralL := &centralLink{cfg: &cfg, stray: stray, duplicate: func(_ *netx.Conn, txn int64) {
-		t.Errorf("duplicate ship of txn %d", txn)
+	centralL := &centralLink{cfg: &cfg, stray: stray, accept: func(_ *netx.Conn, spec *workload.Txn) bool {
+		if cc.central.Running(spec.ID) {
+			t.Errorf("duplicate ship of txn %d", spec.ID)
+			return false
+		}
+		return true
 	}}
 	// Like a live node: decode where the frame arrives, run the handler one
 	// link delay later on the receiver's executor.

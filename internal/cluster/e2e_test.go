@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hybriddb/internal/hybrid"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
+	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/workload"
 )
@@ -47,10 +50,12 @@ func bootCluster(t *testing.T, cfg hybrid.Config, strategy routing.Strategy) (ad
 }
 
 // bootClusterNodes is bootCluster exposing the node handles, for tests
-// that scrape per-node metrics or dump observability state.
-func bootClusterNodes(t *testing.T, cfg hybrid.Config, strategy routing.Strategy) (addrs []string, central *Central, sites []*Site, teardown func()) {
+// that scrape per-node metrics or dump observability state. Every node is
+// started with the given observers, each of which therefore runs on every
+// node's loop at once.
+func bootClusterNodes(t *testing.T, cfg hybrid.Config, strategy routing.Strategy, observers ...obs.Observer) (addrs []string, central *Central, sites []*Site, teardown func()) {
 	t.Helper()
-	central, err := StartCentral(cfg, "127.0.0.1:0")
+	central, err := StartCentral(cfg, "127.0.0.1:0", observers...)
 	if err != nil {
 		t.Fatalf("StartCentral: %v", err)
 	}
@@ -61,7 +66,7 @@ func bootClusterNodes(t *testing.T, cfg hybrid.Config, strategy routing.Strategy
 		central.Close()
 	}
 	for i := 0; i < cfg.Sites; i++ {
-		s, err := StartSite(cfg, i, central.Addr(), "127.0.0.1:0", strategy)
+		s, err := StartSite(cfg, i, central.Addr(), "127.0.0.1:0", strategy, observers...)
 		if err != nil {
 			teardown()
 			t.Fatalf("StartSite(%d): %v", i, err)
@@ -112,15 +117,36 @@ func assertConservation(t *testing.T, centralSnap map[string]float64, siteSnaps 
 	}
 }
 
+// detailCount is a detail observer safe on several loops at once: it counts
+// the protocol-detail events it is handed.
+type detailCount struct{ atomic.Int64 }
+
+func (*detailCount) WantDetail() bool { return true }
+
+func (d *detailCount) OnEvent(ev obs.Event) {
+	if ev.Kind == obs.TraceDetail {
+		d.Add(1)
+	}
+}
+
 // TestClusterSmoke boots a 1 central + 2 site loopback cluster, drives a
 // short paced run, and asserts nonzero commits on both paths, zero request
 // errors, transaction conservation across every node's metrics, and a clean
-// shutdown. This is the `make cluster-smoke` gate.
+// shutdown. This is the `make cluster-smoke` gate. It is also where tracing
+// is shown to be the caller's switch: the nodes subscribe to no
+// protocol-detail stream themselves, and a detail observer handed to them
+// receives it.
 func TestClusterSmoke(t *testing.T) {
+	for _, node := range []obs.Observer{(*Site)(nil), (*Central)(nil)} {
+		if _, ok := node.(obs.DetailObserver); ok {
+			t.Errorf("%T wants the protocol-detail stream: a node started without observers would trace", node)
+		}
+	}
 	cfg := smokeConfig(2)
 	cfg.Warmup = 0.3
 	cfg.Duration = 1.2
-	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: 0})
+	var details detailCount
+	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: 0}, &details)
 	defer teardown()
 	defer func() {
 		if t.Failed() {
@@ -165,6 +191,9 @@ func TestClusterSmoke(t *testing.T) {
 	if central.Metrics().Snapshot()["central_ship_arrived_total"] == 0 {
 		t.Error("central saw no shipped transactions")
 	}
+	if details.Load() == 0 {
+		t.Error("the detail observer the nodes were started with saw no protocol-detail event")
+	}
 }
 
 // TestClusterColdFetches drives a skewed partial-replication configuration
@@ -201,42 +230,47 @@ func TestClusterColdFetches(t *testing.T) {
 	}
 }
 
-// TestClusterUpdateBatching drives the live cluster with a batch window: the
-// sites buffer committed updates and flush one Update frame per window — the
-// simulator's propagate/buffer code, on wall-clock timers. Conservation must
-// hold, and the uplinks must carry fewer Update frames than local commits
-// that had something to propagate.
+// TestClusterUpdateBatching drives the live cluster in both batched
+// propagation modes: the sites stash committed updates and flush one Update
+// frame (naming no transaction) per batch window, or per tick of their own
+// epoch ticker — the simulator's propagate code, on wall-clock timers.
+// Conservation must hold, and the uplinks must carry fewer Update frames
+// than local commits that had something to propagate.
 func TestClusterUpdateBatching(t *testing.T) {
-	cfg := smokeConfig(2)
-	cfg.Warmup = 0.2
-	cfg.Duration = 1.2
-	cfg.ArrivalRatePerSite = 40
-	cfg.PWrite = 0.5 // nearly every local commit has updates
-	cfg.UpdateBatchWindow = 0.1
-	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: 1})
-	defer teardown()
+	window, epoch := smokeConfig(2), smokeConfig(2)
+	window.UpdateBatchWindow, epoch.EpochLength = 0.1, 0.2
+	for name, cfg := range map[string]hybrid.Config{"window": window, "epoch": epoch} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Warmup = 0.2
+			cfg.Duration = 1.2
+			cfg.ArrivalRatePerSite = 40
+			cfg.PWrite = 0.5 // nearly every local commit has updates
+			addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: 1})
+			defer teardown()
 
-	res, err := RunLoad(context.Background(), addrs, cfg, LoadOptions{
-		Warmup: cfg.Warmup, Duration: cfg.Duration, Ramp: 0.1, Threads: 2,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if res.Errors != 0 || res.LocalA == 0 {
-		t.Fatalf("%d errors, %d local class A completions", res.Errors, res.LocalA)
-	}
-	var commits, updates float64
-	siteSnaps := make([]map[string]float64, len(sites))
-	for i, s := range sites {
-		siteSnaps[i] = s.Metrics().Snapshot()
-		commits += siteSnaps[i]["site_completed_local_total"]
-		updates += siteSnaps[i][`wire_msgs_out_total{type="update"}`]
-	}
-	centralSnap := central.Metrics().Snapshot()
-	assertConservation(t, centralSnap, siteSnaps)
-	t.Logf("%v local commits, %v update frames, %v applied at central", commits, updates, centralSnap["central_updates_applied_total"])
-	if updates == 0 || updates >= commits/2 {
-		t.Errorf("%v update frames for %v local commits: the batch window batched nothing", updates, commits)
+			res, err := RunLoad(context.Background(), addrs, cfg, LoadOptions{
+				Warmup: cfg.Warmup, Duration: cfg.Duration, Ramp: 0.1, Threads: 2,
+			})
+			if err != nil {
+				t.Fatalf("RunLoad: %v", err)
+			}
+			if res.Errors != 0 || res.LocalA == 0 {
+				t.Fatalf("%d errors, %d local class A completions", res.Errors, res.LocalA)
+			}
+			var commits, updates float64
+			siteSnaps := make([]map[string]float64, len(sites))
+			for i, s := range sites {
+				siteSnaps[i] = s.Metrics().Snapshot()
+				commits += siteSnaps[i]["site_completed_local_total"]
+				updates += siteSnaps[i][`wire_msgs_out_total{type="update"}`]
+			}
+			centralSnap := central.Metrics().Snapshot()
+			assertConservation(t, centralSnap, siteSnaps)
+			t.Logf("%v local commits, %v update frames, %v applied at central", commits, updates, centralSnap["central_updates_applied_total"])
+			if updates == 0 || updates >= commits/2 {
+				t.Errorf("%v update frames for %v local commits: nothing was batched", updates, commits)
+			}
+		})
 	}
 }
 
@@ -327,22 +361,17 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := StartCentral(bad, "127.0.0.1:0"); err == nil {
 		t.Error("ideal feedback accepted by StartCentral")
 	}
-	bad = smokeConfig(2)
-	bad.EpochLength = 0.5
-	if _, err := StartCentral(bad, "127.0.0.1:0"); err == nil {
-		t.Error("epoch-batched propagation accepted by StartCentral")
+	// Both batched propagation modes are site-local and shared with the
+	// simulator: accepted.
+	cfg, epochs := smokeConfig(2), smokeConfig(2)
+	cfg.UpdateBatchWindow, epochs.EpochLength = 0.05, 0.5
+	for _, batched := range []hybrid.Config{cfg, epochs} {
+		c, err := StartCentral(batched, "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("batch window %v / epoch length %v rejected by StartCentral: %v", batched.UpdateBatchWindow, batched.EpochLength, err)
+		}
+		c.Close()
 	}
-	if _, err := StartSite(bad, 0, "127.0.0.1:1", "127.0.0.1:0", nil); err == nil {
-		t.Error("epoch-batched propagation accepted by StartSite")
-	}
-	// Update batching is site-local and shared with the simulator: accepted.
-	cfg := smokeConfig(2)
-	cfg.UpdateBatchWindow = 0.05
-	c, err := StartCentral(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("update batching rejected by StartCentral: %v", err)
-	}
-	c.Close()
 	if _, err := StartSite(cfg, 5, "127.0.0.1:1", "127.0.0.1:0", nil); err == nil {
 		t.Error("out-of-range site index accepted")
 	}
@@ -388,6 +417,14 @@ func dialRaw(t *testing.T, addr string) rawPeer {
 	return p
 }
 
+// awaitMetric polls a node's registry until the named sample reaches min,
+// for five seconds at most; the caller's assertions report a miss.
+func awaitMetric(reg *metrics.Registry, name string, min float64) {
+	for deadline := time.Now().Add(5 * time.Second); reg.Snapshot()[name] < min && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func (p rawPeer) wantDropped(t *testing.T, why string) {
 	t.Helper()
 	select {
@@ -401,9 +438,11 @@ func (p rawPeer) wantDropped(t *testing.T, why string) {
 // that used to take its loop goroutine down or corrupt its tables — a spec
 // with the wrong number of elements (the lifecycle indexes Elements by call
 // number), one homed elsewhere, and an id already in flight — on Submit and
-// on Ship. Every one must be refused, counted under wire_errors_total, cost
-// its sender the connection, and leave the node serving: a valid submission
-// afterwards completes through both tiers and conservation still holds.
+// on Ship, where "homed elsewhere" is any site but the one registered on the
+// uplink the Ship arrived on. Every one must be refused, counted under
+// wire_errors_total, cost its sender the connection, and leave the node
+// serving: a valid submission afterwards completes through both tiers and
+// conservation still holds.
 func TestClusterSurvivesMalformedInputs(t *testing.T) {
 	cfg := smokeConfig(2)
 	addrs, central, sites, teardown := bootClusterNodes(t, cfg, routing.QueueThreshold{Theta: -1}) // ship everything
@@ -411,6 +450,9 @@ func TestClusterSurvivesMalformedInputs(t *testing.T) {
 	gen := workload.NewGenerator(cfg.WorkloadConfig(), 99)
 	spec := func(id int64, mutate func(*workload.Txn)) []byte {
 		txn := gen.Next(0)
+		for txn.Class != workload.ClassA { // site 0's data only: site 1 leaves mid-test
+			txn = gen.Next(0)
+		}
 		txn.ID = id
 		if mutate != nil {
 			mutate(txn)
@@ -442,20 +484,39 @@ func TestClusterSurvivesMalformedInputs(t *testing.T) {
 	}
 	p.wantDropped(t, "duplicate submit")
 
-	// The same at central, from a peer posing as a site. The admitted first
-	// copy of 2002 completes, and its Reply reaches site 0 as a stray.
+	// The same at central, from a peer posing as site 1 (the real one steps
+	// aside; it plays no further part). The admitted first copy of 2002
+	// completes, and its Reply dies with the peer's connection.
 	p = dialRaw(t, central.Addr())
 	if err := p.Send(netx.MsgShip, 0, append(spec(2001, short), 1)); err != nil {
 		t.Fatal(err)
 	}
 	p.wantDropped(t, "ship with 2 of 6 elements")
-	p = dialRaw(t, central.Addr())
+	// Site 1 is ready once it has sent its Hello; let central have answered
+	// it too before the site leaves, or a late registration would evict the
+	// peer that takes its place.
+	awaitMetric(central.Metrics(), `wire_msgs_out_total{type="hello-ack"}`, 2)
+	sites[1].Close()
+	asSite1 := func() rawPeer {
+		p := dialRaw(t, central.Addr())
+		if err := p.Send(netx.MsgHello, 0, netx.AppendHello(nil, netx.Hello{Site: 1})); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	homedAt := func(site int) func(*workload.Txn) { return func(txn *workload.Txn) { txn.HomeSite = site } }
+	p = asSite1()
 	for i := 0; i < 2; i++ {
-		if err := p.Send(netx.MsgShip, 0, append(spec(2002, nil), 1)); err != nil {
+		if err := p.Send(netx.MsgShip, 0, append(spec(2002, homedAt(1)), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.wantDropped(t, "duplicate ship")
+	p = asSite1()
+	if err := p.Send(netx.MsgShip, 0, append(spec(2003, homedAt(0)), 1)); err != nil {
+		t.Fatal(err)
+	}
+	p.wantDropped(t, "ship homed at a site other than its uplink's")
 
 	p = dialRaw(t, addrs[0])
 	f, err := p.Call(ctx, netx.MsgSubmit, spec(3001, nil))
@@ -466,21 +527,19 @@ func TestClusterSurvivesMalformedInputs(t *testing.T) {
 		t.Errorf("valid submission answered %+v, %v; want txn 3001 shipped", res, err)
 	}
 
-	// 2002's stray reply is the last thing in flight; wait for site 0 to
-	// have counted it before reading the books.
-	stray := `wire_errors_total{type="stray-reply"}`
-	for deadline := time.Now().Add(5 * time.Second); sites[0].Metrics().Snapshot()[stray] == 0 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// 2002 may still be executing; wait for the three admitted ships to have
+	// committed before reading the books.
+	awaitMetric(central.Metrics(), "central_commits_total", 3)
 	siteSnaps := []map[string]float64{sites[0].Metrics().Snapshot(), sites[1].Metrics().Snapshot()}
 	centralSnap := central.Metrics().Snapshot()
-	for name, want := range map[string]float64{`wire_errors_total{type="bad-submit"}`: 4, stray: 1} {
+	// No Reply strayed: 2003, homed at site 0, never ran.
+	for name, want := range map[string]float64{`wire_errors_total{type="bad-submit"}`: 4, `wire_errors_total{type="stray-reply"}`: 0} {
 		if got := siteSnaps[0][name]; got != want {
 			t.Errorf("site 0 %s = %v, want %v", name, got, want)
 		}
 	}
-	if got := centralSnap[`wire_errors_total{type="bad-ship"}`]; got != 2 {
-		t.Errorf(`central wire_errors_total{type="bad-ship"} = %v, want 2`, got)
+	if got := centralSnap[`wire_errors_total{type="bad-ship"}`]; got != 3 {
+		t.Errorf(`central wire_errors_total{type="bad-ship"} = %v, want 3`, got)
 	}
 	if got := centralSnap["central_ship_arrived_total"]; got != 3 { // 1004, 2002, 3001
 		t.Errorf("central admitted %v ships, want 3", got)

@@ -18,7 +18,6 @@ import (
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/lock"
 	"hybriddb/internal/netx"
-	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/workload"
 )
 
@@ -54,8 +53,6 @@ type siteLink struct {
 	send func(msgType byte, txn int64, payload []byte)
 	// stray reports a message naming a transaction this end does not know.
 	stray func(msgType byte, txn int64)
-	// spans, when set, marks each authentication answer on the site's lane.
-	spans *spans.Recorder
 }
 
 func (l *siteLink) Ship(_ int, spec *workload.Txn) {
@@ -63,13 +60,6 @@ func (l *siteLink) Ship(_ int, spec *workload.Txn) {
 }
 
 func (l *siteLink) AuthReply(site int, txn int64, nack bool) {
-	if l.spans != nil {
-		verdict := "auth-ack"
-		if nack {
-			verdict = "auth-nack"
-		}
-		l.spans.Instant(l.clock.Now(), txn, verdict)
-	}
 	l.send(netx.MsgAuthReply, txn, netx.AppendAuthReply(nil, netx.AuthReply{Txn: txn, Site: uint32(site), NACK: nack}))
 }
 
@@ -123,9 +113,11 @@ type centralLink struct {
 	// send transmits one downlink frame to a site.
 	send  func(site int, msgType byte, payload []byte)
 	stray func(msgType byte, txn int64)
-	// duplicate reports a Ship whose transaction is already executing here;
-	// from is the connection it arrived on.
-	duplicate func(from *netx.Conn, txn int64)
+	// accept is the owner's admission check for a Ship that decoded and
+	// validated, run on the node's executor: it reports whether the input
+	// may run, having refused one that may not; from is the connection it
+	// arrived on.
+	accept func(from *netx.Conn, spec *workload.Txn) bool
 }
 
 func (l *centralLink) AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap hybrid.Snapshot) {
@@ -161,11 +153,9 @@ func (l *centralLink) receive(from *netx.Conn, msgType byte, p []byte) (txn int6
 			return 0, nil, err
 		}
 		return spec.ID, func() {
-			if l.node.Running(spec.ID) {
-				l.duplicate(from, spec.ID)
-				return
+			if l.accept(from, spec) {
+				l.node.OnShip(spec)
 			}
-			l.node.OnShip(spec)
 		}, nil
 	case netx.MsgAuthReply:
 		a, err := netx.DecodeAuthReply(p)

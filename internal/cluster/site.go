@@ -5,13 +5,15 @@ package cluster
 // exec.Loop — the same admission, routing, local execution, authentication
 // and propagation code the simulator runs. This file is the process around
 // the node: listener and uplink, the Hello handshake, the load generator's
-// pending table, and the counters, histograms and spans derived from the
-// node's observer bus.
+// pending table, and the counters and histograms derived from the node's
+// observer bus.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
+	"sync/atomic"
 
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
@@ -63,6 +65,10 @@ type Site struct {
 
 	up *netx.Client // uplink to central
 
+	// clockOffset is the latest handshake's estimate (float64 bits), written
+	// on the uplink's read goroutine.
+	clockOffset atomic.Uint64
+
 	*acceptor // the listener and its connections; Addr
 }
 
@@ -72,25 +78,23 @@ type Site struct {
 // site (routing.SiteLocal) by the caller, as the simulator does. A site is
 // one event loop, so its node takes its own instance of a routing.LoopLocal
 // strategy (hybrid.NewSiteNode), as the simulator does per loop; several
-// sites may therefore be started with one such value.
-func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy routing.Strategy) (*Site, error) {
+// sites may therefore be started with one such value. Observers join the
+// site's own on the node's bus and run on its loop; an obs.DetailObserver
+// among them (a spans.Collector) switches the protocol-detail stream on.
+func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy routing.Strategy, observers ...obs.Observer) (*Site, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	if strategy == nil {
 		strategy = routing.AlwaysLocal{}
 	}
-	name := "site " + strconv.Itoa(idx)
 	s := &Site{
-		shell:   newShell(cfg, name, name, spans.SitePid(idx)),
+		shell:   newShell(cfg, "site "+strconv.Itoa(idx)),
 		idx:     idx,
 		pending: make(map[int64]pendingSubmit),
 	}
-	s.link = siteLink{
-		clock: s.loop, delay: cfg.CommDelay, spans: s.spans,
-		send: s.sendUp, stray: s.stray,
-	}
-	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, s)
+	s.link = siteLink{clock: s.loop, delay: cfg.CommDelay, send: s.sendUp, stray: s.stray}
+	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, append([]obs.Observer{s}, observers...)...)
 	if err != nil {
 		s.loop.Stop()
 		return nil, err
@@ -127,7 +131,7 @@ func (s *Site) registerMetrics() {
 	registerNetStats(s.reg, s.net)
 	s.rtLocal = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "local"))
 	s.rtShipped = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "shipped"))
-	s.reg.GaugeFunc("site_clock_offset_seconds", "estimated central-minus-local clock offset from the Hello handshake", s.spans.ClockOffset)
+	s.reg.GaugeFunc("site_clock_offset_seconds", "estimated central-minus-local clock offset from the Hello handshake", s.ClockOffset)
 	generated := s.reg.Counter("site_generated_total", "transactions submitted to this site")
 	completedLocal := s.reg.Counter("site_completed_local_total", "transactions committed on the local path")
 	replies := s.reg.Counter("site_replies_delivered_total", "shipped-transaction completions delivered to load generators")
@@ -157,6 +161,11 @@ func (s *Site) registerMetrics() {
 		locksHeld.Set(float64(s.node.LocksHeld()))
 	})
 }
+
+// ClockOffset returns the estimated central-minus-local clock difference in
+// seconds, re-estimated at every (re)connect handshake; the latest wins. It
+// is what shifts this process's span file into the central timebase.
+func (s *Site) ClockOffset() float64 { return math.Float64frombits(s.clockOffset.Load()) }
 
 // WaitReady blocks until the uplink to central is established.
 func (s *Site) WaitReady(ctx context.Context) error { return s.up.WaitConnected(ctx) }
@@ -220,7 +229,7 @@ func (s *Site) dispatchCentral(conn *netx.Conn, f netx.Frame) {
 		// ack.T0 its clock at send, ack.TCentral the central clock between.
 		t1 := s.loop.Now()
 		offset := spans.EstimateClockOffset(ack.T0, t1, ack.TCentral)
-		s.spans.SetClockOffset(offset)
+		s.clockOffset.Store(math.Float64bits(offset))
 		s.fr.Recordf(flight.In, "hello-ack", "offset=%.6fs rtt=%.6fs", offset, t1-ack.T0)
 		s.log.Debugf("clock offset vs central: %.6fs (rtt %.6fs)", offset, t1-ack.T0)
 		return
@@ -247,45 +256,34 @@ func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 	s.fr.Recordf(flight.Out, name, "txn %d", txn)
 }
 
-// OnEvent implements obs.Observer on the node's bus: the site's counters,
-// response-time histograms and spans are derived from the lifecycle events,
-// and a completion event answers the load generator that submitted the
+// OnEvent implements obs.Observer on the node's bus: the site's counters and
+// response-time histograms are derived from the lifecycle events, and a
+// completion event answers the load generator that submitted the
 // transaction. It runs on the loop, inside the handler that emitted it.
 func (s *Site) OnEvent(ev obs.Event) {
 	switch ev.Kind {
 	case obs.TxnArrive:
 		s.stats.Generated++
-		class, decision := "A", "local"
 		switch {
 		case ev.ClassB:
 			s.stats.ShippedB++
-			class, decision = "B", "ship_b"
 		case ev.Shipped:
 			s.stats.ShippedA++
-			decision = "ship"
 		default:
 			s.stats.LocalA++
 		}
-		s.spans.Begin(ev.At, ev.Txn, "txn", spans.KV{K: "class", V: class})
-		s.spans.Instant(ev.At, ev.Txn, "route", spans.KV{K: "decision", V: decision})
 	case obs.TxnLocalCommit:
 		s.stats.CompletedLocal++
 		s.rtLocal.Observe(ev.Value)
-		s.spans.End(ev.At, ev.Txn,
-			spans.KV{K: "route", V: "local"},
-			spans.KV{K: "attempts", V: strconv.Itoa(int(ev.Aux))})
 		s.respond(netx.Result{Txn: ev.Txn})
 	case obs.TxnReply:
 		s.stats.RepliesDelivered++
 		s.rtShipped.Observe(ev.Value)
-		s.spans.End(ev.At, ev.Txn, spans.KV{K: "route", V: "shipped"})
 		s.respond(netx.Result{Txn: ev.Txn, Shipped: true, ClassB: ev.ClassB})
 	case obs.AbortLocalSeized:
 		s.stats.AbortsSeized++
-		s.spans.Instant(ev.At, ev.Txn, "abort", spans.KV{K: "cause", V: "seized"})
 	case obs.AbortDeadlockLocal:
 		s.stats.AbortsDeadlock++
-		s.spans.Instant(ev.At, ev.Txn, "abort", spans.KV{K: "cause", V: "deadlock"})
 	}
 }
 

@@ -109,11 +109,14 @@ type Config struct {
 	// EpochLength, when positive, selects epoch-batched update propagation
 	// (the STAR-style alternative to the per-commit window above): every
 	// site accumulates its committed updates and flushes them in one
-	// message at the next global epoch boundary k*EpochLength. All sites
-	// share the epoch grid, so the central complex sees synchronized update
-	// bursts instead of a Poisson trickle — the head-to-head comparison
-	// examples/epochs runs. Mutually exclusive with UpdateBatchWindow;
-	// zero (the default) keeps per-commit async propagation.
+	// message at its next epoch boundary k*EpochLength, on a ticker of its
+	// own (SiteNode.armEpochTick). The sites of one simulation count
+	// boundaries from the same zero and so share the epoch grid — the
+	// central complex sees synchronized update bursts instead of a Poisson
+	// trickle, the head-to-head comparison examples/epochs runs; the sites
+	// of a live cluster each tick on their own process clock. Mutually
+	// exclusive with UpdateBatchWindow; zero (the default) keeps per-commit
+	// async propagation.
 	EpochLength float64
 
 	// Contention realism (DESIGN.md §16).

@@ -193,9 +193,7 @@ func (e *Engine) Run() Result {
 			e.scheduleSelfCheck()
 		}
 		e.scheduleQueueSample()
-		if e.env.cfg.EpochLength > 0 {
-			e.scheduleEpochFlush()
-		}
+		e.armEpochTicks()
 		e.simulator.RunUntil(e.horizon)
 	}
 	if e.env.cfg.SelfCheck {
@@ -288,22 +286,14 @@ func (e *Engine) scheduleQueueSample() {
 	})
 }
 
-// scheduleEpochFlush drives the global epoch ticker of the epoch-batched
-// propagation mode (sequential run): every EpochLength seconds, drain each
-// site's pending update batch onto its uplink. Boundary instants are built by
-// repeated addition from zero — the identical floats the sharded chain in
-// parallel.go computes — and the chain is armed last in Run, after the sample
-// chain, so a boundary coinciding with a sample instant flushes after the
-// sample in both run modes.
-func (e *Engine) scheduleEpochFlush() {
-	epoch := e.env.cfg.EpochLength
-	if e.simulator.Now()+epoch > e.horizon {
-		return
+// armEpochTicks starts every site's epoch ticker (epoch-batched propagation
+// only), in ascending site index and last in Run — after setupRunMode has
+// settled each site on its executor and after the global chains — in both
+// run modes alike, so the sites' coinciding boundary flushes keep one order.
+func (e *Engine) armEpochTicks() {
+	for _, ls := range e.sites {
+		ls.armEpochTick()
 	}
-	e.simulator.Schedule(epoch, func() {
-		e.flushEpoch()
-		e.scheduleEpochFlush()
-	})
 }
 
 func (e *Engine) scheduleSelfCheck() {
@@ -315,14 +305,6 @@ func (e *Engine) scheduleSelfCheck() {
 		e.env.observeAt(e.simulator.Now(), obs.Event{Kind: obs.SelfCheck})
 		e.scheduleSelfCheck()
 	})
-}
-
-// flushEpoch drains every site's pending epoch batch onto its uplink, in
-// ascending site index.
-func (e *Engine) flushEpoch() {
-	for _, ls := range e.sites {
-		ls.flushPendingUpdates()
-	}
 }
 
 // flow sums the partition-owned conservation counters: transactions

@@ -90,18 +90,15 @@ func (env *nodeEnv) isCold(elem uint32) bool {
 }
 
 // ValidateStandalone reports whether cfg can run on standalone nodes (the
-// live cluster): a valid Config minus the corners only the whole-system
+// live cluster): a valid Config minus the corner only the whole-system
 // Engine can honor — a node on its own executor has no peer state to read
-// synchronously and no global epoch ticker.
+// synchronously.
 func ValidateStandalone(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if cfg.Feedback == FeedbackIdeal {
 		return fmt.Errorf("hybrid: ideal feedback requires synchronously readable central state; a standalone node cannot provide it")
-	}
-	if cfg.EpochLength > 0 {
-		return fmt.Errorf("hybrid: epoch-batched propagation is flushed by the engine's global ticker; a standalone node has none")
 	}
 	return nil
 }
@@ -222,6 +219,7 @@ func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy
 	env.init(cfg, observers)
 	s := &SiteNode{strategy: loopInstance(strategy)}
 	s.init(env, idx, sched)
+	s.armEpochTick()
 	return s, nil
 }
 

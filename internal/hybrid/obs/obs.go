@@ -7,7 +7,7 @@
 //   - Lifecycle events carry numeric payloads only (response times, queue
 //     lengths, abort causes) plus the transaction id, and are emitted
 //     unconditionally; the metrics observer folds them into the run's
-//     Result, and a live node derives its counters and spans from them.
+//     Result, and a live node derives its counters from them.
 //   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
 //     event stream one-to-one, including rendered note strings. They are
 //     emitted only when a detail observer is subscribed (Bus.HasDetail), so

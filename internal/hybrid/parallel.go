@@ -45,33 +45,11 @@ import (
 // Barrier priorities for globally synchronized events, replicating the
 // scheduling-order tie-break of the sequential loop (the measurement event
 // is scheduled first, the self-check chain second, the sample chain third).
-// The gaps leave room for the epoch-flush chain, whose position among
-// coinciding chain events depends on its interval (see epochFlushPrio).
 const (
-	prioMeasure   = 0
-	prioSelfCheck = 2
-	prioSample    = 4
+	prioMeasure = iota
+	prioSelfCheck
+	prioSample
 )
-
-// epochFlushPrio places the epoch-flush chain among the other barrier chains
-// at a shared instant exactly where the sequential event queue puts it. In
-// the sequential run, coinciding chain events execute in insertion order, and
-// a repeating chain's pending event was inserted when the chain last fired —
-// one interval earlier. A chain with the longer interval therefore inserted
-// earlier and fires first. The epoch chain is armed last in Run, so on equal
-// intervals (epoch == 1 vs the sample chain, epoch == 10 vs the self-check
-// chain, and every rearm thereafter, by induction) it fires after the chain
-// with the equal interval.
-func epochFlushPrio(epoch float64) int {
-	switch {
-	case epoch <= 1: // shorter than (or equal to) the 1 s sample interval
-		return prioSample + 1
-	case epoch <= 10: // between the sample and 10 s self-check intervals
-		return prioSelfCheck + 1
-	default: // longer than every other chain interval
-		return prioMeasure + 1
-	}
-}
 
 // setupRunMode decides sequential vs sharded and, for a sharded run,
 // re-homes every site onto its shard. Called once at the top of Run: only
@@ -167,27 +145,8 @@ func (e *Engine) runSharded() {
 		e.armSelfCheck(0)
 	}
 	e.armQueueSample(0)
-	if e.env.cfg.EpochLength > 0 {
-		e.armEpochFlush(0)
-	}
+	e.armEpochTicks()
 	e.group.Run(e.horizon)
-}
-
-// armEpochFlush arms the next epoch-boundary flush after instant last as a
-// barrier event: every shard clock sits on the boundary, so the coordinator
-// may drain the site-owned pending batches and post the uplink messages
-// directly (the workers are parked, and a message sent from the boundary
-// instant meets the lookahead bound with equality). Boundary floats are built
-// by the same repeated addition the sequential chain performs.
-func (e *Engine) armEpochFlush(last float64) {
-	next := last + e.env.cfg.EpochLength
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, epochFlushPrio(e.env.cfg.EpochLength), func() {
-		e.flushEpoch()
-		e.armEpochFlush(next)
-	})
 }
 
 // armSelfCheck arms the next barrier self-check after instant last. The

@@ -32,7 +32,7 @@ func (c *CentralNode) snapshot() Snapshot {
 
 // propagate ships a committed transaction's updates to the central site —
 // immediately, batched per Config.UpdateBatchWindow, or accumulated to the
-// next global epoch boundary per Config.EpochLength (the modes are mutually
+// site's next epoch boundary per Config.EpochLength (the modes are mutually
 // exclusive; Validate enforces it). Batching keeps per-link FIFO ordering:
 // the flush sends one message on the same uplink that unbatched commits
 // would use.
@@ -45,13 +45,8 @@ func (s *SiteNode) propagate(txnID int64, updates []uint32) {
 	case cfg.UpdateBatchWindow > 0:
 		s.buffer(updates, cfg.UpdateBatchWindow)
 	case cfg.EpochLength > 0:
-		// Epoch-batched (STAR-style) propagation: accumulate only. The
-		// global epoch ticker (engine.go scheduleEpochFlush / parallel.go
-		// armEpochFlush) drains every site's pending batch at each boundary,
-		// iterating sites in ascending index — the same order the sharded
-		// round merge imposes on same-instant uplink arrivals — so the
-		// simultaneous flushes every boundary produces reach the central
-		// queue in one deterministic order in both run modes.
+		// Epoch-batched (STAR-style) propagation: accumulate only; the
+		// site's epoch ticker (armEpochTick) drains the batch.
 		s.stash(updates)
 	default:
 		s.env.up.Update(s.idx, txnID, updates)
@@ -82,12 +77,29 @@ func (s *SiteNode) buffer(updates []uint32, delay float64) {
 	})
 }
 
+// armEpochTick starts the site's epoch ticker when Config.EpochLength is
+// set: every EpochLength seconds of the site's own executor, send the pending
+// batch and re-arm. Boundaries are built by repeated addition from the
+// executor's zero, so the sites of one simulation tick on one shared grid —
+// the Engine arms them in ascending index, which is also the (edge index)
+// order a sharded round merge gives their same-instant central arrivals — and
+// a live site ticks on its own process clock. The closure is built once: a
+// tick allocates nothing.
+func (s *SiteNode) armEpochTick() {
+	epoch := s.env.cfg.EpochLength
+	if epoch <= 0 {
+		return
+	}
+	var tick func()
+	tick = func() {
+		s.flushPendingUpdates()
+		s.sched.Schedule(epoch, tick)
+	}
+	s.sched.Schedule(epoch, tick)
+}
+
 // flushPendingUpdates sends the site's pending batch, if any, as one Update
-// message. The epoch ticker calls it for every site at a global boundary — as
-// a plain event in the sequential run, at a barrier with every shard clock on
-// the boundary in a sharded run — walking sites in ascending index, which is
-// exactly the (edge index) order the sharded round merge gives the resulting
-// same-instant central arrivals.
+// message.
 func (s *SiteNode) flushPendingUpdates() {
 	if len(s.pendingUpdates) == 0 {
 		return

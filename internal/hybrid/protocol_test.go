@@ -211,6 +211,36 @@ type kindCount map[obs.Kind]int
 
 func (k kindCount) OnEvent(ev obs.Event) { k[ev.Kind]++ }
 
+// TestStandaloneNodeTracesOnRequestOnly: off means off. A standalone node —
+// what a live process runs — given only plain observers builds no
+// protocol-detail event and renders no note; a detail observer among them is
+// the one switch.
+func TestStandaloneNodeTracesOnRequestOnly(t *testing.T) {
+	cfg, s := standaloneConfig(), sim.New()
+	spec := workload.NewGenerator(cfg.WorkloadConfig(), 3).Next(0)
+	for _, tc := range []struct {
+		observer obs.Observer
+		detail   bool
+	}{{kindCount{}, false}, {obs.NewTracer(trace.NewRing(8)), true}} {
+		site, err := NewSiteNode(cfg, 0, exec.Sim(s), routing.AlwaysLocal{}, &recWire{}, tc.observer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		central, err := NewCentralNode(cfg, exec.Sim(s), &recWire{}, tc.observer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if site.env.bus.HasDetail() != tc.detail || central.env.bus.HasDetail() != tc.detail {
+			t.Errorf("observer %T: HasDetail() = %v at the site, %v at central, want %v",
+				tc.observer, site.env.bus.HasDetail(), central.env.bus.HasDetail(), tc.detail)
+		}
+		site.Admit(spec)
+		if counts, plain := tc.observer.(kindCount); plain && (counts[obs.TxnArrive] != 1 || counts[obs.TraceDetail] != 0) {
+			t.Errorf("a plain observer saw %d arrivals and %d protocol-detail events, want 1 and 0", counts[obs.TxnArrive], counts[obs.TraceDetail])
+		}
+	}
+}
+
 func standaloneConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Sites = 1 // every element is mastered at site 0: one AuthReq a round

@@ -1,7 +1,8 @@
 package spans
 
-// MergeFiles fuses per-process trace files (written by Recorder.WriteFile,
-// one per cluster process) into a single Chrome trace-event file. Each
+// MergeFiles fuses per-process trace files (one per cluster process, each
+// written by a Collector after SetProcess) into a single Chrome trace-event
+// file. Each
 // input's events are shifted by its recorded clock offset into the central
 // timebase, process-name metadata is deduplicated per lane, and events are
 // ordered by shifted timestamp — so a shipped transaction's spans, recorded

@@ -7,36 +7,44 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hybriddb/internal/hybrid/obs"
+	"hybriddb/internal/trace"
 )
 
-// TestRecorderMergeCrossProcess drives the live-cluster trace path end to
-// end: a site and central each record their half of one shipped transaction
-// against skewed local clocks, the site stamps its handshake-estimated
-// offset, and MergeFiles fuses the two files into one trace where the
-// transaction's spans appear under a single tid in both process lanes with
-// aligned timestamps.
-func TestRecorderMergeCrossProcess(t *testing.T) {
+// detail is one protocol-detail bus event, as a node would emit it.
+func detail(at float64, kind trace.Kind, txn int64, site int, note string) obs.Event {
+	return obs.Event{At: at, Kind: obs.TraceDetail, Trace: kind, Txn: txn, Site: site, Note: note}
+}
+
+// TestCollectorMergeCrossProcess drives the live-cluster trace path end to
+// end: a site's and central's collectors each fold their own half of one
+// shipped transaction against skewed local clocks, the site's file is stamped
+// with its handshake-estimated offset, and MergeFiles fuses the two files
+// into one trace where the transaction's spans appear under a single tid in
+// both process lanes with aligned timestamps.
+func TestCollectorMergeCrossProcess(t *testing.T) {
 	dir := t.TempDir()
 
 	// Central's clock is 5s ahead of the site's. Each process records in
 	// its own timebase.
 	const skew = 5.0
-	site := NewRecorder("site 0", SitePid(0), 0)
-	site.SetClockOffset(EstimateClockOffset(1.0, 1.02, 6.01)) // exactly skew
-	central := NewRecorder("central complex", CentralPid, 0)
+	site, central := NewCollector(2), NewCollector(2)
 
 	const txn = int64(42)
-	site.Begin(1.10, txn, "txn", KV{"class", "A"})
-	site.Instant(1.10, txn, "route: ship")
-	central.Begin(1.15+skew, txn, "exec") // central local time
-	central.End(1.30+skew, txn)
-	central.Instant(1.30+skew, txn, "commit", KV{"where", "central"})
-	site.End(1.35, txn)
+	site.OnEvent(detail(1.10, trace.Arrive, txn, 0, "class A"))
+	site.OnEvent(detail(1.10, trace.RouteShip, txn, 0, ""))
+	central.OnEvent(obs.Event{At: 1.15 + skew, Kind: obs.ShipArrive, Txn: txn, Site: -1}) // central local time
+	central.OnEvent(detail(1.30+skew, trace.CommitCentral, txn, -1, ""))
+	site.OnEvent(detail(1.35, trace.ReplyDelivered, txn, 0, ""))
 
 	// A purely local transaction stays single-lane.
-	site.Begin(2.0, 43, "txn")
-	site.End(2.1, 43)
+	site.OnEvent(detail(2.0, trace.Arrive, 43, 0, "class A"))
+	site.OnEvent(detail(2.0, trace.RouteLocal, 43, 0, ""))
+	site.OnEvent(detail(2.1, trace.CommitLocal, 43, 0, ""))
 
+	site.SetProcess(0, EstimateClockOffset(1.0, 1.02, 6.01)) // exactly skew
+	central.SetProcess(-1, 0)
 	sitePath := filepath.Join(dir, "site0.json")
 	centralPath := filepath.Join(dir, "central.json")
 	if err := site.WriteFile(sitePath); err != nil {
@@ -75,14 +83,14 @@ func TestRecorderMergeCrossProcess(t *testing.T) {
 		if e.Tid == txn {
 			lanes[e.Pid] = true
 		}
-		if e.Ph == "B" && e.Pid == CentralPid && e.Tid == txn {
+		if e.Ph == "B" && e.Pid == centralPid && e.Tid == txn {
 			centralBegin = e.Ts
 		}
-		if e.Ph == "B" && e.Pid == SitePid(0) && e.Tid == txn {
+		if e.Ph == "B" && e.Pid == sitePid(0) && e.Tid == txn {
 			siteBegin = e.Ts
 		}
 	}
-	if !lanes[CentralPid] || !lanes[SitePid(0)] {
+	if !lanes[centralPid] || !lanes[sitePid(0)] {
 		t.Fatalf("txn %d does not span both lanes: %v", txn, lanes)
 	}
 	// After the shift, the site's 1.10 and central's (1.15+skew) must land
@@ -100,16 +108,6 @@ func TestRecorderMergeCrossProcess(t *testing.T) {
 			t.Fatalf("merged events out of order: %v after %v", e.Ts, last)
 		}
 		last = e.Ts
-	}
-}
-
-func TestRecorderDropsAtCap(t *testing.T) {
-	r := NewRecorder("x", 2, 3)
-	for i := 0; i < 10; i++ {
-		r.Instant(float64(i), 1, "e")
-	}
-	if r.Events() != 3 || r.Dropped() != 7 {
-		t.Errorf("events %d dropped %d, want 3/7", r.Events(), r.Dropped())
 	}
 }
 

@@ -1,27 +1,37 @@
-// Package spans reconstructs per-transaction span trees from the engine's
-// protocol-detail event stream and exports them as Chrome trace-event JSON,
-// loadable in Perfetto or chrome://tracing.
+// Package spans reconstructs per-transaction span trees from a node's
+// observer bus and exports them as Chrome trace-event JSON, loadable in
+// Perfetto or chrome://tracing.
 //
 // The paper's routing policies differ precisely in where a transaction's
 // time goes — network hops, CPU queueing at the central complex, lock
 // waits, optimistic-abort retries — and a summary Result cannot show that.
-// A Collector subscribes to the observer bus (it is an obs.DetailObserver,
-// so the engine materializes trace events only while one is attached),
-// folds the flat event stream back into nested spans, and renders one
-// trace "process" per local site plus a dedicated lane for the central
-// complex. Each transaction gets its own thread (tid = transaction id)
-// inside the process where the work happened, so a timeline reads:
+// A Collector subscribes to an observer bus (it is an obs.DetailObserver,
+// so the nodes materialize trace events only while one is attached), folds
+// the flat event stream back into nested spans, and renders one trace
+// "process" (lane) per local site plus one for the central complex. Each
+// transaction gets its own thread (tid = transaction id) in every lane it
+// is resident in, so a timeline reads:
 //
-//	txn                                  whole lifetime, home-site lane
-//	├─ attempt N                         one execution attempt
-//	│   └─ lock wait (elem)              blocking waits inside the attempt
-//	├─ ship+setup                        transit + setup, central lane
-//	├─ auth                              authentication round(s), central lane
-//	└─ reply                             completion reply in flight, home lane
+//	txn                        whole lifetime, home-site lane
+//	└─ attempt N               one local execution attempt
+//	    └─ lock wait (elem)    blocking waits inside the attempt
+//	exec                       ship arrival to central commit, central lane
+//	└─ attempt N               one central execution attempt
+//	    ├─ lock wait (elem)
+//	    └─ auth                authentication round at the commit point
 //
-// Aborts, route decisions, commits, and authentication answers appear as
+// Route decisions, aborts, commits, and authentication answers appear as
 // instant events with their cause in args, so Perfetto's search and
-// aggregation can slice on them.
+// aggregation can slice on them. A shipped transaction's transits show as
+// the gaps between its "route: ship" instant and its exec span, and between
+// its central commit and the end of its txn span.
+//
+// Folding is lane-local: every span boundary is decided from events of the
+// lane the span is drawn on, never from another lane's. One Collector
+// therefore serves the whole simulated system (hybridsim -spans, trace
+// export) or the single lane a live node's bus carries (hybridd -spans), and
+// the per-process files of a cluster, merged by MergeFiles, read like a
+// simulator export of the same run.
 package spans
 
 import (
@@ -50,6 +60,13 @@ func sitePid(site int) int {
 	return site + 2
 }
 
+func laneName(pid int) string {
+	if pid == centralPid {
+		return "central complex"
+	}
+	return "site " + strconv.Itoa(pid-2)
+}
+
 // event is one Chrome trace event. Args are ordered key/value pairs so the
 // export is byte-deterministic.
 type event struct {
@@ -64,242 +81,227 @@ type event struct {
 
 type kv struct{ k, v string }
 
-// txnState is the collector's view of one in-flight transaction.
-type txnState struct {
-	home    int
-	attempt int
+// laneTxn keys a transaction's tree in one lane: a shipped transaction is
+// resident in two, its home site's and the central complex's.
+type laneTxn struct {
+	pid int
+	txn int64
+}
 
-	txnOpen      bool
-	execPid      int // pid of the open "attempt" span, 0 when closed
-	shipOpen     bool
+// tree is the collector's view of one transaction resident in one lane: its
+// root span ("txn" at the home site, "exec" at central) is open for as long
+// as the tree exists.
+type tree struct {
+	seq     uint64 // arrival order, for a deterministic end-of-run flush
+	attempt int    // the open attempt span's number; 0 before the first
+
 	authOpen     bool
-	replyOpen    bool
 	lockWaitOpen bool
-	lockWaitPid  int
 	lockWaitElem uint32
 }
 
-// Collector accumulates trace events for export. Subscribe it on an engine
-// before Run; it must see the run from the start to pair span boundaries.
+// Collector accumulates trace events for export. Subscribe it before the
+// run; it must see a transaction arrive in a lane to pair its span
+// boundaries there. It runs on the executor of the bus it observes and is
+// written after that executor has stopped, so it needs no locking.
 type Collector struct {
 	// MaxEvents caps the retained events (0 selects DefaultMaxEvents).
-	// The cap is soft: once reached, transactions not yet seen are dropped
-	// (and counted), while transactions with open spans keep recording
-	// until they close — truncating those would corrupt the B/E pairing.
+	// The cap is soft: once reached, transactions arriving in a lane are
+	// dropped (and counted), while transactions with open spans keep
+	// recording until they close — truncating those would corrupt the B/E
+	// pairing. The buffer is the one thing the lanes of a whole-system
+	// collector share.
 	MaxEvents int
 
 	sites   int
 	events  []event
-	txns    map[int64]*txnState
-	order   []int64 // txn ids in arrival order, for deterministic flush
+	trees   map[laneTxn]*tree // transactions resident in a lane, nothing else
+	arrived uint64
 	dropped uint64
-	lastAt  float64
+	lastAt  map[int]float64 // per lane: where its truncated spans end
+
+	// Set by SetProcess: the one lane this process's file names, and its
+	// clock offset to the central timebase.
+	procPid     int
+	clockOffset float64
 }
 
-// NewCollector returns a collector for an engine with the given number of
+// NewCollector returns a collector for a system with the given number of
 // local sites (spans of unknown sites still render; the count only seeds
 // the process-name metadata).
 func NewCollector(sites int) *Collector {
-	return &Collector{sites: sites, txns: make(map[int64]*txnState)}
+	return &Collector{sites: sites, trees: make(map[laneTxn]*tree), lastAt: make(map[int]float64)}
+}
+
+// SetProcess marks the export as one cluster process's file of a
+// multi-process trace: site is the node's index (negative for the central
+// complex), clockOffset the estimated central-minus-local clock difference
+// in seconds (EstimateClockOffset; 0 at central). WriteTo then names that
+// lane alone and stamps both into the file for MergeFiles. Timestamps stay
+// in the local timebase — merging applies the shift, so a single process's
+// file remains directly loadable too.
+func (c *Collector) SetProcess(site int, clockOffset float64) {
+	c.procPid, c.clockOffset = sitePid(site), clockOffset
 }
 
 // WantDetail implements obs.DetailObserver: the collector consumes the
 // protocol-detail stream.
 func (c *Collector) WantDetail() bool { return true }
 
-// Dropped returns the number of events discarded after MaxEvents filled.
+// Dropped returns the number of transaction arrivals — an admission at a
+// home site, or a shipped input at the central complex — that found the
+// buffer at MaxEvents and were not traced in that lane.
 func (c *Collector) Dropped() uint64 { return c.dropped }
 
 // Events returns the number of retained trace events.
 func (c *Collector) Events() int { return len(c.events) }
 
-func (c *Collector) limit() int {
+func (c *Collector) full() bool {
 	if c.MaxEvents > 0 {
-		return c.MaxEvents
+		return len(c.events) >= c.MaxEvents
 	}
-	return DefaultMaxEvents
+	return len(c.events) >= DefaultMaxEvents
 }
 
-func (c *Collector) add(e event) {
-	c.events = append(c.events, e)
+func (c *Collector) begin(at float64, k laneTxn, name string, args ...kv) {
+	c.events = append(c.events, event{name: name, cat: "txn", ph: 'B', ts: at, pid: k.pid, tid: k.txn, args: args})
 }
 
-func (c *Collector) begin(at float64, pid int, tid int64, name string, args ...kv) {
-	c.add(event{name: name, cat: "txn", ph: 'B', ts: at, pid: pid, tid: tid, args: args})
+func (c *Collector) end(at float64, k laneTxn, args ...kv) {
+	c.events = append(c.events, event{ph: 'E', ts: at, pid: k.pid, tid: k.txn, args: args})
 }
 
-func (c *Collector) end(at float64, pid int, tid int64, args ...kv) {
-	c.add(event{ph: 'E', ts: at, pid: pid, tid: tid, args: args})
+func (c *Collector) instant(at float64, k laneTxn, name string, args ...kv) {
+	c.events = append(c.events, event{name: name, cat: "txn", ph: 'i', ts: at, pid: k.pid, tid: k.txn, args: args})
 }
 
-func (c *Collector) instant(at float64, pid int, tid int64, name string, args ...kv) {
-	c.add(event{name: name, cat: "txn", ph: 'i', ts: at, pid: pid, tid: tid, args: args})
-}
-
-// OnEvent implements obs.Observer, folding the protocol-detail stream into
-// span boundaries. Lifecycle (numeric) events are ignored.
+// OnEvent implements obs.Observer, folding the protocol-detail stream, plus
+// the one lifecycle event that marks a shipped input reaching central, into
+// span boundaries. An event's lane is the partition that emitted it; every
+// boundary below reads only the state of that lane's tree.
 func (c *Collector) OnEvent(ev obs.Event) {
-	if ev.Kind != obs.TraceDetail {
+	lane, arrival := ev.Site, ev.Trace == trace.Arrive
+	switch {
+	case ev.Kind == obs.ShipArrive:
+		arrival = true
+	case ev.Kind != obs.TraceDetail:
 		return
+	case ev.Trace == trace.AuthRequest:
+		lane = -1 // central emits it; Site names the master site asked
 	}
-	if ev.At > c.lastAt {
-		c.lastAt = ev.At
-	}
-	t := c.txns[ev.Txn]
+	k := laneTxn{sitePid(lane), ev.Txn}
+	c.lastAt[k.pid] = ev.At
+	t := c.trees[k]
 	if t == nil {
-		if ev.Trace != trace.Arrive || len(c.events) >= c.limit() {
-			// Mid-flight txn admitted before the collector attached, or a
-			// new arrival past the retention cap.
-			c.dropped++
+		if c.full() {
+			if arrival {
+				c.dropped++
+			}
 			return
 		}
-		t = &txnState{home: ev.Site, attempt: 1}
-		c.txns[ev.Txn] = t
-		c.order = append(c.order, ev.Txn)
+		if arrival {
+			t = &tree{seq: c.arrived}
+			c.arrived++
+			c.trees[k] = t
+		}
+	}
+	// Authentication answers are instants on the master site's lane, where
+	// the asking transaction is resident only if this is also its home: they
+	// need no tree and create none.
+	switch ev.Trace {
+	case trace.AuthSeized:
+		c.instant(ev.At, k, "auth seized", kv{"elem", itoa(ev.Elem)}, kv{"victims", ev.Note})
+		return
+	case trace.AuthACK:
+		c.instant(ev.At, k, "auth ack")
+		return
+	case trace.AuthNACK:
+		c.instant(ev.At, k, "auth nack", kv{"why", ev.Note})
+		return
+	}
+	if t == nil {
+		// A transaction that arrived before the collector attached or past
+		// the cap, or an event that belongs to no transaction (batched
+		// update traffic).
+		return
+	}
+	if ev.Kind == obs.ShipArrive {
+		c.begin(ev.At, k, "exec", kv{"home", strconv.Itoa(int(ev.Aux))})
+		c.beginAttempt(t, ev.At, k)
+		return
 	}
 	switch ev.Trace {
 	case trace.Arrive:
-		t.txnOpen = true
-		c.begin(ev.At, sitePid(ev.Site), ev.Txn, "txn", kv{"class", classOf(ev.Note)})
+		c.begin(ev.At, k, "txn", kv{"class", classOf(ev.Note)})
 	case trace.RouteLocal:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "route: local")
-		t.execPid = sitePid(ev.Site)
-		c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", "1"})
+		c.instant(ev.At, k, "route: local")
+		c.beginAttempt(t, ev.At, k)
 	case trace.RouteShip:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "route: ship")
-		t.shipOpen = true
-		c.begin(ev.At, centralPid, ev.Txn, "ship+setup")
-	case trace.LockRequest:
-		c.ensureExec(t, ev)
+		c.instant(ev.At, k, "route: ship")
 	case trace.LockWaitBegin:
-		c.ensureExec(t, ev)
-		t.lockWaitOpen = true
-		t.lockWaitPid = sitePid(ev.Site)
-		t.lockWaitElem = ev.Elem
-		c.begin(ev.At, t.lockWaitPid, ev.Txn, "lock wait", kv{"elem", itoa(ev.Elem)})
+		t.lockWaitOpen, t.lockWaitElem = true, ev.Elem
+		c.begin(ev.At, k, "lock wait", kv{"elem", itoa(ev.Elem)})
 	case trace.LockGranted:
 		if t.lockWaitOpen && t.lockWaitElem == ev.Elem {
 			t.lockWaitOpen = false
-			c.end(ev.At, t.lockWaitPid, ev.Txn)
+			c.end(ev.At, k)
 		}
 	case trace.DeadlockAbort:
-		c.closeLockWait(t, ev.At, ev.Txn)
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "abort", kv{"cause", "deadlock"}, kv{"elem", itoa(ev.Elem)})
-		c.closeExec(t, ev, "deadlock")
-		t.attempt++
+		c.instant(ev.At, k, "abort", kv{"cause", "deadlock"}, kv{"elem", itoa(ev.Elem)})
+		c.retry(t, ev.At, k, "deadlock")
 	case trace.CrossAbortLocal:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "abort", kv{"cause", "seized"})
-		c.closeExec(t, ev, "seized")
-		t.attempt++
+		c.instant(ev.At, k, "abort", kv{"cause", "seized"})
+		c.retry(t, ev.At, k, "seized")
 	case trace.CrossAbortCentral:
-		if t.authOpen {
-			t.authOpen = false
-			c.end(ev.At, centralPid, ev.Txn, kv{"outcome", "abort"})
-		}
-		c.instant(ev.At, centralPid, ev.Txn, "abort", kv{"cause", ev.Note})
-		c.closeExec(t, ev, ev.Note)
-		t.attempt++
-	case trace.Rerun:
-		t.execPid = sitePid(ev.Site)
-		c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", itoa(uint32(t.attempt))})
+		c.endAuth(t, ev.At, k, "abort")
+		c.instant(ev.At, k, "abort", kv{"cause", ev.Note})
+		c.retry(t, ev.At, k, ev.Note)
 	case trace.AuthRequest:
-		c.closeShip(t, ev.At, ev.Txn)
 		if !t.authOpen {
 			t.authOpen = true
-			c.begin(ev.At, centralPid, ev.Txn, "auth")
+			c.begin(ev.At, k, "auth")
 		}
-		c.instant(ev.At, centralPid, ev.Txn, "auth request", kv{"site", strconv.Itoa(ev.Site)})
-	case trace.AuthSeized:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth seized", kv{"elem", itoa(ev.Elem)}, kv{"victims", ev.Note})
-	case trace.AuthACK:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth ack")
-	case trace.AuthNACK:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth nack", kv{"why", ev.Note})
-	case trace.CommitLocal:
-		c.closeExec(t, ev, "")
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "commit", kv{"where", "local"})
-		c.closeTxn(t, ev.At, ev.Txn, "")
-		delete(c.txns, ev.Txn)
-	case trace.CommitCentral:
-		if t.authOpen {
-			t.authOpen = false
-			c.end(ev.At, centralPid, ev.Txn, kv{"outcome", "commit"})
-		}
-		c.closeExec(t, ev, "")
-		c.instant(ev.At, centralPid, ev.Txn, "commit", kv{"where", "central"})
-		// The completion reply is now in flight toward the origin.
-		t.replyOpen = true
-		c.begin(ev.At, sitePid(t.home), ev.Txn, "reply")
-	case trace.ReplyDelivered:
-		if t.replyOpen {
-			t.replyOpen = false
-			c.end(ev.At, sitePid(ev.Site), ev.Txn)
-		}
-		c.closeTxn(t, ev.At, ev.Txn, "")
-		delete(c.txns, ev.Txn)
+		c.instant(ev.At, k, "auth request", kv{"site", strconv.Itoa(ev.Site)})
 	case trace.UpdatePropagated:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "updates propagated", kv{"batch", ev.Note})
+		c.instant(ev.At, k, "updates propagated", kv{"batch", ev.Note})
+	case trace.CommitLocal:
+		c.end(ev.At, k) // the attempt
+		c.instant(ev.At, k, "commit", kv{"where", "local"})
+		c.end(ev.At, k) // txn
+		delete(c.trees, k)
+	case trace.CommitCentral:
+		c.endAuth(t, ev.At, k, "commit")
+		c.end(ev.At, k) // the attempt
+		c.instant(ev.At, k, "commit", kv{"where", "central"})
+		c.end(ev.At, k) // exec
+		delete(c.trees, k)
+	case trace.ReplyDelivered:
+		c.end(ev.At, k) // txn; no attempt ran in this lane
+		delete(c.trees, k)
 	}
 }
 
-// ensureExec opens the current attempt's span if none is open — the first
-// central event closes the ship+setup span, and an attempt restarted after
-// a deadlock abort has no Rerun marker, so the span starts lazily at the
-// attempt's first protocol event.
-func (c *Collector) ensureExec(t *txnState, ev obs.Event) {
-	if ev.Site < 0 {
-		c.closeShip(t, ev.At, ev.Txn)
-	}
-	if t.execPid == 0 {
-		t.execPid = sitePid(ev.Site)
-		c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", itoa(uint32(t.attempt))})
-	}
+func (c *Collector) beginAttempt(t *tree, at float64, k laneTxn) {
+	t.attempt++
+	c.begin(at, k, "attempt", kv{"n", strconv.Itoa(t.attempt)})
 }
 
-// closeShip ends the transit+setup span once central execution shows signs
-// of life.
-func (c *Collector) closeShip(t *txnState, at float64, txn int64) {
-	if t.shipOpen {
-		t.shipOpen = false
-		c.end(at, centralPid, txn)
-	}
-}
-
-func (c *Collector) closeLockWait(t *txnState, at float64, txn int64) {
-	if t.lockWaitOpen {
+// retry ends the aborted attempt, tagging the cause, and opens the next one:
+// every abort re-runs the transaction in the same lane, after RestartDelay.
+func (c *Collector) retry(t *tree, at float64, k laneTxn, cause string) {
+	if t.lockWaitOpen { // a deadlock victim aborts inside its wait
 		t.lockWaitOpen = false
-		c.end(at, t.lockWaitPid, txn)
+		c.end(at, k)
 	}
+	c.end(at, k, kv{"abort", cause})
+	c.beginAttempt(t, at, k)
 }
 
-// closeExec ends the open attempt span, tagging the abort cause if any.
-func (c *Collector) closeExec(t *txnState, ev obs.Event, abort string) {
-	if ev.Site < 0 {
-		// A central txn can abort at its commit point without ever issuing
-		// a lock request on a re-run; the transit span may still be open.
-		c.closeShip(t, ev.At, ev.Txn)
+func (c *Collector) endAuth(t *tree, at float64, k laneTxn, outcome string) {
+	if t.authOpen {
+		t.authOpen = false
+		c.end(at, k, kv{"outcome", outcome})
 	}
-	if t.execPid == 0 {
-		return
-	}
-	if abort != "" {
-		c.end(ev.At, t.execPid, ev.Txn, kv{"abort", abort})
-	} else {
-		c.end(ev.At, t.execPid, ev.Txn)
-	}
-	t.execPid = 0
-}
-
-func (c *Collector) closeTxn(t *txnState, at float64, txn int64, note string) {
-	if !t.txnOpen {
-		return
-	}
-	t.txnOpen = false
-	if note != "" {
-		c.end(at, sitePid(t.home), txn, kv{"note", note})
-		return
-	}
-	c.end(at, sitePid(t.home), txn)
 }
 
 // classOf extracts the class letter from an Arrive note ("class A"/"class B").
@@ -313,34 +315,26 @@ func classOf(note string) string {
 func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
 
 // flush closes every span still open at the end of the run (transactions in
-// flight at the horizon), in arrival order so the export is deterministic.
+// flight at the horizon, or at a live node's shutdown) at its lane's last
+// event, in arrival order so the export is deterministic.
 func (c *Collector) flush() {
-	for _, id := range c.order {
-		t, ok := c.txns[id]
-		if !ok {
-			continue
-		}
-		c.closeLockWait(t, c.lastAt, id)
-		if t.authOpen {
-			t.authOpen = false
-			c.end(c.lastAt, centralPid, id, kv{"outcome", "truncated"})
-		}
-		if t.execPid != 0 {
-			c.end(c.lastAt, t.execPid, id, kv{"truncated", "true"})
-			t.execPid = 0
-		}
-		if t.shipOpen {
-			t.shipOpen = false
-			c.end(c.lastAt, centralPid, id, kv{"truncated", "true"})
-		}
-		if t.replyOpen {
-			t.replyOpen = false
-			c.end(c.lastAt, sitePid(t.home), id, kv{"truncated", "true"})
-		}
-		c.closeTxn(t, c.lastAt, id, "truncated")
-		delete(c.txns, id)
+	open := make([]laneTxn, 0, len(c.trees))
+	for k := range c.trees {
+		open = append(open, k)
 	}
-	c.order = c.order[:0]
+	sort.Slice(open, func(i, j int) bool { return c.trees[open[i]].seq < c.trees[open[j]].seq })
+	for _, k := range open {
+		t, at := c.trees[k], c.lastAt[k.pid]
+		if t.lockWaitOpen {
+			c.end(at, k)
+		}
+		c.endAuth(t, at, k, "truncated")
+		if t.attempt > 0 {
+			c.end(at, k, kv{"truncated", "true"})
+		}
+		c.end(at, k, kv{"note", "truncated"})
+		delete(c.trees, k)
+	}
 }
 
 // WriteTo renders the collected spans as Chrome trace-event JSON. It closes
@@ -350,13 +344,21 @@ func (c *Collector) flush() {
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	c.flush()
 	var buf bytes.Buffer
-	buf.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	// Process-name metadata: the central complex lane, then every site lane
-	// that appears in the trace (plus the configured sites).
-	seen := map[int]bool{centralPid: true}
-	for i := 0; i < c.sites; i++ {
-		seen[sitePid(i)] = true
+	buf.WriteString(`{"displayTimeUnit":"ms",`)
+	// Process-name metadata: one process's own lane, or the central complex
+	// and every configured site plus whatever else appears in the trace.
+	seen := map[int]bool{}
+	if c.procPid != 0 {
+		fmt.Fprintf(&buf, `"otherData":{"process":%s,"pid":"%d","clockOffsetSeconds":"%s"},`,
+			strconv.Quote(laneName(c.procPid)), c.procPid, strconv.FormatFloat(c.clockOffset, 'g', -1, 64))
+		seen[c.procPid] = true
+	} else {
+		seen[centralPid] = true
+		for i := 0; i < c.sites; i++ {
+			seen[sitePid(i)] = true
+		}
 	}
+	buf.WriteString("\"traceEvents\":[\n")
 	for _, e := range c.events {
 		seen[e.pid] = true
 	}
@@ -367,11 +369,7 @@ func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	sort.Ints(pids)
 	first := true
 	for _, pid := range pids {
-		name := "central complex"
-		if pid != centralPid {
-			name = "site " + strconv.Itoa(pid-2)
-		}
-		writeMeta(&buf, &first, pid, name)
+		writeMeta(&buf, &first, pid, laneName(pid))
 	}
 	for i := range c.events {
 		writeEvent(&buf, &first, &c.events[i])

@@ -3,11 +3,16 @@ package spans
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hybriddb/internal/hybrid"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
+	"hybriddb/internal/trace"
 )
 
 // traceDoc mirrors the Chrome trace-event JSON for validation.
@@ -118,7 +123,7 @@ func TestExportIsWellFormed(t *testing.T) {
 }
 
 // TestExportCoversLifecycle checks the span vocabulary: a contended run
-// must produce txn/attempt/auth/reply spans, route and commit instants, and
+// must produce txn/attempt/exec/auth spans, route and commit instants, and
 // a central-complex process lane.
 func TestExportCoversLifecycle(t *testing.T) {
 	_, doc := collect(t, testConfig(), routing.NewStatic(0.5, 7))
@@ -131,7 +136,7 @@ func TestExportCoversLifecycle(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"txn", "attempt", "ship+setup", "auth", "reply",
+		"txn", "attempt", "exec", "auth",
 		"route: local", "route: ship", "commit", "auth ack",
 	} {
 		if names[want] == 0 {
@@ -166,7 +171,8 @@ func TestCollectorIsDeterministic(t *testing.T) {
 }
 
 // TestMaxEventsSoftCap: past the cap, new transactions are dropped and
-// counted, but the export still balances.
+// counted — one per arrival in a lane, not one per event of theirs — but the
+// export still balances.
 func TestMaxEventsSoftCap(t *testing.T) {
 	cfg := testConfig()
 	e, err := hybrid.New(cfg, routing.NewStatic(0.5, 7))
@@ -176,6 +182,12 @@ func TestMaxEventsSoftCap(t *testing.T) {
 	c := NewCollector(cfg.Sites)
 	c.MaxEvents = 200
 	e.Subscribe(c)
+	var arrivals uint64 // admissions at a home site + shipped inputs at central
+	e.Subscribe(obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.TxnArrive || ev.Kind == obs.ShipArrive {
+			arrivals++
+		}
+	}))
 	e.Run()
 	if c.Dropped() == 0 {
 		t.Fatal("expected drops with a 200-event cap")
@@ -189,9 +201,13 @@ func TestMaxEventsSoftCap(t *testing.T) {
 		t.Fatalf("capped export is not valid JSON: %v", err)
 	}
 	depth := make(map[int64]int)
+	var traced uint64 // root spans: one per arrival that was traced
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "B":
+			if ev.Name == "txn" || ev.Name == "exec" {
+				traced++
+			}
 			depth[int64(ev.Pid)<<32|ev.Tid&0xffffffff]++
 		case "E":
 			depth[int64(ev.Pid)<<32|ev.Tid&0xffffffff]--
@@ -201,6 +217,126 @@ func TestMaxEventsSoftCap(t *testing.T) {
 		if d != 0 {
 			t.Errorf("lane %x: %d spans left open in capped export", lane, d)
 		}
+	}
+	if c.Dropped() != arrivals-traced {
+		t.Errorf("Dropped() = %d, want %d: %d arrivals of which %d were traced", c.Dropped(), arrivals-traced, arrivals, traced)
+	}
+}
+
+// laneOf names the partition that emitted a bus event: every event carries
+// its emitter in Site, except the authentication request, which central
+// emits naming the master site it asks.
+func laneOf(ev obs.Event) int {
+	if ev.Kind == obs.TraceDetail && ev.Trace == trace.AuthRequest {
+		return -1
+	}
+	return ev.Site
+}
+
+// laneSplit is what a cluster is to the bus: each lane's collector sees the
+// events its own partition emitted and nothing else.
+type laneSplit map[int]*Collector
+
+func (laneSplit) WantDetail() bool { return true }
+
+func (ls laneSplit) OnEvent(ev obs.Event) { ls[laneOf(ev)].OnEvent(ev) }
+
+// byLane groups a trace's events per process lane, in file order.
+func byLane(evs []traceEvent) map[int][]traceEvent {
+	out := make(map[int][]traceEvent)
+	for _, ev := range evs {
+		if ev.Ph != "M" {
+			out[ev.Pid] = append(out[ev.Pid], ev)
+		}
+	}
+	return out
+}
+
+// TestFoldingIsLaneLocal is the proof that no span boundary reads another
+// lane's events: one contended run is observed by one whole-system collector
+// and, at the same time, by one collector per lane fed only that lane's
+// events — as the processes of a live cluster are. Every lane must read
+// event for event the same in both, and merging the per-lane files must
+// give back the whole-system export.
+func TestFoldingIsLaneLocal(t *testing.T) {
+	cfg := testConfig()
+	cfg.Lockspace = 400 // lock waits, deadlocks and seizures inside the window
+	cfg.PWrite = 0.6
+	e, err := hybrid.New(cfg, routing.NewStatic(0.5, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewCollector(cfg.Sites)
+	e.Subscribe(whole)
+	lanes := laneSplit{}
+	for site := -1; site < cfg.Sites; site++ {
+		lanes[site] = NewCollector(cfg.Sites)
+	}
+	e.Subscribe(lanes)
+	e.Run()
+
+	var buf bytes.Buffer
+	if _, err := whole.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var want traceDoc
+	if err := json.Unmarshal(buf.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	wantLanes := byLane(want.TraceEvents)
+	names := make(map[string]bool)
+	for _, ev := range want.TraceEvents {
+		names[ev.Name] = true
+	}
+	for _, name := range []string{"lock wait", "abort", "auth seized", "auth nack"} {
+		if !names[name] {
+			t.Errorf("the run produced no %q event; the comparison below would not cover it", name)
+		}
+	}
+
+	dir := t.TempDir()
+	var files []string
+	for site := -1; site < cfg.Sites; site++ {
+		c := lanes[site]
+		c.SetProcess(site, 0)
+		path := filepath.Join(dir, fmt.Sprintf("lane%d.json", site))
+		if err := c.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got traceDoc
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("lane %d file is not valid JSON: %v", site, err)
+		}
+		pid := sitePid(site)
+		gotLanes := byLane(got.TraceEvents)
+		if len(gotLanes) != 1 || len(gotLanes[pid]) == 0 {
+			t.Fatalf("lane %d collector drew on %d lanes, %d events on its own", site, len(gotLanes), len(gotLanes[pid]))
+		}
+		if !reflect.DeepEqual(gotLanes[pid], wantLanes[pid]) {
+			t.Errorf("lane %d: %d events folded from its own stream differ from the whole-system collector's %d",
+				site, len(gotLanes[pid]), len(wantLanes[pid]))
+		}
+	}
+
+	buf.Reset()
+	info, err := MergeFiles(&buf, files...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged traceDoc
+	if err := json.Unmarshal(buf.Bytes(), &merged); err != nil {
+		t.Fatal(err)
+	}
+	if info.Events != whole.Events() || info.Processes != cfg.Sites+1 || info.CrossProcessTxns == 0 {
+		t.Errorf("merge info %+v, want %d events on %d lanes and shipped transactions crossing two", info, whole.Events(), cfg.Sites+1)
+	}
+	if !reflect.DeepEqual(byLane(merged.TraceEvents), wantLanes) {
+		t.Error("the merged per-lane files do not reproduce the whole-system export")
 	}
 }
 
