@@ -5,7 +5,7 @@ GO ?= go
 
 # Hot-path packages whose Go benchmarks bench-smoke keeps compiling and
 # running (the repo's benchmark proper is bench/hybridbench, see bench-pair).
-BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
+BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid ./internal/exec ./internal/netx
 
 # Fuzz targets of the correctness harness (DESIGN.md §11); FUZZTIME bounds
 # each target's smoke budget.

@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		addrsFlg  = fs.String("addrs", "", "comma-separated site addresses, in site-index order (required)")
 		pacing    = fs.String("pacing", cluster.PacingPoisson, "interarrival pacing: poisson or uniform")
-		ramp      = fs.Float64("ramp", 0, "seconds to ramp the rate from ~0 to -rate")
+		ramp      = fs.Float64("ramp", 0, "seconds over which the rate rises linearly from 0 to -rate")
 		warmup    = fs.Float64("warmup", 1, "seconds of load before the measurement window opens")
 		duration  = fs.Float64("duration", 10, "measured seconds")
 		threads   = fs.Int("threads", 2, "connections per site")

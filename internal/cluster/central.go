@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
@@ -152,7 +151,7 @@ func (c *Central) register(h netx.Hello, conn *netx.Conn) {
 		return
 	}
 	c.wm.Out(netx.MsgHelloAck)
-	c.fr.Recordf(flight.Out, "hello-ack", "site %d", site)
+	c.fr.RecordFrame(flight.Out, "hello-ack", flight.None, site)
 }
 
 // toSite is the link's send function: one protocol message down a site's
@@ -171,7 +170,7 @@ func (c *Central) toSite(site int, msgType byte, payload []byte) {
 		return
 	}
 	c.wm.Out(msgType)
-	c.fr.Record(flight.Out, name, "site "+strconv.Itoa(site))
+	c.fr.RecordFrame(flight.Out, name, flight.None, site)
 }
 
 // acceptShip is the link's admission check, on the loop: a Ship naming a

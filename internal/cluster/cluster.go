@@ -104,7 +104,7 @@ func (sh *shell) deliver(conn *netx.Conn, f netx.Frame, txn int64, handle func()
 		sh.wm.Error("bad-" + name)
 		conn.Close()
 	default:
-		sh.fr.Recordf(flight.In, name, "txn %d", txn)
+		sh.fr.RecordFrame(flight.In, name, txn, flight.None)
 		sh.loop.Schedule(sh.cfg.CommDelay, handle)
 	}
 }

@@ -9,6 +9,12 @@ package cluster
 // The links know nothing of sockets: a live node's send function writes to a
 // netx.Conn, the codec-on-simulated-time test's schedules the peer's handler
 // on a comm.Network.
+//
+// Each link encodes into one scratch buffer it owns, reused for every send:
+// all sends of a link happen on its node's executor, and a send function must
+// be done with the payload when it returns — netx.Conn.Send copies it into
+// the frame it queues, the codec-on-simulated-time test decodes it on the
+// spot, and decoded messages own their memory.
 
 import (
 	"errors"
@@ -49,24 +55,29 @@ type siteLink struct {
 	clock exec.Clock
 	delay float64 // emulated one-way delay, for stamping received snapshots
 
-	// send transmits one uplink frame; txn is for the sender's logs.
+	// send transmits one uplink frame; txn is for the sender's logs. The
+	// payload is buf, valid only until send returns.
 	send func(msgType byte, txn int64, payload []byte)
+	buf  []byte
 	// stray reports a message naming a transaction this end does not know.
 	stray func(msgType byte, txn int64)
 }
 
 func (l *siteLink) Ship(_ int, spec *workload.Txn) {
-	l.send(netx.MsgShip, spec.ID, netx.AppendShip(nil, spec, true))
+	l.buf = netx.AppendShip(l.buf[:0], spec, true)
+	l.send(netx.MsgShip, spec.ID, l.buf)
 }
 
 func (l *siteLink) AuthReply(site int, txn int64, nack bool) {
-	l.send(netx.MsgAuthReply, txn, netx.AppendAuthReply(nil, netx.AuthReply{Txn: txn, Site: uint32(site), NACK: nack}))
+	l.buf = netx.AppendAuthReply(l.buf[:0], netx.AuthReply{Txn: txn, Site: uint32(site), NACK: nack})
+	l.send(netx.MsgAuthReply, txn, l.buf)
 }
 
 func (l *siteLink) Update(site int, txn int64, updates []uint32) {
-	l.send(netx.MsgUpdate, txn, netx.AppendUpdate(nil, netx.Update{
+	l.buf = netx.AppendUpdate(l.buf[:0], netx.Update{
 		Site: uint32(site), Txn: txn, Elements: updates, Traced: true,
-	}))
+	})
+	l.send(netx.MsgUpdate, txn, l.buf)
 }
 
 // received converts a piggybacked snapshot into the receiver's timebase: it
@@ -110,8 +121,10 @@ type centralLink struct {
 	node *hybrid.CentralNode
 	cfg  *hybrid.Config
 
-	// send transmits one downlink frame to a site.
+	// send transmits one downlink frame to a site. The payload is buf, valid
+	// only until send returns.
 	send  func(site int, msgType byte, payload []byte)
+	buf   []byte
 	stray func(msgType byte, txn int64)
 	// accept is the owner's admission check for a Ship that decoded and
 	// validated, run on the node's executor: it reports whether the input
@@ -121,23 +134,27 @@ type centralLink struct {
 }
 
 func (l *centralLink) AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap hybrid.Snapshot) {
-	l.send(site, netx.MsgAuthReq, netx.AppendAuthReq(nil, netx.AuthReq{
+	l.buf = netx.AppendAuthReq(l.buf[:0], netx.AuthReq{
 		Txn: txn, Elements: elems, Modes: modes, Snap: toWire(snap), Traced: true,
-	}))
+	})
+	l.send(site, netx.MsgAuthReq, l.buf)
 }
 
 func (l *centralLink) Release(site int, txn int64, snap hybrid.Snapshot) {
-	l.send(site, netx.MsgRelease, netx.AppendRelease(nil, netx.Release{Txn: txn, Snap: toWire(snap)}))
+	l.buf = netx.AppendRelease(l.buf[:0], netx.Release{Txn: txn, Snap: toWire(snap)})
+	l.send(site, netx.MsgRelease, l.buf)
 }
 
 func (l *centralLink) UpdateAck(site int, updates []uint32, snap hybrid.Snapshot) {
-	l.send(site, netx.MsgUpdateAck, netx.AppendUpdateAck(nil, netx.UpdateAck{Elements: updates, Snap: toWire(snap)}))
+	l.buf = netx.AppendUpdateAck(l.buf[:0], netx.UpdateAck{Elements: updates, Snap: toWire(snap)})
+	l.send(site, netx.MsgUpdateAck, l.buf)
 }
 
 func (l *centralLink) Reply(home int, txn int64, classB bool, snap hybrid.Snapshot) {
-	l.send(home, netx.MsgReply, netx.AppendReply(nil, netx.Reply{
+	l.buf = netx.AppendReply(l.buf[:0], netx.Reply{
 		Txn: txn, ClassB: classB, Snap: toWire(snap), Traced: true,
-	}))
+	})
+	l.send(home, netx.MsgReply, l.buf)
 }
 
 // receive decodes one site->central frame that arrived on from. The returned

@@ -33,7 +33,7 @@ const (
 type LoadOptions struct {
 	Rate     float64 // arrivals per second per site (default cfg.ArrivalRatePerSite)
 	Pacing   string  // PacingPoisson (default) or PacingUniform
-	Ramp     float64 // seconds to ramp the rate from ~0 to Rate
+	Ramp     float64 // seconds over which the rate rises linearly from 0 to Rate
 	Warmup   float64 // seconds of load before the measurement window opens
 	Duration float64 // measured seconds (required)
 	Threads  int     // connections per site (default 2)
@@ -171,6 +171,35 @@ func (a *loadAgg) progress(elapsed float64) LoadProgress {
 	return p
 }
 
+// rampedGap stretches gap — an interarrival time drawn at the full rate,
+// starting at t seconds into the run — to the arrival process whose rate
+// rises linearly from zero at t = 0 to the full rate at t = ramp: the exact
+// time change t' = sqrt(t² + 2·ramp·gap) while inside the ramp, any part of
+// the gap left over at its end spent at the full rate. It returns t' − t.
+func rampedGap(t, gap, ramp float64) float64 {
+	if t >= ramp {
+		return gap
+	}
+	// Crossing the rest of the ramp uses up this much of the gap.
+	if toEnd := (ramp*ramp - t*t) / (2 * ramp); gap > toEnd {
+		return ramp - t + gap - toEnd
+	}
+	return math.Sqrt(t*t+2*ramp*gap) - t
+}
+
+// pacer returns one site's arrival schedule: called with the seconds elapsed
+// since the run started, it draws how long to wait for the next arrival.
+func (o *LoadOptions) pacer(site int) func(elapsed float64) float64 {
+	arrivals := workload.NewArrivals(o.Rate, o.Seed+uint64(site)*0x9E3779B97F4A7C15+1)
+	return func(elapsed float64) float64 {
+		gap := 1 / o.Rate
+		if o.Pacing != PacingUniform {
+			gap = arrivals.Next()
+		}
+		return rampedGap(elapsed, gap, o.Ramp)
+	}
+}
+
 // RunLoad drives a paced open-loop workload against the sites at addrs
 // (addrs[i] is site i) and reports the measurement window [Warmup,
 // Warmup+Duration), measured from the submitter's side: RT spans
@@ -241,29 +270,17 @@ func RunLoad(ctx context.Context, addrs []string, cfg hybrid.Config, opt LoadOpt
 		pacers.Add(1)
 		go func() {
 			defer pacers.Done()
-			arrivals := workload.NewArrivals(opt.Rate, opt.Seed+uint64(site)*0x9E3779B97F4A7C15+1)
+			wait := opt.pacer(site)
 			next := 0 // round-robin over the site's connections
 			for {
 				elapsed := time.Since(start).Seconds()
 				if elapsed >= horizon || ctx.Err() != nil {
 					return
 				}
-				var gap float64
-				if opt.Pacing == PacingUniform {
-					gap = 1 / opt.Rate
-				} else {
-					gap = arrivals.Next()
-				}
-				if opt.Ramp > 0 && elapsed < opt.Ramp {
-					// Effective rate Rate*t/Ramp: stretch this gap by the
-					// inverse ramp factor (floored to bound the first gap).
-					factor := math.Max(elapsed/opt.Ramp, 0.05)
-					gap /= factor
-				}
 				select {
 				case <-ctx.Done():
 					return
-				case <-time.After(time.Duration(gap * float64(time.Second))):
+				case <-time.After(time.Duration(wait(elapsed) * float64(time.Second))):
 				}
 				at := time.Since(start).Seconds()
 				if at >= horizon {
@@ -279,7 +296,7 @@ func RunLoad(ctx context.Context, addrs []string, cfg hybrid.Config, opt LoadOpt
 					agg.mu.Unlock()
 				}
 				if opt.Flight != nil {
-					opt.Flight.Recordf(flight.Out, "submit", "txn %d site %d", spec.ID, site)
+					opt.Flight.RecordFrame(flight.Out, "submit", spec.ID, site)
 				}
 				inflight.Add(1)
 				go func() {
@@ -305,7 +322,7 @@ func RunLoad(ctx context.Context, addrs []string, cfg hybrid.Config, opt LoadOpt
 					}
 					rt := time.Since(t0).Seconds()
 					if opt.Flight != nil {
-						opt.Flight.Recordf(flight.In, "result", "txn %d rt=%.1fms", spec.ID, rt*1e3)
+						opt.Flight.RecordFrame(flight.In, "result", spec.ID, site)
 					}
 					agg.record(res, rt, inWindow)
 				}()

@@ -59,6 +59,7 @@ func registerNetStats(reg *metrics.Registry, ns *netx.Stats) {
 	u := func(f func() uint64) func() float64 { return func() float64 { return float64(f()) } }
 	reg.GaugeFunc("net_frames_in", "frames read from all connections", u(ns.FramesIn.Load))
 	reg.GaugeFunc("net_frames_out", "frames queued to write pumps", u(ns.FramesOut.Load))
+	reg.GaugeFunc("net_flushes", "write-pump flushes; net_frames_out over this is frames per writev", u(ns.Flushes.Load))
 	reg.GaugeFunc("net_bytes_in", "wire bytes read", u(ns.BytesIn.Load))
 	reg.GaugeFunc("net_bytes_out", "wire bytes queued", u(ns.BytesOut.Load))
 	reg.GaugeFunc("net_send_queue_depth", "frames sitting in write-pump queues right now", func() float64 {

@@ -52,8 +52,10 @@ type Site struct {
 	node *hybrid.SiteNode
 	link siteLink
 
-	// pending is written and read only on the loop.
+	// pending is written and read only on the loop; resBuf is respond's
+	// encoding scratch (Send copies before it returns).
 	pending map[int64]pendingSubmit
+	resBuf  []byte
 
 	// stats is derived from the node's bus events (OnEvent), on the loop.
 	stats SiteStats
@@ -192,7 +194,7 @@ func (s *Site) dispatchLoad(conn *netx.Conn, f netx.Frame) {
 		s.badSubmit(conn, err)
 		return
 	}
-	s.fr.Recordf(flight.In, "submit", "txn %d", spec.ID)
+	s.fr.RecordFrame(flight.In, "submit", spec.ID, flight.None)
 	reqID := f.ReqID
 	s.loop.Post(func() {
 		if _, dup := s.pending[spec.ID]; dup {
@@ -253,7 +255,7 @@ func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 		return
 	}
 	s.wm.Out(msgType)
-	s.fr.Recordf(flight.Out, name, "txn %d", txn)
+	s.fr.RecordFrame(flight.Out, name, txn, flight.None)
 }
 
 // OnEvent implements obs.Observer on the node's bus: the site's counters and
@@ -294,7 +296,8 @@ func (s *Site) respond(res netx.Result) {
 		return
 	}
 	delete(s.pending, res.Txn)
-	if err := p.conn.Send(netx.MsgResult, p.reqID, netx.AppendResult(nil, res)); err != nil {
+	s.resBuf = netx.AppendResult(s.resBuf[:0], res)
+	if err := p.conn.Send(netx.MsgResult, p.reqID, s.resBuf); err != nil {
 		s.log.Errorf("result send failed (txn %d): %v", res.Txn, err)
 		s.wm.Error("result-send")
 		return

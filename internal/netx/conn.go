@@ -5,6 +5,7 @@ package netx
 // backoff for the long-lived uplinks of the cluster.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -35,15 +36,19 @@ type Options struct {
 	// longer is dropped. Zero leaves reads undeadlined, for idle-tolerant
 	// inner links.
 	ReadTimeout time.Duration
-	// SendQueue is the write pump's frame capacity (default 1024). A peer
-	// slow enough to fill it gets disconnected rather than blocking the
-	// sender — the cluster's event loops must never stall on a socket.
+	// SendQueue bounds the frames accepted by Send and not yet written
+	// (default 1024). A peer slow enough to fill it gets disconnected rather
+	// than blocking the sender — the cluster's event loops must never stall
+	// on a socket.
 	SendQueue int
 	// Stats, when non-nil, receives transport tallies (frames, bytes,
 	// queue depth, deadline hits) from every connection using these
 	// options.
 	Stats *Stats
 }
+
+// readBuffer is Serve's buffer: a few dozen protocol frames per read(2).
+const readBuffer = 16 << 10
 
 func (o Options) sendQueue() int {
 	if o.SendQueue <= 0 {
@@ -57,13 +62,21 @@ func (o Options) sendQueue() int {
 // loops) never block on the socket. Inbound frames are read by Serve, which
 // completes pending Calls by request id and hands everything else to the
 // handler.
+//
+// The pump batches without waiting: each pass takes every frame that queued
+// while its previous write was in the kernel and flushes them with one
+// net.Buffers.WriteTo — a single writev on a *net.TCPConn. There is no flush
+// timer and no batching window, so a lone frame leaves as soon as the pump
+// runs and a burst costs one syscall instead of one per frame.
 type Conn struct {
 	nc   net.Conn
 	opts Options
 
-	sendCh chan []byte
-
 	mu      sync.Mutex
+	work    *sync.Cond // the pump waits here for queue or closed
+	queue   [][]byte   // encoded frames awaiting the pump, oldest first
+	free    [][]byte   // frame buffers ready for reuse
+	unsent  int        // frames accepted and not yet written: queue + the pump's batch
 	pending map[uint64]chan Frame
 	nextReq uint64
 	closed  bool
@@ -72,63 +85,87 @@ type Conn struct {
 	writerDone chan struct{}
 }
 
+// maxPooledFrame caps the capacity of a frame buffer kept for reuse, so one
+// outsized frame does not pin its memory for the connection's lifetime.
+const maxPooledFrame = 4 << 10
+
 // NewConn wraps an established net.Conn and starts its write pump. The
 // caller must run Serve (usually on its own goroutine) to read.
 func NewConn(nc net.Conn, opts Options) *Conn {
 	c := &Conn{
 		nc:         nc,
 		opts:       opts,
-		sendCh:     make(chan []byte, opts.sendQueue()),
 		pending:    make(map[uint64]chan Frame),
 		writerDone: make(chan struct{}),
 	}
+	c.work = sync.NewCond(&c.mu)
 	go c.writePump()
 	return c
 }
 
 func (c *Conn) writePump() {
 	defer close(c.writerDone)
-	for buf := range c.sendCh {
-		_, err := c.nc.Write(buf)
+	// WriteTo consumes the net.Buffers it is called on — the slice header and
+	// the elements of its backing array — so each flush copies the batch into
+	// iov and hands that over, keeping batch itself to recycle the buffers.
+	// bufs escapes through WriteTo; declared here it does so once per pump.
+	var (
+		batch, iov [][]byte
+		bufs       net.Buffers
+	)
+	for {
+		c.mu.Lock()
+		for _, b := range batch {
+			if cap(b) <= maxPooledFrame {
+				c.free = append(c.free, b)
+			}
+		}
+		c.unsent -= len(batch)
 		if st := c.opts.Stats; st != nil {
-			st.SendQueueDepth.Add(-1)
+			st.SendQueueDepth.Add(-int64(len(batch)))
+		}
+		for len(c.queue) == 0 && !c.closed {
+			c.work.Wait()
+		}
+		if c.closed {
+			if st := c.opts.Stats; st != nil {
+				st.SendQueueDepth.Add(-int64(len(c.queue)))
+			}
+			c.mu.Unlock()
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		c.mu.Unlock()
+
+		var err error
+		if len(batch) == 1 {
+			_, err = c.nc.Write(batch[0])
+		} else {
+			iov = append(iov[:0], batch...)
+			bufs = iov
+			_, err = bufs.WriteTo(c.nc)
+		}
+		if st := c.opts.Stats; st != nil {
+			st.Flushes.Add(1)
 		}
 		if err != nil {
 			c.closeWith(fmt.Errorf("netx: write: %w", err))
-			// Drain until Close closes the channel so senders never block.
-			for range c.sendCh {
-				if st := c.opts.Stats; st != nil {
-					st.SendQueueDepth.Add(-1)
-				}
-			}
-			return
 		}
 	}
 }
 
-// Send queues one frame on the write pump. It never blocks: a full queue
-// kills the connection (slow-peer protection) and returns the close reason.
+// Send queues one frame on the write pump, copying payload before it
+// returns. It never blocks: a connection with SendQueue frames accepted and
+// not yet written is killed (slow-peer protection) and Send returns the
+// close reason.
 func (c *Conn) Send(msgType byte, reqID uint64, payload []byte) error {
-	buf, err := AppendFrame(make([]byte, 0, 4+headerLen+len(payload)), Frame{Type: msgType, ReqID: reqID, Payload: payload})
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
 	if c.closed {
 		err := c.reason
 		c.mu.Unlock()
 		return err
 	}
-	select {
-	case c.sendCh <- buf:
-		if st := c.opts.Stats; st != nil {
-			st.FramesOut.Add(1)
-			st.BytesOut.Add(uint64(len(buf)))
-			st.SendQueueDepth.Add(1)
-		}
-		c.mu.Unlock()
-		return nil
-	default:
+	if c.unsent >= c.opts.sendQueue() {
 		c.mu.Unlock()
 		if st := c.opts.Stats; st != nil {
 			st.QueueFullKills.Add(1)
@@ -136,6 +173,27 @@ func (c *Conn) Send(msgType byte, reqID uint64, payload []byte) error {
 		c.closeWith(fmt.Errorf("%w (%d frames)", ErrSendQueueFull, c.opts.sendQueue()))
 		return c.closeReason()
 	}
+	var buf []byte
+	if n := len(c.free); n > 0 {
+		buf, c.free = c.free[n-1][:0], c.free[:n-1]
+	}
+	buf, err := AppendFrame(buf, Frame{Type: msgType, ReqID: reqID, Payload: payload})
+	if err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	c.queue = append(c.queue, buf)
+	c.unsent++
+	if len(c.queue) == 1 {
+		c.work.Signal() // the pump may be waiting; with more queued it cannot be
+	}
+	if st := c.opts.Stats; st != nil {
+		st.FramesOut.Add(1)
+		st.BytesOut.Add(uint64(len(buf)))
+		st.SendQueueDepth.Add(1)
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // Call sends a frame with a fresh request id and blocks until a response
@@ -180,6 +238,8 @@ func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) (Frame, e
 // ended the read loop (io.EOF for a clean peer close). Serve must be called
 // at most once.
 func (c *Conn) Serve(handler Handler) error {
+	// A burst of frames the peer's pump flushed together costs one read(2).
+	br := bufio.NewReaderSize(c.nc, readBuffer)
 	var buf []byte
 	for {
 		if c.opts.ReadTimeout > 0 {
@@ -190,7 +250,7 @@ func (c *Conn) Serve(handler Handler) error {
 		}
 		var f Frame
 		var err error
-		f, buf, err = ReadFrame(c.nc, buf)
+		f, buf, err = ReadFrame(br, buf)
 		if err != nil {
 			if st := c.opts.Stats; st != nil {
 				var ne net.Error
@@ -240,7 +300,7 @@ func (c *Conn) closeWith(reason error) {
 	c.reason = reason
 	pending := c.pending
 	c.pending = nil
-	close(c.sendCh)
+	c.work.Signal()
 	c.mu.Unlock()
 
 	c.nc.Close()

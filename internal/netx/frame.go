@@ -81,15 +81,18 @@ func WriteFrame(w io.Writer, f Frame) error {
 // io.ErrUnexpectedEOF; an oversized or malformed length word returns
 // ErrFrameTooLarge / ErrMalformedFrame before reading the body.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var lenWord [4]byte
-	if _, err := io.ReadFull(r, lenWord[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			// A torn length word is a mid-frame death, not a clean close.
-			return Frame{}, buf, io.ErrUnexpectedEOF
-		}
+	// The length word is read into buf too: an array local to this function
+	// would escape through r and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 64)
+	}
+	lenWord := buf[:4]
+	if _, err := io.ReadFull(r, lenWord); err != nil {
+		// io.EOF before the first byte is a clean close; a torn length word
+		// is a mid-frame death and comes back as io.ErrUnexpectedEOF.
 		return Frame{}, buf, err
 	}
-	n := binary.BigEndian.Uint32(lenWord[:])
+	n := binary.BigEndian.Uint32(lenWord)
 	if n > MaxFrame {
 		return Frame{}, buf, fmt.Errorf("%w: length word %d", ErrFrameTooLarge, n)
 	}

@@ -12,6 +12,7 @@ type Stats struct {
 	FramesOut atomic.Uint64 // frames queued to the write pump
 	BytesIn   atomic.Uint64 // wire bytes read (length prefix + header + payload)
 	BytesOut  atomic.Uint64 // wire bytes queued
+	Flushes   atomic.Uint64 // write-pump flushes: FramesOut/Flushes frames left per writev
 
 	SendQueueDepth   atomic.Int64  // frames currently queued, all connections
 	ReadDeadlineHits atomic.Uint64 // reads that died on the ReadTimeout deadline

@@ -134,9 +134,9 @@ type Result struct {
 
 // AuthReq asks a master site to authenticate the listed elements for a
 // committing central transaction: NACK if any has in-flight updates,
-// otherwise seize the locks and ACK. Traced propagates the transaction's
-// span context: when set, the receiving site records the authentication as
-// part of the transaction's span tree.
+// otherwise seize the locks and ACK. Traced is carried and ignored: a node
+// traces because its process was asked to (DESIGN.md §15.2), not because a
+// frame says so; the bit stays on the wire for the benchmark's codec probes.
 type AuthReq struct {
 	Txn      int64
 	Elements []uint32
@@ -160,7 +160,8 @@ type Release struct {
 
 // Update carries a committed local transaction's updated elements to
 // central for invalidation and application. Txn identifies the committing
-// transaction so a traced update joins its span tree at central.
+// transaction, so central's events for the update carry its id. Traced is
+// carried and ignored, as on AuthReq.
 type Update struct {
 	Site     uint32
 	Txn      int64
@@ -176,8 +177,7 @@ type UpdateAck struct {
 }
 
 // Reply delivers a shipped transaction's completion to its home site.
-// Traced echoes the ship's span context back so the home site closes the
-// transaction's span.
+// Traced is carried and ignored, as on AuthReq.
 type Reply struct {
 	Txn    int64
 	ClassB bool
@@ -238,8 +238,8 @@ func AppendHelloAck(dst []byte, h HelloAck) []byte {
 	return appendF64(dst, h.TCentral)
 }
 
-// AppendShip encodes a MsgShip payload: the transaction's input plus its
-// one-byte span context (traced flag).
+// AppendShip encodes a MsgShip payload: the transaction's input plus the
+// one-byte traced flag, which receivers ignore (see AuthReq).
 func AppendShip(dst []byte, t *workload.Txn, traced bool) []byte {
 	dst = AppendTxn(dst, t)
 	return appendBool(dst, traced)
@@ -412,7 +412,7 @@ func (d *dec) finish() error {
 
 // decodeTxnBody reads a transaction's fields from the cursor without
 // finishing it, shared by DecodeTxn (MsgSubmit) and DecodeShip (MsgShip,
-// which carries a trailing span context).
+// which carries a trailing traced flag).
 func decodeTxnBody(d *dec) *workload.Txn {
 	t := &workload.Txn{
 		ID:       int64(d.u64("txn id")),
@@ -457,8 +457,8 @@ func DecodeTxn(p []byte) (*workload.Txn, error) {
 	return t, nil
 }
 
-// DecodeShip decodes a MsgShip payload: the transaction plus its span
-// context (traced flag).
+// DecodeShip decodes a MsgShip payload: the transaction plus the traced
+// flag.
 func DecodeShip(p []byte) (*workload.Txn, bool, error) {
 	d := &dec{b: p}
 	t := decodeTxnBody(d)

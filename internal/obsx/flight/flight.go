@@ -11,6 +11,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -39,16 +41,40 @@ func (d Dir) String() string {
 	}
 }
 
-// Event is one recorded wire event.
+// None is the Txn or Peer of an event that has none.
+const None = -1
+
+// Event is one recorded wire event. Frames carry their transaction and peer
+// as numbers, formatted only when the ring is dumped.
 type Event struct {
 	At   time.Time // wall clock at Record time
 	Dir  Dir
 	Type string // message type name ("ship", "reply") or event kind
-	Note string // free-form detail (txn id, peer, error)
+	Txn  int64  // transaction the frame belongs to, or None
+	Peer int    // site at the other end (or the submitter's target), or None
+	Note string // free-form detail of a cold event (address, error)
 }
 
-// Recorder is a fixed-capacity ring of Events. Record is mutex-guarded and
-// allocation-free once the ring is warm; safe from any goroutine.
+// Detail renders the event's transaction, peer and note as one string, the
+// last column of a dump line.
+func (ev Event) Detail() string {
+	var parts []string
+	if ev.Txn != None {
+		parts = append(parts, "txn "+strconv.FormatInt(ev.Txn, 10))
+	}
+	if ev.Peer != None {
+		parts = append(parts, "site "+strconv.Itoa(ev.Peer))
+	}
+	if ev.Note != "" {
+		parts = append(parts, ev.Note)
+	}
+	return strings.Join(parts, " ")
+}
+
+// Recorder is a fixed-capacity ring of Events, safe from any goroutine.
+// RecordFrame — the call on every frame's path — is mutex-guarded and
+// allocation-free; Record and Recordf carry a string and are for cold events
+// (connects, errors).
 type Recorder struct {
 	name string
 	mu   sync.Mutex
@@ -69,9 +95,20 @@ func NewRecorder(name string, capacity int) *Recorder {
 // Name returns the recorder's label.
 func (r *Recorder) Name() string { return r.name }
 
-// Record appends one event, evicting the oldest when full.
+// RecordFrame appends one frame event: its direction, message type name (a
+// constant string), transaction and peer, either of which may be None.
+func (r *Recorder) RecordFrame(dir Dir, typ string, txn int64, peer int) {
+	r.add(Event{Dir: dir, Type: typ, Txn: txn, Peer: peer})
+}
+
+// Record appends one event with a free-form note.
 func (r *Recorder) Record(dir Dir, typ, note string) {
-	ev := Event{At: time.Now(), Dir: dir, Type: typ, Note: note}
+	r.add(Event{Dir: dir, Type: typ, Txn: None, Peer: None, Note: note})
+}
+
+// add stamps ev and appends it, evicting the oldest when full.
+func (r *Recorder) add(ev Event) {
+	ev.At = time.Now()
 	r.mu.Lock()
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, ev)
@@ -115,7 +152,7 @@ func (r *Recorder) Dump(w io.Writer) {
 	total := r.Total()
 	fmt.Fprintf(w, "=== flight recorder [%s]: last %d of %d events ===\n", r.name, len(evs), total)
 	for _, ev := range evs {
-		fmt.Fprintf(w, "%s %s %-10s %s\n", ev.At.UTC().Format("15:04:05.000000"), ev.Dir, ev.Type, ev.Note)
+		fmt.Fprintf(w, "%s %s %-10s %s\n", ev.At.UTC().Format("15:04:05.000000"), ev.Dir, ev.Type, ev.Detail())
 	}
 }
 

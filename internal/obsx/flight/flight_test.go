@@ -10,7 +10,7 @@ import (
 func TestRingEviction(t *testing.T) {
 	r := NewRecorder("site 0", 4)
 	for i := 0; i < 10; i++ {
-		r.Record(In, "ship", fmt.Sprintf("txn %d", i))
+		r.RecordFrame(In, "ship", int64(i), None)
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -18,8 +18,8 @@ func TestRingEviction(t *testing.T) {
 	}
 	for i, ev := range evs {
 		want := fmt.Sprintf("txn %d", 6+i)
-		if ev.Note != want {
-			t.Errorf("event %d note %q, want %q (oldest first)", i, ev.Note, want)
+		if got := ev.Detail(); got != want {
+			t.Errorf("event %d detail %q, want %q (oldest first)", i, got, want)
 		}
 	}
 	if r.Total() != 10 {
@@ -39,16 +39,31 @@ func TestPartialRing(t *testing.T) {
 
 func TestDumpFormat(t *testing.T) {
 	r := NewRecorder("site 3", 16)
-	r.Record(In, "auth-req", "txn 42 from central")
-	r.Record(Out, "auth-reply", "txn 42 ack")
+	r.RecordFrame(In, "auth-req", 42, None)
+	r.RecordFrame(Out, "auth-reply", 42, 3)
+	r.Recordf(Note, "connect", "uplink to %s", "127.0.0.1:7000")
 	var b strings.Builder
 	r.Dump(&b)
 	out := b.String()
-	if !strings.Contains(out, "flight recorder [site 3]: last 2 of 2 events") {
+	if !strings.Contains(out, "flight recorder [site 3]: last 3 of 3 events") {
 		t.Errorf("missing header:\n%s", out)
 	}
 	if !strings.Contains(out, "<- auth-req") || !strings.Contains(out, "-> auth-reply") {
 		t.Errorf("missing direction markers:\n%s", out)
+	}
+	// Typed fields are formatted here, not when recorded.
+	for _, want := range []string{" txn 42\n", " txn 42 site 3\n", " uplink to 127.0.0.1:7000\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRecordFrameAllocationFree(t *testing.T) {
+	r := NewRecorder("site 1", 8)
+	txn := int64(1) << 40 // no small-integer interning to hide a boxed argument
+	if n := testing.AllocsPerRun(1000, func() { r.RecordFrame(Out, "ship", txn, 7); txn++ }); n != 0 {
+		t.Fatalf("RecordFrame allocates %.1f per call, want 0", n)
 	}
 }
 
