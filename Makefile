@@ -12,7 +12,7 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid ./i
 FUZZTIME ?= 10s
 FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzDecideMemo:./internal/routing FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest
 
-.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke bench-selftest alloc-gate simtest fuzz-smoke cluster-smoke check bench-pair figures
+.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke bench-selftest alloc-gate output-gate simtest fuzz-smoke cluster-smoke check bench-pair figures
 
 all: build test
 
@@ -111,7 +111,14 @@ bench-selftest:
 alloc-gate:
 	bash scripts/allocgate.sh
 
-check: vet staticcheck race simtest race-stress smoke bench-smoke bench-selftest alloc-gate fuzz-smoke cluster-smoke
+# Output gate: the CLI outputs of the experiment code — every figure table
+# and CSV, max-throughput, architectures, validation, replicated hybridsim,
+# a manifest summary and the root benchmarks' custom metrics — must equal
+# the merge-base's byte for byte (scripts/outputgate.sh; under a minute).
+output-gate:
+	bash scripts/outputgate.sh
+
+check: vet staticcheck race simtest race-stress smoke bench-smoke bench-selftest alloc-gate output-gate fuzz-smoke cluster-smoke
 
 # Paired parent/change runs of one bench/hybridbench workload in this session
 # (merge-base exported to a scratch directory, alternating order, fresh

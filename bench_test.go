@@ -1,9 +1,9 @@
 // Benchmarks regenerating the paper's evaluation. Each BenchmarkFigNN runs
-// the corresponding figure driver over a reduced sweep (short simulations so
-// benchmark iterations stay tractable) and reports headline metrics of the
-// resulting series; cmd/figures regenerates the full-length tables. The
-// *shape* metrics reported here are the ones the paper reads off each
-// figure.
+// the corresponding entry of experiments.Figures over a reduced sweep (short
+// simulations so benchmark iterations stay tractable) and reports headline
+// metrics of the resulting series; cmd/figures regenerates the full-length
+// tables. The *shape* metrics reported here are the ones the paper reads off
+// each figure.
 package hybriddb_test
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"hybriddb"
 	"hybriddb/internal/experiments"
-	"hybriddb/internal/routing"
 )
 
 // benchOptions keeps benchmark sweeps short: two rates bracketing the
@@ -36,78 +35,63 @@ func lastY(fig experiments.Figure, label string) float64 {
 	return -1
 }
 
-func benchFigure(b *testing.B, driver func(experiments.Options) (experiments.Figure, error),
-	metric string, label string) {
+// runFigure runs the table's figure id b.N times and returns the last run.
+func runFigure(b *testing.B, id string, opt experiments.Options) experiments.Figure {
 	b.Helper()
-	opt := benchOptions()
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		b.Fatalf("no figure %s", id)
+	}
 	var fig experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		fig, err = driver(opt)
-		if err != nil {
+		if fig, err = e.Run(opt); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(lastY(fig, label), metric)
+	return fig
+}
+
+func benchFigure(b *testing.B, id, metric, label string) {
+	b.Helper()
+	b.ReportMetric(lastY(runFigure(b, id, benchOptions()), label), metric)
 }
 
 // BenchmarkFig41 regenerates Figure 4.1 (none / static / best dynamic,
 // D=0.2 s) and reports the best dynamic strategy's high-load response time.
-func BenchmarkFig41(b *testing.B) {
-	benchFigure(b, experiments.Figure41, "rt28tps/s", "min-average/nis")
-}
+func BenchmarkFig41(b *testing.B) { benchFigure(b, "4.1", "rt28tps/s", "min-average/nis") }
 
 // BenchmarkFig42 regenerates Figure 4.2 (dynamic schemes A–F, D=0.2 s).
-func BenchmarkFig42(b *testing.B) {
-	benchFigure(b, experiments.Figure42, "rt28tps/s", "min-average/nis")
-}
+func BenchmarkFig42(b *testing.B) { benchFigure(b, "4.2", "rt28tps/s", "min-average/nis") }
 
 // BenchmarkFig43 regenerates Figure 4.3 (shipped fraction, D=0.2 s) and
 // reports the best dynamic strategy's high-load ship fraction.
-func BenchmarkFig43(b *testing.B) {
-	benchFigure(b, experiments.Figure43, "ship28tps", "min-average/nis")
-}
+func BenchmarkFig43(b *testing.B) { benchFigure(b, "4.3", "ship28tps", "min-average/nis") }
 
 // BenchmarkFig44 regenerates Figure 4.4 (threshold tuning, D=0.2 s) and
 // reports the θ=-0.2 curve the paper singles out.
-func BenchmarkFig44(b *testing.B) {
-	benchFigure(b, experiments.Figure44, "rt28tps/s", "threshold(-0.2)")
-}
+func BenchmarkFig44(b *testing.B) { benchFigure(b, "4.4", "rt28tps/s", "threshold(-0.2)") }
 
 // BenchmarkFig45 regenerates Figure 4.5 (as 4.1 at D=0.5 s).
-func BenchmarkFig45(b *testing.B) {
-	benchFigure(b, experiments.Figure45, "rt28tps/s", "min-average/nis")
-}
+func BenchmarkFig45(b *testing.B) { benchFigure(b, "4.5", "rt28tps/s", "min-average/nis") }
 
 // BenchmarkFig46 regenerates Figure 4.6 (shipped fraction, D=0.5 s) and
 // reports the static curve with the paper's inflection.
-func BenchmarkFig46(b *testing.B) {
-	benchFigure(b, experiments.Figure46, "ship28tps", "static*")
-}
+func BenchmarkFig46(b *testing.B) { benchFigure(b, "4.6", "ship28tps", "static*") }
 
 // BenchmarkFig47 regenerates Figure 4.7 (threshold tuning, D=0.5 s).
-func BenchmarkFig47(b *testing.B) {
-	benchFigure(b, experiments.Figure47, "rt28tps/s", "threshold(+0.1)")
-}
+func BenchmarkFig47(b *testing.B) { benchFigure(b, "4.7", "rt28tps/s", "threshold(+0.1)") }
 
 // BenchmarkMaxThroughput regenerates the §4.2 maximum-supportable-rate
 // comparison (the "about 20 tps without sharing, about 30 with static"
-// reading of Figure 4.1) and reports the best dynamic strategy's maximum.
+// reading of Figure 4.1) over Figure 4.1's strategies and reports the best
+// dynamic strategy's maximum.
 func BenchmarkMaxThroughput(b *testing.B) {
 	opt := benchOptions()
 	opt.RatesPerSite = []float64{2.0, 2.5, 3.0, 3.4}
-	makers := []experiments.StrategyMaker{
-		experiments.MakerNone(),
-		experiments.MakerStaticOptimal(),
-		experiments.MakerMinAverage(routing.FromInSystem),
-	}
-	var rows []experiments.MaxThroughputRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.MaxThroughput(opt, makers, 4.0)
-		if err != nil {
-			b.Fatal(err)
-		}
+	rows, err := experiments.MaxThroughput(runFigure(b, "4.1", opt), 4.0)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportMetric(rows[len(rows)-1].MaxTPS, "maxtps")
 }
@@ -216,15 +200,7 @@ func benchReplicatedFig42(b *testing.B, parallelism int) {
 	opt := benchOptions()
 	opt.Replications = 4
 	opt.Parallelism = parallelism
-	var fig experiments.Figure
-	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiments.Figure42(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(lastY(fig, "min-average/nis"), "rt28tps/s")
+	b.ReportMetric(lastY(runFigure(b, "4.2", opt), "min-average/nis"), "rt28tps/s")
 }
 
 // BenchmarkFig42Reps4Serial is the replicated sweep on one worker.
@@ -236,8 +212,8 @@ func BenchmarkFig42Reps4Parallel4(b *testing.B) { benchReplicatedFig42(b, 4) }
 // BenchmarkFig42Reps4ParallelMax uses every core (GOMAXPROCS workers).
 func BenchmarkFig42Reps4ParallelMax(b *testing.B) { benchReplicatedFig42(b, 0) }
 
-// BenchmarkReplicationsParallel measures replicate.RunParallel fan-out of one
-// operating point across all cores.
+// BenchmarkReplicationsParallel measures the fan-out of one operating
+// point's replications across all cores.
 func BenchmarkReplicationsParallel(b *testing.B) {
 	cfg := hybriddb.DefaultConfig()
 	cfg.ArrivalRatePerSite = 2.5

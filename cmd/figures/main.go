@@ -87,37 +87,28 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "figures: wrote %d runs to %s\n", len(opt.Manifest.Runs), *maniOut)
 	}()
 
-	var figures []experiments.Figure
+	var exps []experiments.Experiment
 	switch *fig {
-	case "all":
-		all, err := experiments.All(opt)
-		if err != nil {
-			return err
-		}
-		figures = all
 	case "max":
 		return writeMaxThroughput(out, opt)
 	case "arch":
 		return writeArchitectures(out, opt)
+	case "all":
+		exps = experiments.Figures
 	default:
-		drivers := map[string]func(experiments.Options) (experiments.Figure, error){
-			"4.1": experiments.Figure41,
-			"4.2": experiments.Figure42,
-			"4.3": experiments.Figure43,
-			"4.4": experiments.Figure44,
-			"4.5": experiments.Figure45,
-			"4.6": experiments.Figure46,
-			"4.7": experiments.Figure47,
-		}
-		driver, ok := drivers[*fig]
+		e, ok := experiments.Lookup(*fig)
 		if !ok {
 			return fmt.Errorf("unknown figure %q", *fig)
 		}
-		f, err := driver(opt)
+		exps = []experiments.Experiment{e}
+	}
+	var figures []experiments.Figure
+	for _, e := range exps {
+		f, err := e.Run(opt)
 		if err != nil {
 			return err
 		}
-		figures = []experiments.Figure{f}
+		figures = append(figures, f)
 	}
 
 	for _, f := range figures {
@@ -167,7 +158,11 @@ func writeArchitectures(out io.Writer, opt experiments.Options) error {
 
 func writeMaxThroughput(out io.Writer, opt experiments.Options) error {
 	const cutoff = 4.0 // seconds; the knee criterion for "supportable"
-	rows, err := experiments.MaxThroughput(opt, experiments.StandardMakers(), cutoff)
+	fig, err := experiments.Supportable.Run(opt)
+	if err != nil {
+		return err
+	}
+	rows, err := experiments.MaxThroughput(fig, cutoff)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybriddb/internal/hybrid"
-	"hybriddb/internal/routing"
 	"hybriddb/internal/runner"
 	"hybriddb/internal/stats"
 )
@@ -15,12 +14,16 @@ import (
 // engine at a time, in (strategy, rate, replication) order, using the same
 // seed schedule as the parallel path. The determinism regression below holds
 // the parallel runner to bit-identical agreement with it.
-func serialSweep(opt Options, makers []StrategyMaker, y func(hybrid.Result) float64) ([]Curve, error) {
-	reps := opt.replications()
+func serialSweep(opt Options, e Experiment) ([]Curve, error) {
+	makers, err := parseSpecs(e.Strategies...)
+	if err != nil {
+		return nil, err
+	}
+	reps := max(opt.Replications, 1)
 	curves := make([]Curve, 0, len(makers))
 	for _, mk := range makers {
 		curve := Curve{Label: mk.Label}
-		for ri, rate := range opt.rates() {
+		for ri, rate := range opt.RatesPerSite {
 			p := Point{
 				RatePerSite:  rate,
 				TotalRate:    rate * float64(opt.Base.Sites),
@@ -29,6 +32,7 @@ func serialSweep(opt Options, makers []StrategyMaker, y func(hybrid.Result) floa
 			var w stats.Welford
 			for rep := 0; rep < reps; rep++ {
 				cfg := opt.Base
+				cfg.CommDelay = e.CommDelay
 				cfg.ArrivalRatePerSite = rate
 				cfg.Seed = runner.RunSeed(opt.Base.Seed, mk.Label, ri, rep)
 				strat, err := mk.Make(cfg)
@@ -41,11 +45,11 @@ func serialSweep(opt Options, makers []StrategyMaker, y func(hybrid.Result) floa
 				}
 				res := engine.Run()
 				p.Results = append(p.Results, res)
-				w.Add(y(res))
+				w.Add(e.Metric(res))
 			}
 			p.Result = p.Results[0]
 			if reps == 1 {
-				p.Y = y(p.Result)
+				p.Y = e.Metric(p.Result)
 			} else {
 				p.Y = w.Mean()
 				p.StdDev = w.StdDev()
@@ -56,6 +60,21 @@ func serialSweep(opt Options, makers []StrategyMaker, y func(hybrid.Result) floa
 		curves = append(curves, curve)
 	}
 	return curves, nil
+}
+
+// sweepOf is a figure-shaped experiment over the given strategies at the
+// default delay, reading mean response time.
+func sweepOf(specs ...string) Experiment {
+	return Experiment{CommDelay: 0.2, Metric: meanRT, Strategies: specs}
+}
+
+func runCurves(t *testing.T, e Experiment, opt Options) []Curve {
+	t.Helper()
+	fig, err := e.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig.Curves
 }
 
 func determinismOptions() Options {
@@ -75,23 +94,15 @@ func determinismOptions() Options {
 // runner at Parallelism 1, 4 and 16 must produce bit-identical curves —
 // same seeds, same curves, independent of worker count and scheduling order.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
-	makers := []StrategyMaker{
-		MakerNone(),
-		MakerQueueLength(),
-		MakerMinAverage(routing.FromInSystem),
-	}
-	want, err := serialSweep(determinismOptions(), makers, meanRT)
+	e := sweepOf("none", "queue-length", "min-average/nis")
+	want, err := serialSweep(determinismOptions(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{1, 4, 16} {
 		opt := determinismOptions()
 		opt.Parallelism = parallelism
-		got, err := sweep(opt, makers, meanRT)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		if !reflect.DeepEqual(want, got) {
+		if got := runCurves(t, e, opt); !reflect.DeepEqual(want, got) {
 			t.Fatalf("parallelism %d curves differ from the serial reference", parallelism)
 		}
 	}
@@ -104,7 +115,8 @@ func TestFigureDeterministicAcrossParallelism(t *testing.T) {
 		opt := determinismOptions()
 		opt.Replications = 2
 		opt.Parallelism = parallelism
-		fig, err := Figure42(opt)
+		e, _ := Lookup("4.2")
+		fig, err := e.Run(opt)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -124,16 +136,17 @@ func TestFigureDeterministicAcrossParallelism(t *testing.T) {
 func TestSingleReplicationMatchesHistoricalPath(t *testing.T) {
 	opt := determinismOptions()
 	opt.Replications = 1
-	makers := []StrategyMaker{MakerNone(), MakerQueueLength()}
-
-	curves, err := sweep(opt, makers, meanRT)
+	e := sweepOf("none", "queue-length")
+	makers, err := parseSpecs(e.Strategies...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curves := runCurves(t, e, opt)
 	for mi, mk := range makers {
-		for pi, rate := range opt.rates() {
+		for pi, rate := range opt.RatesPerSite {
 			// The historical path: one engine, base seed untouched.
 			cfg := opt.Base
+			cfg.CommDelay = e.CommDelay
 			cfg.ArrivalRatePerSite = rate
 			strat, err := mk.Make(cfg)
 			if err != nil {
@@ -163,11 +176,7 @@ func TestSingleReplicationMatchesHistoricalPath(t *testing.T) {
 func TestReplicatedPointAggregation(t *testing.T) {
 	opt := determinismOptions()
 	opt.Replications = 4
-	curves, err := sweep(opt, []StrategyMaker{MakerQueueLength()}, meanRT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range curves[0].Points {
+	for _, p := range runCurves(t, sweepOf("queue-length"), opt)[0].Points {
 		if p.Replications != 4 || len(p.Results) != 4 {
 			t.Fatalf("point carries %d/%d replications, want 4", p.Replications, len(p.Results))
 		}

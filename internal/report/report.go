@@ -1,13 +1,11 @@
 // Package report renders simulation results as human-readable reports:
-// single-run summaries, side-by-side strategy comparisons, and replication
-// summaries with confidence intervals. The CLIs and examples share these
-// renderers so output stays consistent across tools.
+// single-run summaries and replication summaries with confidence intervals.
+// The CLIs share these renderers so output stays consistent across tools.
 package report
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
 	"hybriddb/internal/hybrid"
@@ -32,59 +30,6 @@ func WriteResult(w io.Writer, r hybrid.Result) error {
 	return tw.Flush()
 }
 
-// Comparison is a labelled set of results over the same workload.
-type Comparison struct {
-	rows []comparisonRow
-}
-
-type comparisonRow struct {
-	label  string
-	result hybrid.Result
-}
-
-// Add appends one strategy's result.
-func (c *Comparison) Add(label string, r hybrid.Result) {
-	c.rows = append(c.rows, comparisonRow{label: label, result: r})
-}
-
-// Len returns the number of results added.
-func (c *Comparison) Len() int { return len(c.rows) }
-
-// SortByMeanRT orders the rows best-first.
-func (c *Comparison) SortByMeanRT() {
-	sort.SliceStable(c.rows, func(i, j int) bool {
-		return c.rows[i].result.MeanRT < c.rows[j].result.MeanRT
-	})
-}
-
-// Write renders the comparison as a table, one row per strategy, with the
-// relative slowdown versus the best row.
-func (c *Comparison) Write(w io.Writer) error {
-	if len(c.rows) == 0 {
-		_, err := fmt.Fprintln(w, "(no results)")
-		return err
-	}
-	best := c.rows[0].result.MeanRT
-	for _, row := range c.rows[1:] {
-		if row.result.MeanRT < best {
-			best = row.result.MeanRT
-		}
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "strategy\tmean RT\tvs best\tp95\ttput\tshipped\taborts\tutil L/C")
-	for _, row := range c.rows {
-		r := row.result
-		rel := "—"
-		if best > 0 && r.MeanRT > best {
-			rel = fmt.Sprintf("+%.0f%%", (r.MeanRT/best-1)*100)
-		}
-		fmt.Fprintf(tw, "%s\t%.3f s\t%s\t%.3f s\t%.1f\t%.0f%%\t%d\t%.2f/%.2f\n",
-			row.label, r.MeanRT, rel, r.P95RT, r.Throughput,
-			100*r.ShipFraction, r.TotalAborts(), r.UtilLocalMean, r.UtilCentral)
-	}
-	return tw.Flush()
-}
-
 // WriteReplication renders a replication summary with confidence intervals.
 func WriteReplication(w io.Writer, s replicate.Summary) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -95,27 +40,4 @@ func WriteReplication(w io.Writer, s replicate.Summary) error {
 	fmt.Fprintf(tw, "abort rate\t%s per txn\n", s.AbortRate)
 	fmt.Fprintf(tw, "utilization\tlocal %s, central %s\n", s.UtilLocal, s.UtilCentral)
 	return tw.Flush()
-}
-
-// WriteReplicationComparison renders two replication summaries and the
-// significance verdict.
-func WriteReplicationComparison(w io.Writer, a, b replicate.Summary) error {
-	if err := WriteReplication(w, a); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	if err := WriteReplication(w, b); err != nil {
-		return err
-	}
-	verdict := "not statistically distinguishable (95% intervals overlap)"
-	switch {
-	case a.MeanRT.Mean < b.MeanRT.Mean && !a.MeanRT.Overlaps(b.MeanRT):
-		verdict = fmt.Sprintf("%s is significantly faster", a.Strategy)
-	case b.MeanRT.Mean < a.MeanRT.Mean && !b.MeanRT.Overlaps(a.MeanRT):
-		verdict = fmt.Sprintf("%s is significantly faster", b.Strategy)
-	}
-	_, err := fmt.Fprintf(w, "\nverdict: %s\n", verdict)
-	return err
 }

@@ -42,43 +42,6 @@ func TestWriteResult(t *testing.T) {
 	}
 }
 
-func TestComparisonRelativeColumns(t *testing.T) {
-	var c Comparison
-	c.Add("slow", sampleResult("slow", 2.0))
-	c.Add("fast", sampleResult("fast", 1.0))
-	c.SortByMeanRT()
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	fastIdx := strings.Index(out, "fast")
-	slowIdx := strings.Index(out, "slow")
-	if fastIdx < 0 || slowIdx < 0 || fastIdx > slowIdx {
-		t.Errorf("sort order wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "+100%") {
-		t.Errorf("relative slowdown missing:\n%s", out)
-	}
-	if !strings.Contains(out, "—") {
-		t.Errorf("best-row marker missing:\n%s", out)
-	}
-}
-
-func TestComparisonEmpty(t *testing.T) {
-	var c Comparison
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no results") {
-		t.Errorf("empty comparison output: %q", buf.String())
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
 func sampleSummary(name string, rt float64) replicate.Summary {
 	return replicate.Summary{
 		Strategy:     name,
@@ -99,46 +62,5 @@ func TestWriteReplication(t *testing.T) {
 	}
 	if !strings.Contains(out, "±") {
 		t.Errorf("confidence interval missing:\n%s", out)
-	}
-}
-
-func TestWriteReplicationComparisonVerdicts(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b    replicate.Summary
-		verdict string
-	}{
-		{
-			name:    "a wins",
-			a:       sampleSummary("a", 1.0),
-			b:       sampleSummary("b", 2.0),
-			verdict: "a is significantly faster",
-		},
-		{
-			name:    "b wins",
-			a:       sampleSummary("a", 2.0),
-			b:       sampleSummary("b", 1.0),
-			verdict: "b is significantly faster",
-		},
-		{
-			name: "tie",
-			a:    sampleSummary("a", 1.0),
-			b: replicate.Summary{
-				Strategy: "b", Replications: 5,
-				MeanRT: replicate.Estimate{Mean: 1.005, HalfWidth: 0.05},
-			},
-			verdict: "not statistically distinguishable",
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteReplicationComparison(&buf, tt.a, tt.b); err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(buf.String(), tt.verdict) {
-				t.Errorf("verdict %q missing:\n%s", tt.verdict, buf.String())
-			}
-		})
 	}
 }

@@ -172,27 +172,33 @@ func (h *Histogram) Mean() float64 { return h.observed.Mean() }
 // bucketed data, using linear interpolation within a bucket. Out-of-range
 // mass is attributed to the range edges.
 func (h *Histogram) Quantile(q float64) float64 {
+	return quantile(h.lo, h.hi, h.width, h.under, h.buckets, h.Count(), q)
+}
+
+// quantile is the one percentile routine behind Histogram.Quantile and
+// HistogramDump.Quantile: total observations, of which under fall below lo
+// and counts[i] in [lo+i*width, lo+(i+1)*width); the rest are at or above hi.
+func quantile(lo, hi, width float64, under uint64, counts []uint64, total uint64, q float64) float64 {
 	if q < 0 || q > 1 {
 		panic("stats: quantile out of [0,1]")
 	}
-	total := h.Count()
 	if total == 0 {
 		return 0
 	}
 	target := q * float64(total)
-	cum := float64(h.under)
+	cum := float64(under)
 	if target <= cum {
-		return h.lo
+		return lo
 	}
-	for i, c := range h.buckets {
+	for i, c := range counts {
 		next := cum + float64(c)
 		if target <= next && c > 0 {
 			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
+			return lo + (float64(i)+frac)*width
 		}
 		cum = next
 	}
-	return h.hi
+	return hi
 }
 
 // Buckets returns a copy of the bucket counts.
@@ -209,15 +215,6 @@ func (h *Histogram) Under() uint64 { return h.under }
 // mass the quantile estimator clamps to the range ceiling, so a nonzero
 // count means upper quantiles are underestimates.
 func (h *Histogram) Over() uint64 { return h.over }
-
-// Lo returns the inclusive lower bound of the bucketed range.
-func (h *Histogram) Lo() float64 { return h.lo }
-
-// Hi returns the exclusive upper bound of the bucketed range.
-func (h *Histogram) Hi() float64 { return h.hi }
-
-// BucketWidth returns the width of one bucket.
-func (h *Histogram) BucketWidth() float64 { return h.width }
 
 // Merge folds other into h, as if every observation of other had been Added.
 // Both histograms must share the same range and bucket count. The bucket,
@@ -274,29 +271,10 @@ func (h *Histogram) Dump() HistogramDump {
 	}
 }
 
-// Quantile estimates the q-quantile from the dumped buckets, mirroring
-// Histogram.Quantile: linear interpolation within a bucket, out-of-range
-// mass attributed to the range edges. This is what lets an exported run
-// manifest reproduce percentile figures without rerunning the simulation.
+// Quantile estimates the q-quantile from the dumped buckets exactly as
+// Histogram.Quantile does from the live ones. This is what lets an exported
+// run manifest reproduce percentile figures without rerunning the
+// simulation.
 func (d HistogramDump) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
-	}
-	if d.Count == 0 {
-		return 0
-	}
-	target := q * float64(d.Count)
-	cum := float64(d.Under)
-	if target <= cum {
-		return d.Lo
-	}
-	for i, c := range d.Counts {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return d.Lo + (float64(i)+frac)*d.Width
-		}
-		cum = next
-	}
-	return d.Hi
+	return quantile(d.Lo, d.Hi, d.Width, d.Under, d.Counts, d.Count, q)
 }

@@ -199,6 +199,22 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 }
 
+// TestDumpQuantileMatchesHistogram checks a dump answers every quantile
+// bit for bit as the live histogram does, including under- and overflow
+// mass and the trailing empty buckets the dump trims.
+func TestDumpQuantileMatchesHistogram(t *testing.T) {
+	h := NewHistogram(0, 10, 20)
+	for _, x := range []float64{-1, 0.2, 0.3, 2.5, 2.6, 4.9, 6.1, 42} {
+		h.Add(x)
+	}
+	d := h.Dump()
+	for q := 0.0; q <= 1; q += 0.01 {
+		if got, want := d.Quantile(q), h.Quantile(q); got != want {
+			t.Errorf("q%v: dump %v, histogram %v", q, got, want)
+		}
+	}
+}
+
 func TestHistogramQuantilePanicsOutOfRange(t *testing.T) {
 	h := NewHistogram(0, 1, 2)
 	defer func() {
