@@ -136,6 +136,69 @@ func TestResultSeriesEndToEnd(t *testing.T) {
 	}
 }
 
+// TestResultCountsMatchBus: the Result's event counts are the bus's. An
+// external observer tallies the lifecycle events emitted after MeasureStart
+// on a skewed, 50 %-exclusive, partial-replication run; every abort cause,
+// the authentication rounds, the cold fetches and both halves of the ship
+// fraction must equal what the Result reports.
+func TestResultCountsMatchBus(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.SkewTheta = 0.8
+	cfg.PWrite = 0.5
+	cfg.CentralHotFraction = 0.5
+	cfg.ColdFetchDelay = 0.0137
+	e, err := New(cfg, routing.QueueLength{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		measuring     bool
+		n             [obs.TraceDetail + 1]uint64
+		classA, shipA uint64
+	)
+	e.Subscribe(obs.Func(func(ev obs.Event) {
+		if ev.Kind == obs.MeasureStart {
+			measuring = true
+		}
+		if !measuring {
+			return
+		}
+		n[ev.Kind]++
+		if ev.Kind == obs.TxnArrive && !ev.ClassB {
+			classA++
+			if ev.Shipped {
+				shipA++
+			}
+		}
+	}))
+	r := e.Run()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"AbortsDeadlockLocal", r.AbortsDeadlockLocal, n[obs.AbortDeadlockLocal]},
+		{"AbortsDeadlockCentral", r.AbortsDeadlockCentral, n[obs.AbortDeadlockCentral]},
+		{"AbortsLocalSeized", r.AbortsLocalSeized, n[obs.AbortLocalSeized]},
+		{"AbortsCentralNACK", r.AbortsCentralNACK, n[obs.AbortCentralNACK]},
+		{"AbortsCentralInval", r.AbortsCentralInval, n[obs.AbortCentralInval]},
+		{"AuthRounds", r.AuthRounds, n[obs.AuthRound]},
+		{"ColdFetches", r.ColdFetches, n[obs.ColdFetch]},
+	} {
+		if c.got != c.want {
+			t.Errorf("Result.%s = %d, the bus carried %d", c.name, c.got, c.want)
+		}
+		if c.want == 0 {
+			t.Errorf("no %s on the bus: the check is vacuous", c.name)
+		}
+	}
+	if want := float64(shipA) / float64(classA); r.ShipFraction != want {
+		t.Errorf("ShipFraction = %v, the bus carried %d shipped of %d class A decisions (%v)", r.ShipFraction, shipA, classA, want)
+	}
+	if shipA == 0 || shipA == classA {
+		t.Errorf("%d of %d class A shipped: the ship fraction check is vacuous", shipA, classA)
+	}
+}
+
 // TestCaptureHistograms: the dumps are attached only on request, and
 // recomputing a quantile from the dumped buckets reproduces the result's own
 // percentile field — the property run manifests rely on.
