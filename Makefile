@@ -66,20 +66,16 @@ fuzz-smoke:
 		$(GO) test -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -run '^$$' $$pkg; \
 	done
 
-# Live loopback cluster gate (DESIGN.md §13): the in-process cluster smoke
-# (1 central + 2 sites, paced load, nonzero commits on both paths), then
-# the process-level smoke — build cmd/hybridd and cmd/hybridload, boot
-# 1 central + 4 site processes on loopback, drive a short paced run, and
-# require nonzero completions, zero request errors, and clean SIGTERM
-# shutdowns with counter lines from every node.
-# Live-cluster gate, two levels. In-process: 1 central + 2 sites under one
-# test binary, asserting commits on both routing paths and transaction
-# conservation from each node's metrics registry. Process-level: builds
-# hybridd + hybridload, boots 1 central + 4 sites as real processes, drives
-# a paced load, scrapes every node's /metrics and asserts conservation
-# (generated == completed + replies + in-flight per site, ship_arrived ==
-# commits + in_system at central, sums balancing cluster-wide), then merges
-# the per-process span traces and requires a cross-process span tree.
+# Live loopback cluster gate (DESIGN.md §13), two levels. In-process:
+# 1 central + 2 sites under one test binary, asserting commits on both
+# routing paths and transaction conservation from each node's metrics
+# registry. Process-level: builds hybridd + hybridload, boots 1 central +
+# 4 sites as real processes, drives a paced load, scrapes every node's
+# /metrics and asserts conservation (generated == completed + replies +
+# in-flight per site, ship_arrived == commits + in_system at central, sums
+# balancing cluster-wide), requires clean SIGTERM shutdowns with counter
+# lines from every node, then merges the per-process span traces and
+# requires a cross-process span tree.
 cluster-smoke:
 	$(GO) test -count=1 -run 'TestClusterSmoke' ./internal/cluster/
 	$(GO) test -count=1 -run 'TestClusterProcessSmoke' ./cmd/hybridd/

@@ -127,8 +127,8 @@ func run(args []string, out io.Writer) error {
 		node.Close()
 		fmt.Fprintf(out, "hybridd: central done: %d shipped arrivals, %d commits, %d auth rounds, "+
 			"%d NACK aborts, %d invalidation aborts, %d deadlock aborts, %d updates applied\n",
-			st.ShipArrived, st.Commits, st.AuthRounds,
-			st.AbortsNACK, st.AbortsInval, st.AbortsDeadlock, st.UpdatesApplied)
+			st[obs.ShipArrive], st[obs.TxnCentralCommit], st[obs.AuthRound],
+			st[obs.AbortCentralNACK], st[obs.AbortCentralInval], st[obs.AbortDeadlockCentral], st[obs.UpdateApplied])
 		return writeSpans(-1, 0)
 
 	case "site":
@@ -163,11 +163,12 @@ func run(args []string, out io.Writer) error {
 			*id, node.Addr(), *central, strat.Name())
 		<-ctx.Done()
 		st := node.Stats()
+		shipErrs := node.Metrics().Snapshot()[`wire_errors_total{type="ship-send"}`]
 		node.Close()
 		fmt.Fprintf(out, "hybridd: site %d done: %d arrivals, %d local commits, %d replies delivered, "+
-			"%d/%d class A/B shipped, %d seized aborts, %d deadlock aborts, %d ship send errors\n",
-			*id, st.Generated, st.CompletedLocal, st.RepliesDelivered,
-			st.ShippedA, st.ShippedB, st.AbortsSeized, st.AbortsDeadlock, st.ShipSendErrors)
+			"%d/%d class A/B shipped, %d seized aborts, %d deadlock aborts, %.0f ship send errors\n",
+			*id, st.Arrivals(), st[obs.TxnLocalCommit], st[obs.TxnReply],
+			st[obs.ArriveShipA], st[obs.ArriveB], st[obs.AbortLocalSeized], st[obs.AbortDeadlockLocal], shipErrs)
 		return writeSpans(*id, node.ClockOffset())
 
 	case "":

@@ -4,8 +4,8 @@ package cluster
 // protocol messages to a hybrid.CentralNode running on the node's exec.Loop
 // — the same central execution path, commit protocol and update application
 // the simulator runs. This file is the process around the node: listener
-// and site connections, the Hello handshake, and the counters derived from
-// the node's observer bus.
+// and site connections, the Hello handshake, and the registry's view of the
+// node.
 
 import (
 	"fmt"
@@ -14,23 +14,8 @@ import (
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
-	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/workload"
 )
-
-// CentralStats is a loop-consistent snapshot of the central node's state.
-type CentralStats struct {
-	ShipArrived    uint64
-	Commits        uint64
-	RepliesSent    uint64
-	InSystem       int
-	AuthRounds     uint64
-	AbortsNACK     uint64
-	AbortsInval    uint64
-	AbortsDeadlock uint64
-	UpdatesApplied uint64
-	ColdFetches    uint64
-}
 
 // Central is the live central node.
 type Central struct {
@@ -41,15 +26,11 @@ type Central struct {
 	// siteConns is written and read only on the loop.
 	siteConns []*netx.Conn
 
-	// stats is derived from the node's bus events (OnEvent), on the loop.
-	stats CentralStats
-
 	*acceptor // the listener and its connections; Addr
 }
 
 // StartCentral boots a central node listening on addr ("host:0" picks a
-// free port; see Addr). Observers join the node's own on its bus, as for
-// StartSite.
+// free port; see Addr). Observers ride the node's bus, as for StartSite.
 func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*Central, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -59,7 +40,7 @@ func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*C
 		siteConns: make([]*netx.Conn, cfg.Sites),
 	}
 	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, accept: c.acceptShip}
-	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, append([]obs.Observer{c}, observers...)...)
+	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, observers...)
 	if err != nil {
 		c.loop.Stop()
 		return nil, err
@@ -73,34 +54,15 @@ func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*C
 	return c, nil
 }
 
-// registerMetrics wires the registry: transport gauges read directly from
-// atomics, and a scrape hook that mirrors the event-derived counters and the
-// node's state in one loop-time instant — which is what lets a scrape assert the exact
-// conservation invariant ship_arrived == commits + in_system.
+// registerMetrics wires the registry: the node's count table and state
+// gauges mirrored in one loop-time instant — which is what lets a scrape
+// assert the exact conservation invariant ship_arrived == commits +
+// in_system.
 func (c *Central) registerMetrics() {
-	registerNetStats(c.reg, c.net)
-	shipArrived := c.reg.Counter("central_ship_arrived_total", "shipped transactions arrived")
-	commits := c.reg.Counter("central_commits_total", "central commits")
-	replies := c.reg.Counter("central_replies_sent_total", "completion replies sent to home sites")
-	authRounds := c.reg.Counter("central_auth_rounds_total", "authentication rounds started")
-	updates := c.reg.Counter("central_updates_applied_total", "site update batches applied")
-	coldFetches := c.reg.Counter("central_cold_fetch_total", "cold-element fetches paid under partial replication")
-	abortNACK := c.reg.Counter("central_aborts_total", "central aborts by cause", metrics.L("cause", "nack"))
-	abortInval := c.reg.Counter("central_aborts_total", "central aborts by cause", metrics.L("cause", "invalidated"))
-	abortDead := c.reg.Counter("central_aborts_total", "central aborts by cause", metrics.L("cause", "deadlock"))
 	inSystem := c.reg.Gauge("central_in_system", "transactions at central in any phase")
 	queue := c.reg.Gauge("central_cpu_queue_depth", "bursts queued at the central CPU, job in service included")
 	locksHeld := c.reg.Gauge("central_locks_held", "locks held at central")
-	mirrorOnLoop(c.reg, c.loop.Post, func() {
-		counterTo(shipArrived, c.stats.ShipArrived)
-		counterTo(commits, c.stats.Commits)
-		counterTo(replies, c.stats.RepliesSent)
-		counterTo(authRounds, c.stats.AuthRounds)
-		counterTo(updates, c.stats.UpdatesApplied)
-		counterTo(coldFetches, c.stats.ColdFetches)
-		counterTo(abortNACK, c.stats.AbortsNACK)
-		counterTo(abortInval, c.stats.AbortsInval)
-		counterTo(abortDead, c.stats.AbortsDeadlock)
+	c.mirrorOnLoop(centralCounts, c.node.Counts, func() {
 		inSystem.Set(float64(c.node.InSystem()))
 		queue.Set(float64(c.node.QueueLength()))
 		locksHeld.Set(float64(c.node.LocksHeld()))
@@ -192,45 +154,6 @@ func (c *Central) acceptShip(from *netx.Conn, spec *workload.Txn) bool {
 	c.wm.Error("bad-ship")
 	from.Close()
 	return false
-}
-
-// OnEvent implements obs.Observer on the node's bus: the central counters
-// are derived from the lifecycle events. It runs on the loop, inside the
-// handler that emitted it.
-func (c *Central) OnEvent(ev obs.Event) {
-	switch ev.Kind {
-	case obs.ShipArrive:
-		c.stats.ShipArrived++
-	case obs.ColdFetch:
-		c.stats.ColdFetches++
-	case obs.AuthRound:
-		c.stats.AuthRounds++
-	case obs.AbortCentralNACK:
-		c.stats.AbortsNACK++
-	case obs.AbortCentralInval:
-		c.stats.AbortsInval++
-	case obs.AbortDeadlockCentral:
-		c.stats.AbortsDeadlock++
-	case obs.TxnCentralCommit:
-		c.stats.Commits++
-		c.stats.RepliesSent++
-	case obs.UpdateApplied:
-		c.stats.UpdatesApplied++
-	}
-}
-
-// Stats returns a snapshot taken on the loop, so it is consistent with the
-// protocol state (zero after Close).
-func (c *Central) Stats() CentralStats {
-	ch := make(chan CentralStats, 1)
-	if !c.loop.Post(func() {
-		st := c.stats
-		st.InSystem = c.node.InSystem()
-		ch <- st
-	}) {
-		return CentralStats{}
-	}
-	return <-ch
 }
 
 // Close shuts the node down: stop accepting, drop every connection, stop

@@ -12,10 +12,11 @@
 // locking, exactly as in the simulation. What this package adds is what a
 // process needs and a simulation does not: listeners and connections, the
 // Hello handshake, the wire encoding of the seven protocol messages
-// (link.go), the load generator's pending table, and the registry and
-// flight-recorder plumbing fed by the node's observer bus. Observers the
-// caller supplies ride the same bus; a spans.Collector among them is how a
-// process traces (hybridd -spans), and without one no trace event is built.
+// (link.go), the load generator's pending table, the registry that mirrors
+// the node's event counts (obs.Counts, the table the simulator's Result
+// reads), and the flight recorder. Observers the caller supplies ride the
+// node's bus; a spans.Collector among them is how a process traces (hybridd
+// -spans), and without one no trace event is built.
 //
 // The cluster runs in emulation mode: CPU bursts and I/O hold the real
 // timers of their configured durations, and the configured one-way
@@ -34,6 +35,7 @@ import (
 
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
 	"hybriddb/internal/obsx/logx"
@@ -59,24 +61,27 @@ func validate(cfg hybrid.Config) error {
 const flightCapacity = 256
 
 // shell is the process around one hybrid node, the same at both tiers: the
-// event loop the node runs on and the logging, registry, wire-counter and
-// flight-recorder plumbing every frame passes.
+// event loop the node runs on, the logging, registry, wire-counter and
+// flight-recorder plumbing every frame passes, and the reader of the node's
+// event counts (set by mirrorOnLoop).
 type shell struct {
-	cfg  hybrid.Config
-	loop *exec.Loop
-	log  logx.Logger
-	reg  *metrics.Registry
-	wm   *wireMetrics
-	net  *netx.Stats
-	fr   *flight.Recorder
+	cfg    hybrid.Config
+	loop   *exec.Loop
+	log    logx.Logger
+	reg    *metrics.Registry
+	wm     *wireMetrics
+	net    *netx.Stats
+	fr     *flight.Recorder
+	counts func() obs.Counts
 }
 
 // newShell names the process in logs and flight dumps.
 func newShell(cfg hybrid.Config, name string) shell {
-	reg := metrics.NewRegistry()
+	reg, ns := metrics.NewRegistry(), &netx.Stats{}
+	registerNetStats(reg, ns)
 	return shell{
 		cfg: cfg, loop: exec.NewLoop(), log: logx.New(name),
-		reg: reg, wm: newWireMetrics(reg), net: &netx.Stats{},
+		reg: reg, wm: newWireMetrics(reg), net: ns,
 		fr: flight.NewRecorder(name, flightCapacity),
 	}
 }

@@ -137,10 +137,8 @@ func (d *detailCount) OnEvent(ev obs.Event) {
 // protocol-detail stream themselves, and a detail observer handed to them
 // receives it.
 func TestClusterSmoke(t *testing.T) {
-	for _, node := range []obs.Observer{(*Site)(nil), (*Central)(nil)} {
-		if _, ok := node.(obs.DetailObserver); ok {
-			t.Errorf("%T wants the protocol-detail stream: a node started without observers would trace", node)
-		}
+	if _, ok := obs.Observer((*Site)(nil)).(obs.DetailObserver); ok {
+		t.Error("Site wants the protocol-detail stream: a node started without observers would trace")
 	}
 	cfg := smokeConfig(2)
 	cfg.Warmup = 0.3
@@ -222,7 +220,7 @@ func TestClusterColdFetches(t *testing.T) {
 	if res.Completed == 0 {
 		t.Fatal("no transactions completed")
 	}
-	if got := central.Stats().ColdFetches; got == 0 {
+	if got := central.Stats()[obs.ColdFetch]; got == 0 {
 		t.Error("partial-replication run paid no cold fetches")
 	}
 	if got := central.Metrics().Snapshot()["central_cold_fetch_total"]; got == 0 {

@@ -1,17 +1,57 @@
 package cluster
 
 // Observability plumbing shared by the live nodes: per-message-type wire
-// counters, wire-error tallies, transport-stat gauges, and the
-// loop-consistent scrape hook that makes the conservation invariant
-// (submitted == completed + in-flight) exactly checkable from a /metrics
-// scrape. Nodes keep their existing loop-confined stats structs as the
-// source of truth; at scrape time one closure posted onto the event loop
-// mirrors the whole snapshot into the registry, so every sample a scrape
-// sees came from the same instant of loop time.
+// counters, wire-error tallies, transport-stat gauges, the table naming the
+// node's event counts, and the loop-consistent scrape hook that makes the
+// conservation invariant (submitted == completed + in-flight) exactly
+// checkable from a /metrics scrape. The node's obs.Counts — the count table
+// its partition keeps, as in the simulator — is the source of truth; at
+// scrape time one closure posted onto the event loop mirrors it and the
+// node's state gauges into the registry, so every sample a scrape sees came
+// from the same instant of loop time.
 
 import (
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/metrics"
+)
+
+// countSeries names one of a node's event counts in its registry.
+type countSeries struct {
+	name, help string
+	labels     []metrics.Label
+	count      func(*obs.Counts) uint64
+}
+
+// slot reads the count of one kind.
+func slot(k obs.Kind) func(*obs.Counts) uint64 {
+	return func(c *obs.Counts) uint64 { return c[k] }
+}
+
+func label(name, value string) []metrics.Label { return []metrics.Label{metrics.L(name, value)} }
+
+// The count table: every counter a site or the central node publishes.
+var (
+	siteCounts = []countSeries{
+		{"site_generated_total", "transactions submitted to this site", nil, (*obs.Counts).Arrivals},
+		{"site_completed_local_total", "transactions committed on the local path", nil, slot(obs.TxnLocalCommit)},
+		{"site_replies_delivered_total", "shipped-transaction completions delivered to load generators", nil, slot(obs.TxnReply)},
+		{"site_route_decisions_total", "routing decisions by outcome", label("route", "local"), slot(obs.TxnArrive)},
+		{"site_route_decisions_total", "routing decisions by outcome", label("route", "ship"), slot(obs.ArriveShipA)},
+		{"site_route_decisions_total", "routing decisions by outcome", label("route", "ship_b"), slot(obs.ArriveB)},
+		{"site_aborts_total", "local aborts by cause", label("cause", "seized"), slot(obs.AbortLocalSeized)},
+		{"site_aborts_total", "local aborts by cause", label("cause", "deadlock"), slot(obs.AbortDeadlockLocal)},
+	}
+	centralCounts = []countSeries{
+		{"central_ship_arrived_total", "shipped transactions arrived", nil, slot(obs.ShipArrive)},
+		{"central_commits_total", "central commits (each sends its completion reply)", nil, slot(obs.TxnCentralCommit)},
+		{"central_auth_rounds_total", "authentication rounds started", nil, slot(obs.AuthRound)},
+		{"central_updates_applied_total", "site update batches applied", nil, slot(obs.UpdateApplied)},
+		{"central_cold_fetch_total", "cold-element fetches paid under partial replication", nil, slot(obs.ColdFetch)},
+		{"central_aborts_total", "central aborts by cause", label("cause", "nack"), slot(obs.AbortCentralNACK)},
+		{"central_aborts_total", "central aborts by cause", label("cause", "invalidated"), slot(obs.AbortCentralInval)},
+		{"central_aborts_total", "central aborts by cause", label("cause", "deadlock"), slot(obs.AbortDeadlockCentral)},
+	}
 )
 
 // wireMetrics counts frames per message type and direction, plus decode and
@@ -70,24 +110,41 @@ func registerNetStats(reg *metrics.Registry, ns *netx.Stats) {
 	reg.GaugeFunc("net_connects", "successful uplink dials (reconnects after the first)", u(ns.Connects.Load))
 }
 
-// counterTo advances a mirrored counter to the loop-consistent value v.
-// Only the (serialized) scrape hook writes these counters, and loop
-// counters are monotone, so the delta is never negative.
-func counterTo(c *metrics.Counter, v uint64) { c.Add(v - c.Value()) }
-
-// mirrorOnLoop registers a scrape hook that runs fn on the node's loop and
-// waits for it, so everything fn mirrors into the registry is one
-// consistent loop-time snapshot. If the loop is stopped the hook is a
+// mirrorOnLoop registers a counter per row of the node's count table and
+// one scrape hook that runs on the node's loop and waits for it: the hook
+// advances every counter to the node's counts and then sets the state
+// gauges, so everything a scrape sees is one consistent loop-time snapshot.
+// Only the (serialized) hook writes these counters and counts are monotone,
+// so each delta is never negative. If the loop is stopped the hook is a
 // no-op and the last mirrored values stand.
-func mirrorOnLoop(reg *metrics.Registry, post func(func()) bool, fn func()) {
-	reg.OnScrape(func() {
+func (sh *shell) mirrorOnLoop(table []countSeries, counts func() obs.Counts, gauges func()) {
+	sh.counts = counts
+	counters := make([]*metrics.Counter, len(table))
+	for i, row := range table {
+		counters[i] = sh.reg.Counter(row.name, row.help, row.labels...)
+	}
+	sh.reg.OnScrape(func() {
 		done := make(chan struct{})
-		if !post(func() {
+		if !sh.loop.Post(func() {
 			defer close(done)
-			fn()
+			c := counts()
+			for i, row := range table {
+				counters[i].Add(row.count(&c) - counters[i].Value())
+			}
+			gauges()
 		}) {
 			return
 		}
 		<-done
 	})
+}
+
+// Stats returns the node's event counts, read on its loop (zero after
+// Close).
+func (sh *shell) Stats() obs.Counts {
+	ch := make(chan obs.Counts, 1)
+	if !sh.loop.Post(func() { ch <- sh.counts() }) {
+		return obs.Counts{}
+	}
+	return <-ch
 }

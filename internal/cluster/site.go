@@ -5,8 +5,7 @@ package cluster
 // exec.Loop — the same admission, routing, local execution, authentication
 // and propagation code the simulator runs. This file is the process around
 // the node: listener and uplink, the Hello handshake, the load generator's
-// pending table, and the counters and histograms derived from the node's
-// observer bus.
+// pending table, and the registry's view of the node.
 
 import (
 	"context"
@@ -31,20 +30,6 @@ type pendingSubmit struct {
 	reqID uint64
 }
 
-// SiteStats is a loop-consistent snapshot of a site's counters.
-type SiteStats struct {
-	Generated        uint64
-	CompletedLocal   uint64
-	RepliesDelivered uint64
-	ShippedA         uint64
-	ShippedB         uint64
-	LocalA           uint64
-	AbortsSeized     uint64
-	AbortsDeadlock   uint64
-	ShipSendErrors   uint64
-	InSystem         int
-}
-
 // Site is one live local site.
 type Site struct {
 	shell
@@ -56,9 +41,6 @@ type Site struct {
 	// encoding scratch (Send copies before it returns).
 	pending map[int64]pendingSubmit
 	resBuf  []byte
-
-	// stats is derived from the node's bus events (OnEvent), on the loop.
-	stats SiteStats
 
 	// rtLocal / rtShipped are observed on the loop at completion — the live
 	// counterparts of the simulator's per-route RT histograms.
@@ -124,39 +106,20 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	return s, nil
 }
 
-// registerMetrics wires the registry: transport gauges read straight from
-// atomics, per-route RT histograms observed on the loop, and one scrape
-// hook mirroring the event-derived counters so the site conservation
-// invariant generated == completed_local + replies_delivered + in_flight
-// holds exactly in every exposition.
+// registerMetrics wires the registry: per-route RT histograms observed on
+// the loop, and the node's count table and state gauges mirrored in one
+// scrape hook, so the site conservation invariant generated ==
+// completed_local + replies_delivered + in_flight holds exactly in every
+// exposition.
 func (s *Site) registerMetrics() {
-	registerNetStats(s.reg, s.net)
 	s.rtLocal = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "local"))
 	s.rtShipped = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "shipped"))
 	s.reg.GaugeFunc("site_clock_offset_seconds", "estimated central-minus-local clock offset from the Hello handshake", s.ClockOffset)
-	generated := s.reg.Counter("site_generated_total", "transactions submitted to this site")
-	completedLocal := s.reg.Counter("site_completed_local_total", "transactions committed on the local path")
-	replies := s.reg.Counter("site_replies_delivered_total", "shipped-transaction completions delivered to load generators")
-	routeLocal := s.reg.Counter("site_route_decisions_total", "routing decisions by outcome", metrics.L("route", "local"))
-	routeShip := s.reg.Counter("site_route_decisions_total", "routing decisions by outcome", metrics.L("route", "ship"))
-	routeShipB := s.reg.Counter("site_route_decisions_total", "routing decisions by outcome", metrics.L("route", "ship_b"))
-	abortSeized := s.reg.Counter("site_aborts_total", "local aborts by cause", metrics.L("cause", "seized"))
-	abortDead := s.reg.Counter("site_aborts_total", "local aborts by cause", metrics.L("cause", "deadlock"))
-	shipErrs := s.reg.Counter("site_ship_send_errors_total", "ship frames lost to a down uplink")
 	inFlight := s.reg.Gauge("site_in_flight", "submissions awaiting a result, both routes")
 	inSystem := s.reg.Gauge("site_in_system", "transactions executing locally")
 	queue := s.reg.Gauge("site_cpu_queue_depth", "bursts queued at the site CPU, job in service included")
 	locksHeld := s.reg.Gauge("site_locks_held", "locks held at this site")
-	mirrorOnLoop(s.reg, s.loop.Post, func() {
-		counterTo(generated, s.stats.Generated)
-		counterTo(completedLocal, s.stats.CompletedLocal)
-		counterTo(replies, s.stats.RepliesDelivered)
-		counterTo(routeLocal, s.stats.LocalA)
-		counterTo(routeShip, s.stats.ShippedA)
-		counterTo(routeShipB, s.stats.ShippedB)
-		counterTo(abortSeized, s.stats.AbortsSeized)
-		counterTo(abortDead, s.stats.AbortsDeadlock)
-		counterTo(shipErrs, s.stats.ShipSendErrors)
+	s.mirrorOnLoop(siteCounts, s.node.Counts, func() {
 		inFlight.Set(float64(len(s.pending)))
 		inSystem.Set(float64(s.node.InSystem()))
 		queue.Set(float64(s.node.QueueLength()))
@@ -247,9 +210,6 @@ func (s *Site) dispatchCentral(conn *netx.Conn, f netx.Frame) {
 func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 	name := netx.MsgName(msgType)
 	if err := s.up.Send(msgType, 0, payload); err != nil {
-		if msgType == netx.MsgShip {
-			s.stats.ShipSendErrors++
-		}
 		s.log.Errorf("%s send failed (txn %d): %v", name, txn, err)
 		s.wm.Error(name + "-send")
 		return
@@ -258,34 +218,18 @@ func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 	s.fr.RecordFrame(flight.Out, name, txn, flight.None)
 }
 
-// OnEvent implements obs.Observer on the node's bus: the site's counters and
-// response-time histograms are derived from the lifecycle events, and a
-// completion event answers the load generator that submitted the
-// transaction. It runs on the loop, inside the handler that emitted it.
+// OnEvent implements obs.Observer on the node's bus: a completion event
+// feeds the response-time histograms and answers the load generator that
+// submitted the transaction. It runs on the loop, inside the handler that
+// emitted it.
 func (s *Site) OnEvent(ev obs.Event) {
 	switch ev.Kind {
-	case obs.TxnArrive:
-		s.stats.Generated++
-		switch {
-		case ev.ClassB:
-			s.stats.ShippedB++
-		case ev.Shipped:
-			s.stats.ShippedA++
-		default:
-			s.stats.LocalA++
-		}
 	case obs.TxnLocalCommit:
-		s.stats.CompletedLocal++
 		s.rtLocal.Observe(ev.Value)
 		s.respond(netx.Result{Txn: ev.Txn})
 	case obs.TxnReply:
-		s.stats.RepliesDelivered++
 		s.rtShipped.Observe(ev.Value)
 		s.respond(netx.Result{Txn: ev.Txn, Shipped: true, ClassB: ev.ClassB})
-	case obs.AbortLocalSeized:
-		s.stats.AbortsSeized++
-	case obs.AbortDeadlockLocal:
-		s.stats.AbortsDeadlock++
 	}
 }
 
@@ -303,20 +247,6 @@ func (s *Site) respond(res netx.Result) {
 		return
 	}
 	s.wm.Out(netx.MsgResult)
-}
-
-// Stats returns a loop-consistent snapshot of the counters (zero after
-// Close).
-func (s *Site) Stats() SiteStats {
-	ch := make(chan SiteStats, 1)
-	if !s.loop.Post(func() {
-		st := s.stats
-		st.InSystem = s.node.InSystem()
-		ch <- st
-	}) {
-		return SiteStats{}
-	}
-	return <-ch
 }
 
 // Close shuts the site down: uplink, listener, load connections, loop.

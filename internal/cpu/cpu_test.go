@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"hybriddb/internal/exec"
+	"hybriddb/internal/rng"
 	"hybriddb/internal/sim"
+	"hybriddb/internal/stats"
 )
 
 func TestServiceTime(t *testing.T) {
@@ -199,4 +201,72 @@ func TestNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	NewServer(exec.Sim(sim.New()), 1).Submit(1, nil)
+}
+
+// md1ResponseTime is the mean sojourn time of an M/D/1 queue — Poisson
+// arrivals at rate lambda, deterministic service of 1/mu — by
+// Pollaczek–Khinchine: W = 1/mu + rho/(2*mu*(1-rho)), for rho < 1.
+func md1ResponseTime(lambda, mu float64) float64 {
+	rho := lambda / mu
+	return 1/mu + rho/(2*mu*(1-rho))
+}
+
+// poissonBursts submits fixed-size bursts to c at Poisson rate lambda until
+// horizon; done receives each burst's sojourn time.
+func poissonBursts(s *sim.Simulator, c *Server, seed uint64, lambda, instructions, horizon float64, done func(sojourn float64)) {
+	src := rng.New(seed)
+	var arrive func()
+	arrive = func() {
+		gap := src.Exp(1 / lambda)
+		if s.Now()+gap > horizon {
+			return
+		}
+		s.Schedule(gap, func() {
+			start := s.Now()
+			c.Submit(instructions, func() { done(s.Now() - start) })
+			arrive()
+		})
+	}
+	arrive()
+}
+
+// TestCPUServerMatchesMD1 validates the CPU server against theory: Poisson
+// arrivals of fixed-length bursts form an M/D/1 queue, so the simulated mean
+// sojourn time must match Pollaczek–Khinchine.
+func TestCPUServerMatchesMD1(t *testing.T) {
+	const (
+		mips         = 1.0
+		instructions = 100_000 // 0.1 s deterministic service
+		lambda       = 7.0     // rho = 0.7
+		horizon      = 20_000.0
+	)
+	s := sim.New()
+	server := NewServer(exec.Sim(s), mips)
+	var sojourn stats.Welford
+	poissonBursts(s, server, 99, lambda, instructions, horizon, sojourn.Add)
+	s.Run()
+
+	mu := 1 / server.ServiceTime(instructions) // 10 per second
+	want := md1ResponseTime(lambda, mu)
+	got := sojourn.Mean()
+	if sojourn.Count() < 100_000 {
+		t.Fatalf("only %d samples", sojourn.Count())
+	}
+	if math.Abs(got-want)/want > 0.03 {
+		t.Errorf("simulated M/D/1 sojourn %v, theory %v (rel err %.3f)",
+			got, want, math.Abs(got-want)/want)
+	}
+}
+
+// TestCPUServerUtilizationMatchesOfferedLoad cross-checks the server's busy
+// time accounting against rho = lambda/mu.
+func TestCPUServerUtilizationMatchesOfferedLoad(t *testing.T) {
+	s := sim.New()
+	server := NewServer(exec.Sim(s), 1)
+	const lambda, instructions, horizon = 4.0, 100_000, 5_000.0
+	poissonBursts(s, server, 7, lambda, instructions, horizon, func(float64) {})
+	s.RunUntil(horizon)
+	if got := server.Utilization(); math.Abs(got-0.4) > 0.02 {
+		t.Errorf("utilization = %v, want ~0.4", got)
+	}
 }

@@ -23,7 +23,7 @@ import (
 // waiting for the central acknowledgement.
 func (s *SiteNode) commitPoint(t *txnRun) {
 	if t.marked {
-		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Txn: t.spec.ID, Site: s.idx})
+		s.observe(obs.Event{Kind: obs.AbortLocalSeized, Txn: t.spec.ID})
 		s.emit(trace.CrossAbortLocal, t.spec.ID, 0, "seized by central commit")
 		s.restart(t)
 		return
@@ -48,13 +48,11 @@ func (s *SiteNode) commitPoint(t *txnRun) {
 	}
 	s.emit(trace.CommitLocal, t.spec.ID, 0, "")
 
-	now := s.sched.Now()
-	rt := now - t.arrivedAt
+	rt := s.sched.Now() - t.arrivedAt
 	s.lastLocalRT = rt
 	s.inSystem--
 	s.running.Delete(t.id())
-	s.completed++
-	s.env.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Txn: t.spec.ID, Site: s.idx, Value: rt, Aux: float64(t.attempt)})
+	s.observe(obs.Event{Kind: obs.TxnLocalCommit, Txn: t.spec.ID, Value: rt, Aux: float64(t.attempt)})
 	s.recycleSpec(t.spec)
 	s.freeRun(t)
 }
@@ -87,7 +85,7 @@ func (c *CentralNode) commitPoint(t *txnRun) {
 	t.authPending = len(sites)
 	t.authNACK = false
 	t.authSeized = t.authSeized[:0]
-	env.observeAt(c.sched.Now(), obs.Event{Kind: obs.AuthRound, Txn: t.spec.ID, Site: -1, Value: float64(len(sites))})
+	c.observe(obs.Event{Kind: obs.AuthRound, Txn: t.spec.ID, Value: float64(len(sites))})
 
 	txnID := t.spec.ID
 	snap := c.snapshot()
@@ -190,7 +188,7 @@ func (c *CentralNode) OnAuthReply(site int, txnID int64, nack bool) bool {
 // abort re-runs a transaction that failed its commit point, after telling
 // the sites that seized locks for it (none before authentication) to let go.
 func (c *CentralNode) abort(t *txnRun, cause obs.Kind, reason string) {
-	c.env.observeAt(c.sched.Now(), obs.Event{Kind: cause, Txn: t.spec.ID, Site: -1})
+	c.observe(obs.Event{Kind: cause, Txn: t.spec.ID})
 	c.emit(trace.CrossAbortCentral, t.spec.ID, 0, reason)
 	c.releaseAuthLocks(t, c.snapshot())
 	c.restart(t)
@@ -225,9 +223,7 @@ func (c *CentralNode) finish(t *txnRun) {
 	c.inSystem--
 	c.running.Delete(t.id())
 	c.emit(trace.CommitCentral, t.spec.ID, 0, "")
-	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.TxnCentralCommit, Txn: t.spec.ID, Site: -1, Aux: float64(t.attempt)})
-
-	c.replyStarted++
+	c.observe(obs.Event{Kind: obs.TxnCentralCommit, Txn: t.spec.ID, Aux: float64(t.attempt)})
 	c.env.down.Reply(t.spec.HomeSite, t.spec.ID, t.spec.Class == workload.ClassB, snap)
 	c.freeRun(t)
 }
@@ -246,19 +242,17 @@ func (s *SiteNode) OnReply(txnID int64, snap Snapshot) bool {
 		return false
 	}
 	s.parked.Delete(lock.ID(txnID))
-	s.replyArrived++
 	s.emit(trace.ReplyDelivered, txnID, 0, "")
 	if s.env.cfg.Feedback == FeedbackAllMessages {
 		s.refreshView(snap)
 	}
 	rt := s.sched.Now() - p.arrivedAt
-	s.completed++
 	classB := p.spec.Class != workload.ClassA
 	if !classB {
 		s.shippedOut--
 		s.lastShippedRT = rt
 	}
-	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnReply, Txn: txnID, ClassB: classB, Value: rt, Site: s.idx})
+	s.observe(obs.Event{Kind: obs.TxnReply, Txn: txnID, ClassB: classB, Value: rt})
 	s.recycleSpec(p.spec)
 	return true
 }

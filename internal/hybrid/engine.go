@@ -185,21 +185,48 @@ func (e *Engine) Run() Result {
 			e.scheduleArrival(i)
 		}
 	}
+	// The global events, in the order a sequential run inserts them and a
+	// sharded one ranks them at a shared instant.
+	e.atGlobal(e.env.cfg.Warmup, prioMeasure, e.startMeasurement)
+	if e.env.cfg.SelfCheck {
+		e.chain(0, 10, prioSelfCheck, (*Engine).selfCheck)
+	}
+	e.chain(0, 1, prioSample, (*Engine).sampleQueues)
+	e.armEpochTicks()
 	if e.parallel {
-		e.runSharded()
+		e.group.Run(e.horizon)
 	} else {
-		e.simulator.Schedule(e.env.cfg.Warmup, e.startMeasurement)
-		if e.env.cfg.SelfCheck {
-			e.scheduleSelfCheck()
-		}
-		e.scheduleQueueSample()
-		e.armEpochTicks()
 		e.simulator.RunUntil(e.horizon)
 	}
 	if e.env.cfg.SelfCheck {
-		e.env.observeAt(e.horizon, obs.Event{Kind: obs.SelfCheck})
+		e.selfCheck(e.horizon)
 	}
 	return e.result()
+}
+
+// atGlobal schedules fn at instant at with every partition's clock on it:
+// an event of the one queue in a sequential run, a barrier event of rank
+// prio in a sharded one.
+func (e *Engine) atGlobal(at float64, prio int, fn func()) {
+	if e.parallel {
+		e.group.ScheduleGlobalAt(at, prio, fn)
+		return
+	}
+	e.simulator.ScheduleAt(at, fn)
+}
+
+// chain arms a global event chain: fire(e, next) at next = last+interval,
+// then the next link, up to the horizon. Both run modes build the instants
+// by the same repeated addition.
+func (e *Engine) chain(last, interval float64, prio int, fire func(*Engine, float64)) {
+	next := last + interval
+	if next > e.horizon {
+		return
+	}
+	e.atGlobal(next, prio, func() {
+		fire(e, next)
+		e.chain(next, interval, prio, fire)
+	})
 }
 
 func (e *Engine) scheduleArrival(site int) {
@@ -243,47 +270,37 @@ func (e *Engine) scheduleReplay(site, idx int) {
 	})
 }
 
-// startMeasurement opens the measurement window: the site layer snapshots
-// CPU busy time for utilization accounting, and observers arm themselves on
-// the MeasureStart event. In a sharded run it executes at a barrier with
-// every shard clock aligned on the warmup instant, so the busy-time
-// snapshots (which integrate up to "now") read exactly as in the sequential
-// run.
+// startMeasurement opens the measurement window: every partition snapshots
+// its event counts and CPU busy time, and observers arm themselves on the
+// MeasureStart event. In a sharded run it executes at a barrier with every
+// shard clock aligned on the warmup instant, so the busy-time snapshots
+// (which integrate up to "now") read exactly as in the sequential run.
 func (e *Engine) startMeasurement() {
 	for _, ls := range e.sites {
-		ls.busyAtWarmup = ls.cpu.BusyTime()
+		ls.markWarmup()
 	}
-	e.central.busyAtWarmup = e.central.cpu.BusyTime()
-	e.env.observeAt(e.env.cfg.Warmup, obs.Event{Kind: obs.MeasureStart})
+	e.central.markWarmup()
+	e.env.bus.Emit(obs.Event{At: e.env.cfg.Warmup, Kind: obs.MeasureStart})
 }
 
-// sampleQueues is the 1 Hz queue-length observation shared by both run
-// modes; at is the sample instant (every shard clock sits on it in a
-// sharded run).
+// sampleQueues is the 1 Hz queue-length observation; at is the sample
+// instant (every shard clock sits on it in a sharded run).
 func (e *Engine) sampleQueues(at float64) {
 	total := 0
 	for _, ls := range e.sites {
 		total += ls.cpu.QueueLength()
 	}
-	e.env.observeAt(at, obs.Event{
+	e.env.bus.Emit(obs.Event{
+		At:    at,
 		Kind:  obs.QueueSample,
 		Value: float64(e.central.cpu.QueueLength()),
 		Aux:   float64(total) / float64(len(e.sites)),
 	})
 }
 
-// scheduleQueueSample samples the CPU queue lengths once per simulated
-// second and publishes them on the bus (sequential mode; the sharded loop
-// arms the same chain as barrier events).
-func (e *Engine) scheduleQueueSample() {
-	const interval = 1.0
-	if e.simulator.Now()+interval > e.horizon {
-		return
-	}
-	e.simulator.Schedule(interval, func() {
-		e.sampleQueues(e.simulator.Now())
-		e.scheduleQueueSample()
-	})
+// selfCheck asks the invariant observer to audit the engine at instant at.
+func (e *Engine) selfCheck(at float64) {
+	e.env.bus.Emit(obs.Event{At: at, Kind: obs.SelfCheck})
 }
 
 // armEpochTicks starts every site's epoch ticker (epoch-batched propagation
@@ -296,27 +313,17 @@ func (e *Engine) armEpochTicks() {
 	}
 }
 
-func (e *Engine) scheduleSelfCheck() {
-	const interval = 10.0
-	if e.simulator.Now()+interval > e.horizon {
-		return
-	}
-	e.simulator.Schedule(interval, func() {
-		e.env.observeAt(e.simulator.Now(), obs.Event{Kind: obs.SelfCheck})
-		e.scheduleSelfCheck()
-	})
-}
-
-// flow sums the partition-owned conservation counters: transactions
-// generated and completed, shipped inputs still travelling to the central
-// site, and completion replies still travelling to their origin.
+// flow sums the partitions' event counts into the conservation totals:
+// transactions generated and completed, shipped inputs still travelling to
+// the central site, and completion replies still travelling to their origin.
 func (e *Engine) flow() (generated, completed, shipping, replying uint64) {
 	var shipped, replied uint64
 	for _, ls := range e.sites {
-		generated += ls.generated
-		completed += ls.completed
-		shipped += ls.shipStarted
-		replied += ls.replyArrived
+		generated += ls.counts.Arrivals()
+		completed += ls.counts.Completed()
+		shipped += ls.counts.Shipped()
+		replied += ls.counts[obs.TxnReply]
 	}
-	return generated, completed, shipped - e.central.shipArrived, e.central.replyStarted - replied
+	c := &e.central.counts
+	return generated, completed, shipped - c[obs.ShipArrive], c[obs.TxnCentralCommit] - replied
 }

@@ -30,7 +30,7 @@ func (e *Engine) checkInvariants() {
 		present += ls.check()
 		// One owner per run: a shipped transaction holds no run at home,
 		// only its parked input, from the Ship send to the Reply's delivery.
-		if sent := ls.shipStarted - ls.replyArrived; uint64(ls.away()) != sent {
+		if sent := ls.counts.Shipped() - ls.counts[obs.TxnReply]; uint64(ls.away()) != sent {
 			panic(fmt.Sprintf("hybrid: site %d parks %d shipped transactions, %d are unanswered",
 				ls.idx, ls.away(), sent))
 		}

@@ -5,11 +5,13 @@ import (
 	"hybriddb/internal/stats"
 )
 
-// metrics accumulates observations, gated by the measurement window: nothing
-// is recorded until the warmup period ends. It is an obs.Observer — the only
-// one the engine always subscribes — and every value it holds arrives over
-// the bus rather than through direct calls from the lifecycle layer.
-// Accumulation is partitioned: every event folds into the core of the
+// metrics accumulates the distributions and series of the Result — response
+// times, lock waits, view ages, queue samples — gated by the measurement
+// window: nothing is recorded until the warmup period ends. Event counts are
+// not kept here but in each partition's obs.Counts. It is an obs.Observer —
+// the only one the engine always subscribes — and every value it holds
+// arrives over the bus rather than through direct calls from the lifecycle
+// layer. Accumulation is partitioned: every event folds into the core of the
 // partition whose shard emitted it — the origin site, the central complex
 // (core index sites), or the run coordinator (core sites+1, for
 // barrier-time samples). In a sharded run each core is therefore written by
@@ -63,29 +65,10 @@ type metricsCore struct {
 	rtShippedA stats.Welford
 	rtClassB   stats.Welford
 
-	// Routing decisions (class A only) and arrivals.
-	decisionsLocal uint64
-	decisionsShip  uint64
-	arrivalsA      uint64
-	arrivalsB      uint64
-
-	// Aborts by cause.
-	abortsDeadlockLocal   uint64
-	abortsDeadlockCentral uint64
-	abortsLocalSeized     uint64 // local txn seized by a central authentication
-	abortsCentralNACK     uint64 // authentication refused (in-flight updates)
-	abortsCentralInval    uint64 // central lock invalidated by an async update
-
-	// Cold fetches under partial replication (central core).
-	coldFetches uint64
-
 	// Lock waits (site cores and the central core) and the staleness of the
 	// central-state view at each routing decision (site cores).
 	lockWait stats.Welford
 	viewAge  stats.Welford
-
-	// Authentication rounds (central core).
-	authRounds uint64
 
 	// 1 Hz queue-length samples (coordinator core only).
 	centralQueue stats.Welford
@@ -169,16 +152,8 @@ func (m *metrics) OnEvent(ev obs.Event) {
 	c := &m.cores[idx]
 	switch ev.Kind {
 	case obs.TxnArrive:
-		if ev.ClassB {
-			c.arrivalsB++
-			return
-		}
-		c.arrivalsA++
-		c.viewAge.Add(ev.Value)
-		if ev.Shipped {
-			c.decisionsShip++
-		} else {
-			c.decisionsLocal++
+		if !ev.ClassB {
+			c.viewAge.Add(ev.Value)
 		}
 	case obs.TxnLocalCommit:
 		c.rtAll.Add(ev.Value)
@@ -201,20 +176,6 @@ func (m *metrics) OnEvent(ev obs.Event) {
 		}
 	case obs.LockWaitEnd:
 		c.lockWait.Add(ev.Value)
-	case obs.AuthRound:
-		c.authRounds++
-	case obs.AbortDeadlockLocal:
-		c.abortsDeadlockLocal++
-	case obs.AbortDeadlockCentral:
-		c.abortsDeadlockCentral++
-	case obs.AbortLocalSeized:
-		c.abortsLocalSeized++
-	case obs.AbortCentralNACK:
-		c.abortsCentralNACK++
-	case obs.AbortCentralInval:
-		c.abortsCentralInval++
-	case obs.ColdFetch:
-		c.coldFetches++
 	case obs.QueueSample:
 		c.centralQueue.Add(ev.Value)
 		c.localQueue.Add(ev.Aux)
@@ -273,19 +234,8 @@ func (c *metricsCore) mergeInto(agg *metricsCore) {
 	agg.rtLocalA.Merge(&c.rtLocalA)
 	agg.rtShippedA.Merge(&c.rtShippedA)
 	agg.rtClassB.Merge(&c.rtClassB)
-	agg.decisionsLocal += c.decisionsLocal
-	agg.decisionsShip += c.decisionsShip
-	agg.arrivalsA += c.arrivalsA
-	agg.arrivalsB += c.arrivalsB
-	agg.abortsDeadlockLocal += c.abortsDeadlockLocal
-	agg.abortsDeadlockCentral += c.abortsDeadlockCentral
-	agg.abortsLocalSeized += c.abortsLocalSeized
-	agg.abortsCentralNACK += c.abortsCentralNACK
-	agg.abortsCentralInval += c.abortsCentralInval
-	agg.coldFetches += c.coldFetches
 	agg.lockWait.Merge(&c.lockWait)
 	agg.viewAge.Merge(&c.viewAge)
-	agg.authRounds += c.authRounds
 	agg.centralQueue.Merge(&c.centralQueue)
 	agg.localQueue.Merge(&c.localQueue)
 	mergeSeriesF(&agg.seriesSum, c.seriesSum)
@@ -313,17 +263,22 @@ func mergeSeriesU(dst *[]uint64, src []uint64) {
 	}
 }
 
-// result assembles the run's Result from the metrics observer, the site
-// layer's utilization accounting, and the network counters. It merges the
-// per-partition cores into one aggregate in fixed order; both run modes
-// take exactly this path, so a sequential and a sharded run of the same
-// configuration produce bit-identical Results.
+// result assembles the run's Result from the partitions' event counts, the
+// metrics observer, the site layer's utilization accounting, and the
+// network counters. It merges the per-partition cores into one aggregate in
+// fixed order; both run modes take exactly this path, so a sequential and a
+// sharded run of the same configuration produce bit-identical Results.
 func (e *Engine) result() Result {
 	// Both run modes leave every clock exactly at the horizon.
 	window := e.horizon - e.m.start
 	if !e.m.enabled || window <= 0 {
 		window = 0
 	}
+	var n obs.Counts // the window's events, summed over partitions
+	for _, ls := range e.sites {
+		ls.addWindow(&n)
+	}
+	e.central.addWindow(&n)
 	agg := &metricsCore{}
 	for i := range e.m.cores {
 		e.m.cores[i].mergeInto(agg)
@@ -363,17 +318,17 @@ func (e *Engine) result() Result {
 		ClipLocalA:            clipOf(aggH.histLocalA),
 		ClipShippedA:          clipOf(aggH.histShipA),
 		ClipClassB:            clipOf(aggH.histClassB),
-		AbortsDeadlockLocal:   agg.abortsDeadlockLocal,
-		AbortsDeadlockCentral: agg.abortsDeadlockCentral,
-		AbortsLocalSeized:     agg.abortsLocalSeized,
-		AbortsCentralNACK:     agg.abortsCentralNACK,
-		AbortsCentralInval:    agg.abortsCentralInval,
-		ColdFetches:           agg.coldFetches,
+		AbortsDeadlockLocal:   n[obs.AbortDeadlockLocal],
+		AbortsDeadlockCentral: n[obs.AbortDeadlockCentral],
+		AbortsLocalSeized:     n[obs.AbortLocalSeized],
+		AbortsCentralNACK:     n[obs.AbortCentralNACK],
+		AbortsCentralInval:    n[obs.AbortCentralInval],
+		ColdFetches:           n[obs.ColdFetch],
 		MeanLockWait:          agg.lockWait.Mean(),
 		MeanCentralQueue:      agg.centralQueue.Mean(),
 		MeanLocalQueue:        agg.localQueue.Mean(),
 		MeanViewAge:           agg.viewAge.Mean(),
-		AuthRounds:            agg.authRounds,
+		AuthRounds:            n[obs.AuthRound],
 		MessagesSent:          e.wire.net.MessagesSent(),
 	}
 	r.Generated, r.Completed, r.InFlightShip, r.InFlightReply = e.flow()
@@ -397,14 +352,10 @@ func (e *Engine) result() Result {
 		r.UtilLocalMax = max
 		r.UtilCentral = (e.central.cpu.BusyTime() - e.central.busyAtWarmup) / window
 	}
-	if d := agg.decisionsLocal + agg.decisionsShip; d > 0 {
-		r.ShipFraction = float64(agg.decisionsShip) / float64(d)
+	if d := n[obs.TxnArrive] + n[obs.ArriveShipA]; d > 0 {
+		r.ShipFraction = float64(n[obs.ArriveShipA]) / float64(d)
 	}
-	n := len(agg.seriesCount)
-	if len(agg.seriesQCount) > n {
-		n = len(agg.seriesQCount)
-	}
-	for i := 0; i < n; i++ {
+	for i := range max(len(agg.seriesCount), len(agg.seriesQCount)) {
 		b := RTBucket{Start: float64(i) * e.m.seriesBucket}
 		if i < len(agg.seriesCount) {
 			b.Completions = agg.seriesCount[i]

@@ -59,13 +59,6 @@ func (env *nodeEnv) init(cfg Config, observers []obs.Observer) {
 	}
 }
 
-// observeAt emits a lifecycle event stamped with the given time — the clock
-// of whichever partition the emitting handler is executing on.
-func (env *nodeEnv) observeAt(at float64, ev obs.Event) {
-	ev.At = at
-	env.bus.Emit(ev)
-}
-
 // detailed reports whether a detail (trace) observer is subscribed; callers
 // with expensive notes check it before rendering them.
 func (env *nodeEnv) detailed() bool { return env.bus.HasDetail() }
@@ -155,15 +148,6 @@ type SiteNode struct {
 	// generated transaction, schedule the following arrival), so steady-state
 	// arrival scheduling allocates no closures.
 	arriveFn func()
-
-	// Conservation counters, owned by this site and summed at
-	// barriers/results: transactions admitted here, completed from here
-	// (local commits and delivered replies), shipped inputs sent, and
-	// completion replies received.
-	generated    uint64
-	completed    uint64
-	shipStarted  uint64
-	replyArrived uint64
 }
 
 // parkedTxn is a shipped transaction as its home site remembers it.
@@ -177,11 +161,6 @@ type parkedTxn struct {
 // In a sharded run it owns shard 0.
 type CentralNode struct {
 	partition
-
-	// Conservation counters: shipped inputs received, completion replies
-	// sent.
-	shipArrived  uint64
-	replyStarted uint64
 
 	// Scratch buffers, reused across events (never captured by a closure or
 	// held across a message): the authentication fan-out's touched-site set
@@ -270,20 +249,19 @@ func (s *SiteNode) takeUpdBuf() []uint32 {
 // submission): class B ships unconditionally, class A consults the routing
 // strategy. It executes on the site's executor.
 func (s *SiteNode) Admit(spec *workload.Txn) {
-	s.generated++
 	if s.env.detailed() {
 		s.emit(trace.Arrive, spec.ID, 0, "class "+spec.Class.String())
 	}
 
 	if spec.Class == workload.ClassB {
-		s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, ClassB: true, Shipped: true, Site: s.idx})
+		s.observe(obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, ClassB: true, Shipped: true})
 		s.emit(trace.RouteShip, spec.ID, 0, "class B")
 		s.ship(spec)
 		return
 	}
 	st := s.routingState()
 	shipped := s.strategy.Decide(st) == routing.Ship
-	s.env.observeAt(s.sched.Now(), obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, Shipped: shipped, Value: st.ViewAge, Site: s.idx})
+	s.observe(obs.Event{Kind: obs.TxnArrive, Txn: spec.ID, Shipped: shipped, Value: st.ViewAge})
 	if shipped {
 		s.emit(trace.RouteShip, spec.ID, 0, "")
 		s.ship(spec)
@@ -309,7 +287,6 @@ func (s *SiteNode) ship(spec *workload.Txn) {
 	if spec.Class == workload.ClassA {
 		s.shippedOut++
 	}
-	s.shipStarted++
 	if s.parked == nil {
 		s.parked = flatmap.New[lock.ID, parkedTxn](0)
 	}
@@ -320,8 +297,7 @@ func (s *SiteNode) ship(spec *workload.Txn) {
 // OnShip receives a shipped transaction's input — the Ship message — and
 // starts it in a run of central's own.
 func (c *CentralNode) OnShip(spec *workload.Txn) {
-	c.shipArrived++
-	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.ShipArrive, Txn: spec.ID, Site: -1, Aux: float64(spec.HomeSite)})
+	c.observe(obs.Event{Kind: obs.ShipArrive, Txn: spec.ID, Aux: float64(spec.HomeSite)})
 	c.start(c.takeRun(spec))
 }
 

@@ -6,8 +6,10 @@
 //
 //   - Lifecycle events carry numeric payloads only (response times, queue
 //     lengths, abort causes) plus the transaction id, and are emitted
-//     unconditionally; the metrics observer folds them into the run's
-//     Result, and a live node derives its counters from them.
+//     unconditionally. The partition that emits one counts it in its Counts
+//     table, which the run's Result, the conservation checks and a live
+//     node's registry all read; the metrics observer folds the payloads
+//     into the Result's distributions.
 //   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
 //     event stream one-to-one, including rendered note strings. They are
 //     emitted only when a detail observer is subscribed (Bus.HasDetail), so
@@ -72,6 +74,44 @@ const (
 	// Txn/Site/Elem/Note). Emitted only when a detail observer subscribed.
 	TraceDetail
 )
+
+// Count slots past the last event kind: Counts splits TxnArrive three ways,
+// its own slot keeping the class A arrivals routed local. No event carries
+// these kinds.
+const (
+	ArriveShipA Kind = TraceDetail + 1 + iota // class A arrivals shipped
+	ArriveB                                   // class B arrivals (always shipped)
+	numCounts
+)
+
+// Counts is one partition's tally of the lifecycle events it emitted, indexed
+// by Kind (with TxnArrive split by class and route). Add is the only place an
+// event becomes a count.
+type Counts [numCounts]uint64
+
+// Add counts one event.
+func (c *Counts) Add(ev Event) {
+	k := ev.Kind
+	if k == TxnArrive {
+		switch {
+		case ev.ClassB:
+			k = ArriveB
+		case ev.Shipped:
+			k = ArriveShipA
+		}
+	}
+	c[k]++
+}
+
+// Arrivals returns the transactions admitted.
+func (c *Counts) Arrivals() uint64 { return c[TxnArrive] + c[ArriveShipA] + c[ArriveB] }
+
+// Shipped returns the transactions shipped to the central complex.
+func (c *Counts) Shipped() uint64 { return c[ArriveShipA] + c[ArriveB] }
+
+// Completed returns the transactions completed at their home site: local
+// commits and delivered replies.
+func (c *Counts) Completed() uint64 { return c[TxnLocalCommit] + c[TxnReply] }
 
 var kindNames = map[Kind]string{
 	MeasureStart:         "measure-start",

@@ -93,6 +93,28 @@ func TestTracerAdapterNilTracer(t *testing.T) {
 	a.OnEvent(Event{Kind: TraceDetail, Trace: trace.Arrive})
 }
 
+// TestCountsSplitArrivals: Add counts every kind in its own slot, except
+// TxnArrive, which it splits by class and route; the derived sums read the
+// split back.
+func TestCountsSplitArrivals(t *testing.T) {
+	var c Counts
+	for _, ev := range []Event{
+		{Kind: TxnArrive}, {Kind: TxnArrive},
+		{Kind: TxnArrive, Shipped: true},
+		{Kind: TxnArrive, ClassB: true, Shipped: true},
+		{Kind: TxnLocalCommit}, {Kind: TxnReply}, {Kind: ColdFetch},
+	} {
+		c.Add(ev)
+	}
+	if c[TxnArrive] != 2 || c[ArriveShipA] != 1 || c[ArriveB] != 1 {
+		t.Errorf("arrivals local/ship/B = %d/%d/%d, want 2/1/1", c[TxnArrive], c[ArriveShipA], c[ArriveB])
+	}
+	if c.Arrivals() != 4 || c.Shipped() != 2 || c.Completed() != 2 || c[ColdFetch] != 1 {
+		t.Errorf("arrivals %d shipped %d completed %d cold %d, want 4 2 2 1",
+			c.Arrivals(), c.Shipped(), c.Completed(), c[ColdFetch])
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for k := MeasureStart; k <= TraceDetail; k++ {
 		if s := k.String(); s == "" || s == "Kind(?)" {

@@ -13,7 +13,7 @@ package hybrid
 // Bit-exactness with the sequential loop rests on three properties:
 //
 //  1. Partitioned determinism. Every random stream, transaction-ID block,
-//     strategy instance, metric accumulator, and conservation counter is
+//     strategy instance, metric accumulator, and event count table is
 //     owned by exactly one partition (a site, the central complex, or the
 //     coordinator), so no result depends on the global interleaving of
 //     events at different partitions — only on each partition's own event
@@ -37,14 +37,14 @@ package hybrid
 
 import (
 	"hybriddb/internal/exec"
-	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
 )
 
-// Barrier priorities for globally synchronized events, replicating the
-// scheduling-order tie-break of the sequential loop (the measurement event
-// is scheduled first, the self-check chain second, the sample chain third).
+// Barrier priorities for the global events (Engine.atGlobal), replicating
+// the scheduling-order tie-break of the sequential loop (the measurement
+// event is scheduled first, the self-check chain second, the sample chain
+// third).
 const (
 	prioMeasure = iota
 	prioSelfCheck
@@ -133,50 +133,6 @@ func (e *Engine) confineStrategy(shardOf []int, loops int) {
 		}
 		ls.strategy = perLoop[loop]
 	}
-}
-
-// runSharded drives the Group: the global measurement/sample/check chains
-// are armed as barrier events with times built by the same repeated
-// addition the sequential chains perform, then the synchronizer runs to the
-// horizon.
-func (e *Engine) runSharded() {
-	e.group.ScheduleGlobalAt(e.env.cfg.Warmup, prioMeasure, e.startMeasurement)
-	if e.env.cfg.SelfCheck {
-		e.armSelfCheck(0)
-	}
-	e.armQueueSample(0)
-	e.armEpochTicks()
-	e.group.Run(e.horizon)
-}
-
-// armSelfCheck arms the next barrier self-check after instant last. The
-// next time is last+10 — the identical float the sequential chain computes
-// by scheduling 10 seconds after firing at last.
-func (e *Engine) armSelfCheck(last float64) {
-	const interval = 10.0
-	next := last + interval
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, prioSelfCheck, func() {
-		e.env.observeAt(next, obs.Event{Kind: obs.SelfCheck})
-		e.armSelfCheck(next)
-	})
-}
-
-// armQueueSample arms the next 1 Hz barrier queue sample after instant
-// last; every shard clock sits on the sample instant when it fires, so the
-// queue lengths read are the sequential ones.
-func (e *Engine) armQueueSample(last float64) {
-	const interval = 1.0
-	next := last + interval
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, prioSample, func() {
-		e.sampleQueues(next)
-		e.armQueueSample(next)
-	})
 }
 
 // shardLink is one directed site<->central link of a sharded run. The sent

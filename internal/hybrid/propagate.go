@@ -140,7 +140,7 @@ func (c *CentralNode) applyNow(site int, txnID int64, updates []uint32) {
 	if c.env.detailed() {
 		c.emit(trace.UpdateApplied, 0, 0, fmt.Sprintf("%d elements from site %d", len(updates), site))
 	}
-	c.env.observeAt(c.sched.Now(), obs.Event{Kind: obs.UpdateApplied, Txn: txnID, Site: -1, Value: float64(len(updates)), Aux: float64(site)})
+	c.observe(obs.Event{Kind: obs.UpdateApplied, Txn: txnID, Value: float64(len(updates)), Aux: float64(site)})
 	c.env.down.UpdateAck(site, updates, c.snapshot())
 }
 

@@ -263,7 +263,7 @@ func TestSiteNodeIgnoresStrayReplies(t *testing.T) {
 		t.Fatalf("class B admission sent %d ships and parked %d", len(wire.ships), node.away())
 	}
 	state := func() [6]uint64 {
-		return [6]uint64{node.replyArrived, node.completed, uint64(node.away()),
+		return [6]uint64{node.counts[obs.TxnReply], node.counts.Completed(), uint64(node.away()),
 			uint64(events[obs.TxnReply]), uint64(len(node.txnFree)), uint64(node.view.Queue)}
 	}
 	fresh := Snapshot{Queue: 9, At: 1}
@@ -278,8 +278,8 @@ func TestSiteNodeIgnoresStrayReplies(t *testing.T) {
 	if !node.OnReply(spec.ID, fresh) {
 		t.Fatal("the reply for the shipped transaction was refused")
 	}
-	if events[obs.TxnReply] != 1 || node.completed != 1 || node.away() != 0 {
-		t.Errorf("after the reply: %d TxnReply events, %d completed, %d parked", events[obs.TxnReply], node.completed, node.away())
+	if events[obs.TxnReply] != 1 || node.counts.Completed() != 1 || node.away() != 0 {
+		t.Errorf("after the reply: %d TxnReply events, %d completed, %d parked", events[obs.TxnReply], node.counts.Completed(), node.away())
 	}
 	before = state()
 	if node.OnReply(spec.ID, Snapshot{Queue: 4, At: 2}) {
