@@ -223,10 +223,12 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatalf("call on first connection: %v", err)
 	}
 
-	// Kill the server; the link drops and sends fail fast.
+	// Kill the server; the link drops and sends fail fast. Wait for the
+	// client to drop the dead connection, not just for a failed send: until
+	// it does, WaitConnected still reports the dead one.
 	stop()
 	for {
-		if err := cl.Send(MsgSubmit, 0, nil); err != nil {
+		if err := cl.Send(MsgSubmit, 0, nil); errors.Is(err, ErrNotConnected) {
 			break
 		}
 		if ctx.Err() != nil {
