@@ -108,9 +108,9 @@ alloc-gate:
 	bash scripts/allocgate.sh
 
 # Output gate: the CLI outputs of the experiment code — every figure table
-# and CSV, max-throughput, architectures, validation, replicated hybridsim,
-# a manifest summary and the root benchmarks' custom metrics — must equal
-# the merge-base's byte for byte (scripts/outputgate.sh; under a minute).
+# and CSV, max-throughput, architectures (figure and example), validation,
+# replicated hybridsim, a manifest summary and the root benchmarks' custom
+# metrics — must equal the merge-base's byte for byte (scripts/outputgate.sh; under a minute).
 output-gate:
 	bash scripts/outputgate.sh
 

@@ -119,16 +119,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-shards must be non-negative (0 or 1 runs sequentially), got %d", *shards)
 	}
 	cfg.Shards = *shards
-	switch *feedback {
-	case "auth-only":
-		cfg.Feedback = hybrid.FeedbackAuthOnly
-	case "all-messages":
-		cfg.Feedback = hybrid.FeedbackAllMessages
-	case "ideal":
-		cfg.Feedback = hybrid.FeedbackIdeal
-	default:
-		return fmt.Errorf("unknown feedback mode %q", *feedback)
+	fb, err := hybrid.ParseFeedback(*feedback)
+	if err != nil {
+		return err
 	}
+	cfg.Feedback = fb
 
 	if *maniOut != "" {
 		// Manifests carry full histogram dumps, so ask the engine to keep them.
@@ -183,10 +178,8 @@ func run(args []string, out io.Writer) error {
 		if *spansOut != "" {
 			return fmt.Errorf("-spans records a single run; drop -replications")
 		}
-		if *shards > 1 {
-			if s := shardFallbackReason(cfg); s != "" {
-				fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, running sequentially: %s\n", *shards, s)
-			}
+		if _, why := cfg.EffectiveShards(); why != "" {
+			fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, running sequentially: %s\n", *shards, why)
 		}
 		// Ctrl-C / SIGTERM stops dispatching further replications; the ones
 		// in flight finish, and everything measured so far is still
@@ -245,9 +238,9 @@ func run(args []string, out io.Writer) error {
 	}
 	r := engine.Run()
 	if *shards > 1 && !engine.Parallel() {
-		reason := "an external observer is attached (-spans needs the single ordered event stream)"
-		if s := shardFallbackReason(cfg); s != "" {
-			reason = s
+		_, reason := cfg.EffectiveShards()
+		if reason == "" {
+			reason = "an external observer is attached (-spans needs the single ordered event stream)"
 		}
 		fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, ran sequentially: %s\n", *shards, reason)
 	}
@@ -322,21 +315,6 @@ func applyPreset(name string, cfg *hybrid.Config) (presetExtras, error) {
 		return presetExtras{shards: runtime.GOMAXPROCS(0)}, nil
 	}
 	return presetExtras{}, fmt.Errorf("unknown preset %q (presets: %s)", name, strings.Join(presetNames(), ", "))
-}
-
-// shardFallbackReason names the configuration property that forces the
-// engine to ignore Shards>1 and run sequentially, or "" if the
-// configuration itself can shard (an attached observer can still force
-// sequential; the engine reports that case via Parallel()). Mirrors the
-// eligibility test in the engine's setupRunMode.
-func shardFallbackReason(cfg hybrid.Config) string {
-	switch {
-	case cfg.CommDelay <= 0:
-		return "zero -delay leaves no conservative lookahead window"
-	case cfg.Feedback == hybrid.FeedbackIdeal:
-		return "ideal feedback reads central state with no delay"
-	}
-	return ""
 }
 
 // warnClipped flags histogram overflow: observations above the bucketed

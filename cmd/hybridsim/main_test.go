@@ -12,22 +12,23 @@ import (
 	"hybriddb/internal/obsx/manifest"
 )
 
-// TestShardFallbackReason pins the config-level sharding eligibility
-// explanation against the engine's own decision.
+// TestShardFallbackReason pins the reason the -shards note prints, from
+// the config-level eligibility rule the engine itself applies.
 func TestShardFallbackReason(t *testing.T) {
 	cfg := hybrid.DefaultConfig()
-	if s := shardFallbackReason(cfg); s != "" {
-		t.Errorf("default config flagged as unshardable: %q", s)
+	cfg.Shards = 4
+	if n, s := cfg.EffectiveShards(); n != 4 || s != "" {
+		t.Errorf("default config flagged as unshardable: %d shards, %q", n, s)
 	}
-	cfg = hybrid.DefaultConfig()
 	cfg.CommDelay = 0
-	if s := shardFallbackReason(cfg); !strings.Contains(s, "delay") {
-		t.Errorf("zero delay reason %q does not name the delay", s)
+	if n, s := cfg.EffectiveShards(); n != 1 || !strings.Contains(s, "delay") {
+		t.Errorf("zero delay: %d shards, reason %q does not name the delay", n, s)
 	}
 	cfg = hybrid.DefaultConfig()
+	cfg.Shards = 4
 	cfg.Feedback = hybrid.FeedbackIdeal
-	if s := shardFallbackReason(cfg); !strings.Contains(s, "ideal") {
-		t.Errorf("ideal feedback reason %q does not name the feedback mode", s)
+	if n, s := cfg.EffectiveShards(); n != 1 || !strings.Contains(s, "ideal") {
+		t.Errorf("ideal feedback: %d shards, reason %q does not name the feedback mode", n, s)
 	}
 }
 

@@ -9,6 +9,9 @@
 //     becomes a remote function call; cross-site commits use a two-phase
 //     protocol and cross-site deadlocks are broken by lock-wait timeouts.
 //
+// Both are one engine (run) over two placements of the same work: where a
+// transaction executes, where each element lives, and what links them.
+//
 // The paper cites [DIAS87] for the motivating claim: the distributed system
 // beats the centralized one only when remote calls per transaction are
 // significantly below one, and the hybrid was designed to get the best of
@@ -52,8 +55,6 @@ type Result struct {
 	RemoteCallsPerTxn float64
 }
 
-// ---- Fully centralized architecture.
-
 // RunCentralized simulates the fully centralized system under the shared
 // configuration: every transaction (class A and B alike) is shipped to the
 // central site, runs there under ordinary two-phase locking with deadlock
@@ -62,129 +63,8 @@ func RunCentralized(cfg hybrid.Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	var (
-		s       = sim.New()
-		root    = rng.New(cfg.Seed)
-		gen     = workload.NewGenerator(cfg.WorkloadConfig(), root.Split().Uint64())
-		server  = cpu.NewServer(exec.Sim(s), cfg.CentralMIPS)
-		locks   = lock.NewManager()
-		horizon = cfg.Warmup + cfg.Duration
-
-		rt        stats.Welford
-		hist      = stats.NewHistogram(0, 60, 600)
-		measuring bool
-		busy0     float64
-		generated uint64
-		completed uint64
-		aborts    uint64
-	)
-
-	type txn struct {
-		spec      *workload.Txn
-		arrivedAt float64
-		attempt   int
-	}
-
-	var runCall func(t *txn, i int)
-	commit := func(t *txn) {
-		for _, elem := range t.spec.Elements {
-			locks.Release(lock.ID(t.spec.ID), elem)
-		}
-		// Reply to the origin terminal.
-		s.Schedule(cfg.CommDelay, func() {
-			completed++
-			if measuring {
-				r := s.Now() - t.arrivedAt
-				rt.Add(r)
-				hist.Add(r)
-			}
-		})
-	}
-	abort := func(t *txn) {
-		if measuring {
-			aborts++
-		}
-		locks.ReleaseAll(lock.ID(t.spec.ID))
-		t.attempt++
-		s.Schedule(cfg.RestartDelay, func() { runCall(t, 0) })
-	}
-	runCall = func(t *txn, i int) {
-		if i >= cfg.CallsPerTxn {
-			commit(t)
-			return
-		}
-		server.Submit(cfg.InstrPerCall, func() {
-			elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-			proceed := func() {
-				if t.attempt == 1 {
-					s.Schedule(cfg.IOTimePerCall, func() { runCall(t, i+1) })
-					return
-				}
-				runCall(t, i+1)
-			}
-			if _, held := locks.Holds(lock.ID(t.spec.ID), elem); held {
-				proceed()
-				return
-			}
-			switch locks.Acquire(lock.ID(t.spec.ID), elem, mode, proceed) {
-			case lock.Granted:
-				proceed()
-			case lock.Queued:
-				// proceed runs on grant.
-			case lock.Deadlock:
-				abort(t)
-			}
-		})
-	}
-	start := func(t *txn) {
-		server.Submit(cfg.InstrOverhead, func() {
-			s.Schedule(cfg.SetupIOTime, func() { runCall(t, 0) })
-		})
-	}
-
-	arrivalSeeds := root.Split()
-	for site := 0; site < cfg.Sites; site++ {
-		site := site
-		arr := workload.NewArrivals(cfg.SiteRate(site), arrivalSeeds.Uint64())
-		var schedule func()
-		schedule = func() {
-			gap := arr.Next()
-			if s.Now()+gap > horizon {
-				return
-			}
-			s.Schedule(gap, func() {
-				spec := gen.Next(site)
-				generated++
-				t := &txn{spec: spec, arrivedAt: s.Now(), attempt: 1}
-				// Input message shipped to the central site.
-				s.Schedule(cfg.CommDelay, func() { start(t) })
-				schedule()
-			})
-		}
-		schedule()
-	}
-	s.Schedule(cfg.Warmup, func() {
-		measuring = true
-		busy0 = server.BusyTime()
-	})
-	s.RunUntil(horizon)
-
-	window := cfg.Duration
-	res := Result{
-		Architecture: "centralized",
-		Window:       window,
-		MeanRT:       rt.Mean(),
-		P95RT:        hist.Quantile(0.95),
-		Throughput:   float64(rt.Count()) / window,
-		Generated:    generated,
-		Completed:    completed,
-		Aborts:       aborts,
-		UtilCentral:  (server.BusyTime() - busy0) / window,
-	}
-	return res, nil
+	return run(cfg, placement{arch: "centralized", nodes: 1, mips: cfg.CentralMIPS, ship: true}), nil
 }
-
-// ---- Fully distributed architecture.
 
 // DefaultLockTimeout is the lock-wait timeout used to break cross-site
 // deadlocks in the distributed architecture — the standard mechanism of the
@@ -206,6 +86,48 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 	if lockTimeout <= 0 {
 		return Result{}, fmt.Errorf("altarch: lock timeout %v must be positive", lockTimeout)
 	}
+	return run(cfg, placement{
+		arch: "distributed", nodes: cfg.Sites, mips: cfg.LocalMIPS,
+		atHome: true, partitioned: true, lockTimeout: lockTimeout, releaseAll: true,
+	}), nil
+}
+
+// placement says where an architecture puts the shared workload: on nodes
+// processors of mips MIPS, each with its own lock manager.
+type placement struct {
+	arch  string // Result.Architecture
+	nodes int
+	mips  float64
+	// atHome runs a transaction at its home site rather than at node 0, and
+	// partitioned keeps an element at its master site (PartitionOf) rather
+	// than at node 0. A call on an element that lives away from the
+	// executing node is a remote function call.
+	atHome, partitioned bool
+	// ship sends a transaction's input to its executing node and the reply
+	// back, CommDelay each way.
+	ship bool
+	// lockTimeout, when positive, aborts a transaction whose lock wait
+	// outlasts it. A deadlock one node's wait-for graph sees aborts at once.
+	lockTimeout float64
+	// releaseAll frees the executing node's locks at commit with one
+	// ReleaseAll (ascending element order) instead of one Release per lock
+	// in acquisition order.
+	releaseAll bool
+}
+
+// txn is one transaction of a run, across its attempts.
+type txn struct {
+	spec      *workload.Txn
+	arrivedAt float64
+	attempt   int
+	epoch     int // invalidates stale grants and timeouts after an abort
+	// locked[n] lists the elements this attempt holds at node n, in
+	// acquisition order.
+	locked [][]uint32
+}
+
+// run simulates cfg's workload under placement p.
+func run(cfg hybrid.Config, p placement) Result {
 	var (
 		s       = sim.New()
 		root    = rng.New(cfg.Seed)
@@ -220,95 +142,101 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 		completed   uint64
 		aborts      uint64
 		remoteCalls uint64
-		txnsDone    uint64
 	)
 
-	type site struct {
+	type node struct {
 		cpu   *cpu.Server
 		locks *lock.Manager
 		busy0 float64
 	}
-	sites := make([]*site, cfg.Sites)
-	for i := range sites {
-		sites[i] = &site{cpu: cpu.NewServer(exec.Sim(s), cfg.LocalMIPS), locks: lock.NewManager()}
+	nodes := make([]*node, p.nodes)
+	for i := range nodes {
+		nodes[i] = &node{cpu: cpu.NewServer(exec.Sim(s), p.mips), locks: lock.NewManager()}
+	}
+	execAt := func(t *txn) int {
+		if p.atHome {
+			return t.spec.HomeSite
+		}
+		return 0
 	}
 
-	type txn struct {
-		spec      *workload.Txn
-		arrivedAt float64
-		attempt   int
-		epoch     int // invalidates stale timeout events after abort/grant
-		// lockedAt[site] lists elements this attempt holds per site.
-		lockedAt map[int][]uint32
-	}
-
-	var runCall func(t *txn, i int)
-
-	releaseEverywhere := func(t *txn) {
-		for siteIdx, elems := range t.lockedAt {
-			st := sites[siteIdx]
-			home := t.spec.HomeSite
-			if siteIdx == home {
-				st.locks.ReleaseAll(lock.ID(t.spec.ID))
+	// release frees every lock t holds, node by node in ascending order: at
+	// the executing node at once, elsewhere by a message CommDelay later.
+	release := func(t *txn, abort bool) {
+		id, at := lock.ID(t.spec.ID), execAt(t)
+		for n, elems := range t.locked {
+			if len(elems) == 0 {
 				continue
 			}
-			elems := elems
-			// Remote release travels as a message.
-			s.Schedule(cfg.CommDelay, func() {
+			locks := nodes[n].locks
+			each := func() {
 				for _, elem := range elems {
-					st.locks.Release(lock.ID(t.spec.ID), elem)
+					locks.Release(id, elem)
 				}
-			})
+			}
+			switch {
+			case n != at:
+				s.Schedule(cfg.CommDelay, each)
+			case abort || p.releaseAll:
+				locks.ReleaseAll(id)
+			default:
+				each()
+			}
+			t.locked[n] = nil // not [:0]: a pending release message reads elems
 		}
-		t.lockedAt = make(map[int][]uint32)
 	}
+
+	var call func(t *txn, i int)
 
 	abort := func(t *txn) {
 		if measuring {
 			aborts++
 		}
-		// Cancel any queued request at the site we were waiting on.
-		for _, st := range sites {
-			st.locks.CancelRequest(lock.ID(t.spec.ID))
+		// Cancel any queued request at the node we were waiting on.
+		for _, n := range nodes {
+			n.locks.CancelRequest(lock.ID(t.spec.ID))
 		}
-		releaseEverywhere(t)
+		release(t, true)
 		t.attempt++
 		t.epoch++
-		s.Schedule(cfg.RestartDelay, func() { runCall(t, 0) })
+		s.Schedule(cfg.RestartDelay, func() { call(t, 0) })
 	}
 
 	commit := func(t *txn) {
-		remote := 0
-		for siteIdx := range t.lockedAt {
-			if siteIdx != t.spec.HomeSite {
-				remote++
-			}
-		}
 		finish := func() {
-			releaseEverywhere(t)
-			completed++
-			txnsDone++
-			if measuring {
-				r := s.Now() - t.arrivedAt
-				rt.Add(r)
-				hist.Add(r)
+			release(t, false)
+			reply := func() {
+				completed++
+				if measuring {
+					r := s.Now() - t.arrivedAt
+					rt.Add(r)
+					hist.Add(r)
+				}
+			}
+			if p.ship {
+				// Reply to the origin terminal.
+				s.Schedule(cfg.CommDelay, reply)
+				return
+			}
+			reply()
+		}
+		for n, elems := range t.locked {
+			if n != execAt(t) && len(elems) > 0 {
+				// Two-phase commit: prepare round trip to the participants,
+				// then commit messages (releases ride on them).
+				s.Schedule(2*cfg.CommDelay, finish)
+				return
 			}
 		}
-		if remote == 0 {
-			// Purely local: commit without any communication [DATE81].
-			finish()
-			return
-		}
-		// Two-phase commit: prepare round trip to the participants, then
-		// commit messages (releases ride on them via releaseEverywhere).
-		s.Schedule(2*cfg.CommDelay, finish)
+		// Purely local: commit without any communication [DATE81].
+		finish()
 	}
 
-	// acquire obtains elem at siteIdx for t, then calls next. Lock waits are
-	// bounded by lockTimeout. Deadlocks local to one site abort immediately.
-	acquire := func(t *txn, siteIdx int, elem uint32, mode lock.Mode, next func()) {
-		st := sites[siteIdx]
-		if _, held := st.locks.Holds(lock.ID(t.spec.ID), elem); held {
+	// acquire obtains elem at node n for t, then calls next. A deadlock local
+	// to the node aborts t at once; so does a wait past p.lockTimeout.
+	acquire := func(t *txn, n int, elem uint32, mode lock.Mode, next func()) {
+		locks, id := nodes[n].locks, lock.ID(t.spec.ID)
+		if _, held := locks.Holds(id, elem); held {
 			next()
 			return
 		}
@@ -317,48 +245,53 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 			if t.epoch != epoch {
 				return // aborted while waiting; grant is stale
 			}
-			t.lockedAt[siteIdx] = append(t.lockedAt[siteIdx], elem)
+			t.locked[n] = append(t.locked[n], elem)
 			next()
 		}
-		switch st.locks.Acquire(lock.ID(t.spec.ID), elem, mode, func() { granted() }) {
+		switch locks.Acquire(id, elem, mode, granted) {
 		case lock.Granted:
 			granted()
 		case lock.Queued:
-			s.Schedule(lockTimeout, func() {
-				if t.epoch != epoch {
-					return
-				}
-				if _, waiting := st.locks.Waiting(lock.ID(t.spec.ID)); waiting {
-					abort(t)
-				}
-			})
+			if p.lockTimeout > 0 {
+				s.Schedule(p.lockTimeout, func() {
+					if t.epoch != epoch {
+						return
+					}
+					if _, waiting := locks.Waiting(id); waiting {
+						abort(t)
+					}
+				})
+			}
 		case lock.Deadlock:
 			abort(t)
 		}
 	}
 
-	runCall = func(t *txn, i int) {
+	call = func(t *txn, i int) {
 		if i >= cfg.CallsPerTxn {
 			commit(t)
 			return
 		}
-		home := t.spec.HomeSite
+		at := execAt(t)
 		elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-		master := wl.PartitionOf(elem)
+		master := 0
+		if p.partitioned {
+			master = wl.PartitionOf(elem)
+		}
 		epoch := t.epoch
 		proceed := func() {
 			if t.epoch != epoch {
 				return
 			}
 			if t.attempt == 1 {
-				s.Schedule(cfg.IOTimePerCall, func() { runCall(t, i+1) })
+				s.Schedule(cfg.IOTimePerCall, func() { call(t, i+1) })
 				return
 			}
-			runCall(t, i+1)
+			call(t, i+1)
 		}
-		if master == home {
-			sites[home].cpu.Submit(cfg.InstrPerCall, func() {
-				acquire(t, home, elem, mode, proceed)
+		if master == at {
+			nodes[at].cpu.Submit(cfg.InstrPerCall, func() {
+				acquire(t, at, elem, mode, proceed)
 			})
 			return
 		}
@@ -368,7 +301,7 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 			remoteCalls++
 		}
 		s.Schedule(cfg.CommDelay, func() {
-			sites[master].cpu.Submit(cfg.InstrPerCall, func() {
+			nodes[master].cpu.Submit(cfg.InstrPerCall, func() {
 				acquire(t, master, elem, mode, func() {
 					done := func() {
 						s.Schedule(cfg.CommDelay, proceed)
@@ -384,16 +317,14 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 	}
 
 	start := func(t *txn) {
-		home := t.spec.HomeSite
-		sites[home].cpu.Submit(cfg.InstrOverhead, func() {
-			s.Schedule(cfg.SetupIOTime, func() { runCall(t, 0) })
+		nodes[execAt(t)].cpu.Submit(cfg.InstrOverhead, func() {
+			s.Schedule(cfg.SetupIOTime, func() { call(t, 0) })
 		})
 	}
 
 	arrivalSeeds := root.Split()
-	for siteIdx := 0; siteIdx < cfg.Sites; siteIdx++ {
-		siteIdx := siteIdx
-		arr := workload.NewArrivals(cfg.SiteRate(siteIdx), arrivalSeeds.Uint64())
+	for site := 0; site < cfg.Sites; site++ {
+		arr := workload.NewArrivals(cfg.SiteRate(site), arrivalSeeds.Uint64())
 		var schedule func()
 		schedule = func() {
 			gap := arr.Next()
@@ -401,13 +332,17 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 				return
 			}
 			s.Schedule(gap, func() {
-				spec := gen.Next(siteIdx)
 				generated++
 				t := &txn{
-					spec: spec, arrivedAt: s.Now(), attempt: 1,
-					lockedAt: make(map[int][]uint32),
+					spec: gen.Next(site), arrivedAt: s.Now(), attempt: 1,
+					locked: make([][]uint32, p.nodes),
 				}
-				start(t)
+				if p.ship {
+					// Input message shipped to the executing node.
+					s.Schedule(cfg.CommDelay, func() { start(t) })
+				} else {
+					start(t)
+				}
 				schedule()
 			})
 		}
@@ -415,23 +350,24 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 	}
 	s.Schedule(cfg.Warmup, func() {
 		measuring = true
-		for _, st := range sites {
-			st.busy0 = st.cpu.BusyTime()
+		for _, n := range nodes {
+			n.busy0 = n.cpu.BusyTime()
 		}
 	})
 	s.RunUntil(horizon)
 
 	window := cfg.Duration
-	var utilSum float64
-	for _, st := range sites {
-		utilSum += (st.cpu.BusyTime() - st.busy0) / window
+	var util float64
+	for _, n := range nodes {
+		util += (n.cpu.BusyTime() - n.busy0) / window
 	}
+	util /= float64(len(nodes))
 	var perTxn float64
 	if rt.Count() > 0 {
 		perTxn = float64(remoteCalls) / float64(rt.Count())
 	}
-	return Result{
-		Architecture:      "distributed",
+	res := Result{
+		Architecture:      p.arch,
 		Window:            window,
 		MeanRT:            rt.Mean(),
 		P95RT:             hist.Quantile(0.95),
@@ -439,7 +375,12 @@ func RunDistributed(cfg hybrid.Config, lockTimeout float64) (Result, error) {
 		Generated:         generated,
 		Completed:         completed,
 		Aborts:            aborts,
-		UtilLocalMean:     utilSum / float64(len(sites)),
 		RemoteCallsPerTxn: perTxn,
-	}, nil
+	}
+	if p.atHome {
+		res.UtilLocalMean = util
+	} else {
+		res.UtilCentral = util
+	}
+	return res
 }

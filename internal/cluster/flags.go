@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"flag"
-	"fmt"
 
 	"hybriddb/internal/hybrid"
 )
@@ -74,7 +73,7 @@ func RegisterConfigFlags(fs *flag.FlagSet) *ConfigFlags {
 		ioCall:      fs.Float64("io-call", def.IOTimePerCall, "I/O seconds per database call (first run)"),
 		ioSetup:     fs.Float64("io-setup", def.SetupIOTime, "setup I/O seconds before locks are held"),
 		restart:     fs.Float64("restart-delay", def.RestartDelay, "delay before re-running an aborted transaction, seconds"),
-		feedback:    fs.String("feedback", "all-messages", "central-state feedback: auth-only or all-messages"),
+		feedback:    fs.String("feedback", def.Feedback.String(), "central-state feedback: auth-only or all-messages"),
 		seed:        fs.Uint64("seed", def.Seed, "configuration seed (strategy forking; the load generator seeds the workload)"),
 		skew:        fs.Float64("skew", def.SkewTheta, "Zipf exponent of the lock-reference distribution (0 = uniform)"),
 		hotFraction: fs.Float64("hot-fraction", def.CentralHotFraction, "fraction of each partition replicated at central (1 = full replication)"),
@@ -103,16 +102,11 @@ func (f *ConfigFlags) Config() (hybrid.Config, error) {
 	cfg.SkewTheta = *f.skew
 	cfg.CentralHotFraction = *f.hotFraction
 	cfg.ColdFetchDelay = *f.coldFetch
-	switch *f.feedback {
-	case "auth-only":
-		cfg.Feedback = hybrid.FeedbackAuthOnly
-	case "all-messages":
-		cfg.Feedback = hybrid.FeedbackAllMessages
-	default:
-		return cfg, fmt.Errorf("cluster: unknown feedback mode %q (live nodes support auth-only and all-messages)", *f.feedback)
-	}
-	if err := validate(cfg); err != nil {
+	fb, err := hybrid.ParseFeedback(*f.feedback)
+	if err != nil {
 		return cfg, err
 	}
-	return cfg, nil
+	cfg.Feedback = fb
+	// validate rejects ideal feedback, which only the simulator can honor.
+	return cfg, validate(cfg)
 }

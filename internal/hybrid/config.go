@@ -49,6 +49,16 @@ func (f Feedback) String() string {
 	}
 }
 
+// ParseFeedback is the inverse of Feedback.String over the three modes.
+func ParseFeedback(s string) (Feedback, error) {
+	for _, f := range []Feedback{FeedbackAuthOnly, FeedbackAllMessages, FeedbackIdeal} {
+		if f.String() == s {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("hybrid: unknown feedback mode %q (auth-only, all-messages or ideal)", s)
+}
+
 // Config holds every simulation parameter. DefaultConfig returns the §4.1
 // values; experiments vary ArrivalRatePerSite, CommDelay and the strategy.
 type Config struct {
@@ -151,10 +161,10 @@ type Config struct {
 	// conservatively with CommDelay as the lookahead window (DESIGN.md §12).
 	// Results are bit-identical to the sequential core (Shards <= 1), which
 	// the internal/simtest differential gate enforces. The engine falls
-	// back to the sequential loop when the configuration cannot shard:
-	// CommDelay == 0 (no lookahead), FeedbackIdeal (strategies read central
-	// state instantaneously), or an external observer/tracer is subscribed
-	// (observers see one interleaved event stream only sequentially).
+	// back to the sequential loop when the configuration cannot shard
+	// (EffectiveShards says why) or an external observer/tracer is
+	// subscribed (observers see one interleaved event stream only
+	// sequentially).
 	Shards int
 	// SeriesBucket, when positive, records a mean-response-time and
 	// queue-length time series with the given bucket width in seconds
@@ -305,6 +315,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hybrid: unknown feedback mode %v", c.Feedback)
 	}
 	return nil
+}
+
+// EffectiveShards returns the event-queue shards a run of c uses: Shards
+// capped at Sites+1 (no more shards than partitions), or 1 and why not when
+// c asks for shards but cannot use them. An engine with an external observer
+// runs sequentially on top of this (Engine.Parallel).
+func (c Config) EffectiveShards() (n int, why string) {
+	switch {
+	case c.Shards <= 1:
+		return 1, ""
+	case c.CommDelay <= 0:
+		return 1, "zero comm delay leaves no conservative lookahead window"
+	case c.Feedback == FeedbackIdeal:
+		return 1, "ideal feedback reads central state with no delay"
+	}
+	return min(c.Shards, c.Sites+1), ""
 }
 
 // SiteRate returns the (homogeneous-Poisson) arrival rate at a site,

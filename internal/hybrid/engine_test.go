@@ -64,6 +64,14 @@ func TestFeedbackString(t *testing.T) {
 		if got := f.String(); got != want {
 			t.Errorf("Feedback %d = %q, want %q", f, got, want)
 		}
+		// ParseFeedback is String's inverse over the known modes.
+		back, err := ParseFeedback(want)
+		switch {
+		case f == Feedback(9) && err == nil:
+			t.Errorf("ParseFeedback(%q) accepted an unknown mode", want)
+		case f != Feedback(9) && (err != nil || back != f):
+			t.Errorf("ParseFeedback(%q) = %v, %v; want %v", want, back, err, f)
+		}
 	}
 }
 

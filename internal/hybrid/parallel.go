@@ -56,17 +56,12 @@ const (
 // then are external observers known, and no server has work yet so the CPU
 // and disk servers can rebind clocks.
 func (e *Engine) setupRunMode() {
-	e.parallel = e.env.cfg.Shards > 1 &&
-		e.env.cfg.CommDelay > 0 && // the lookahead window; zero means no safe lead
-		e.env.cfg.Feedback != FeedbackIdeal && // ideal feedback reads central state instantaneously
-		e.externalObs == 0 // external observers need the single ordered stream
+	nShards, _ := e.env.cfg.EffectiveShards()
+	// External observers need the single ordered stream.
+	e.parallel = nShards > 1 && e.externalObs == 0
 	if !e.parallel {
 		e.confineStrategy(nil, 1)
 		return
-	}
-	nShards := e.env.cfg.Shards
-	if nShards > e.env.cfg.Sites+1 {
-		nShards = e.env.cfg.Sites + 1 // no point in more shards than partitions
 	}
 	sims := make([]*sim.Simulator, nShards)
 	sims[0] = e.simulator // central keeps the engine's queue as shard 0

@@ -116,24 +116,15 @@ func Parallelism(requested int) int {
 }
 
 // TaskWeight is the number of pool slots a task occupies: the count of OS
-// threads its engine keeps busy. A sequential run weighs 1. A sharded run
-// (Config.Shards > 1 with the preconditions the engine itself checks — a
-// positive CommDelay lookahead and non-ideal feedback) weighs its effective
-// shard count, Shards capped at Sites+1, because the engine spawns that many
-// internal workers. The weight mirrors the engine's own sequential-fallback
-// decision so a config that will silently run sequentially is not budgeted as
-// if it were parallel; a task whose Prepare hook subscribes external
-// observers (forcing the sequential core) is over-budgeted, which only
-// under-fills the pool, never oversubscribes it.
+// threads its engine keeps busy, Config.EffectiveShards — 1 for a sequential
+// run, the shard count for a sharded one, because the engine spawns that
+// many internal workers. A config that will silently run sequentially is
+// thereby not budgeted as if it were parallel; a task whose Prepare hook
+// subscribes external observers (forcing the sequential core) is
+// over-budgeted, which only under-fills the pool, never oversubscribes it.
 func TaskWeight(cfg hybrid.Config) int {
-	if cfg.Shards <= 1 || cfg.CommDelay <= 0 || cfg.Feedback == hybrid.FeedbackIdeal {
-		return 1
-	}
-	w := cfg.Shards
-	if w > cfg.Sites+1 {
-		w = cfg.Sites + 1
-	}
-	return w
+	n, _ := cfg.EffectiveShards()
+	return n
 }
 
 // ProgressEvent reports the pool's state after one task finishes. Events are

@@ -358,8 +358,9 @@ func TestTaskWeight(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mutate(&cfg)
-		if got := TaskWeight(cfg); got != tc.want {
-			t.Errorf("%s: TaskWeight = %d, want %d", tc.name, got, tc.want)
+		n, _ := cfg.EffectiveShards()
+		if got := TaskWeight(cfg); n != tc.want || got != n {
+			t.Errorf("%s: EffectiveShards = %d, TaskWeight = %d, want %d", tc.name, n, got, tc.want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Output gate: a refactor of the experiment code must not move a single byte
-# of what the CLIs print. Builds cmd/figures, cmd/analyze and cmd/hybridsim
-# at the parent (scripts/benchparent.sh: the merge-base with main, exported
+# of what the CLIs print. Builds cmd/figures, cmd/analyze, cmd/hybridsim and
+# examples/architectures (whose D = 0.5 rows EXPERIMENTS.md quotes) at the
+# parent (scripts/benchparent.sh: the merge-base with main, exported
 # with `git archive`) and at this working tree, runs the fixed invocation
 # list below with each, and diffs the outputs file by file; it also diffs the
 # custom metrics (not ns/op) of the root package's figure, max-throughput,
@@ -24,7 +25,8 @@ rm -rf "$work"
 render() {
 	local src="$1" bin="$work/bin-$2" o="$work/$2"
 	mkdir -p "$bin" "$o"
-	(cd "$src" && for cmd in figures analyze hybridsim; do go build -o "$bin/$cmd" "./cmd/$cmd"; done)
+	(cd "$src" && for cmd in figures analyze hybridsim; do go build -o "$bin/$cmd" "./cmd/$cmd"; done &&
+		go build -o "$bin/architectures" ./examples/architectures)
 	(
 		cd "$o"
 		"$bin/figures" -quick -csv all.csv >all.txt
@@ -32,6 +34,7 @@ render() {
 		"$bin/figures" -quick -fig 4.3 -reps 3 -parallel 2 -csv fig43-reps.csv >fig43-reps.txt
 		"$bin/figures" -quick -fig max >max.txt
 		"$bin/figures" -quick -fig arch >arch.txt
+		"$bin/architectures" >example-architectures.txt
 		"$bin/analyze" -pship 0.3 -validate >validate.txt
 		"$bin/hybridsim" -rate 1.5 -warmup 20 -duration 100 -reps 3 >hybridsim-reps.txt
 		"$bin/figures" -quick -fig 4.1 -manifest RUN_fig41.json >/dev/null 2>&1
