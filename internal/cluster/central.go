@@ -40,6 +40,7 @@ func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*C
 		siteConns: make([]*netx.Conn, cfg.Sites),
 	}
 	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, accept: c.acceptShip}
+	c.inbox = newInbox(c.loop, cfg.CommDelay, func(e envelope) { c.link.deliver(e.msg, e.from) })
 	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, observers...)
 	if err != nil {
 		c.loop.Stop()
@@ -69,10 +70,10 @@ func (c *Central) registerMetrics() {
 	})
 }
 
-// dispatch decodes one inbound frame on the read goroutine and posts its
-// handler onto the loop — the handshake at once, the three protocol messages
-// (through the link) after the emulated link delay they crossed the star
-// network with in the model.
+// dispatch decodes one inbound frame on the read goroutine and hands it to
+// the loop — the handshake at once as a post, the three protocol messages
+// (decoded by the link) through the inbox, after the emulated link delay
+// they crossed the star network with in the model.
 func (c *Central) dispatch(conn *netx.Conn, f netx.Frame) {
 	c.wm.In(f.Type)
 	if f.Type == netx.MsgHello {
@@ -87,8 +88,8 @@ func (c *Central) dispatch(conn *netx.Conn, f netx.Frame) {
 		c.loop.Post(func() { c.register(h, conn) })
 		return
 	}
-	txn, handle, err := c.link.receive(conn, f.Type, f.Payload)
-	c.deliver(conn, f, txn, handle, err)
+	m, err := c.link.receive(f.Type, f.Payload)
+	c.received(conn, f, m, err)
 }
 
 // register installs a site's uplink and answers its Hello with the central

@@ -6,15 +6,16 @@
 // Each node — a local site or the central complex — owns an exec.Loop, the
 // wall-clock counterpart of a simulator shard, and one hybrid.SiteNode or
 // hybrid.CentralNode built on it: the very partition state and lifecycle
-// methods the simulator runs. Network receive goroutines decode frames and
-// post the node's receive handlers onto the loop, which runs them one at a
-// time, so the lock tables, CPU queues, and per-transaction state need no
-// locking, exactly as in the simulation. What this package adds is what a
-// process needs and a simulation does not: listeners and connections, the
-// Hello handshake, the wire encoding of the seven protocol messages
-// (link.go), the load generator's pending table, the registry that mirrors
-// the node's event counts (obs.Counts, the table the simulator's Result
-// reads), and the flight recorder. Observers the caller supplies ride the
+// methods the simulator runs. Network receive goroutines decode frames into
+// hybrid.Messages and push them through the node's inbox onto the loop,
+// which delivers them one at a time, so the lock tables, CPU queues, and
+// per-transaction state need no locking, exactly as in the simulation. What
+// this package adds is what a process needs and a simulation does not:
+// listeners and connections, the Hello handshake, the wire encoding of the
+// seven protocol messages (link.go) and the inbox (inbox.go), the load
+// generator's pending table, the registry that mirrors the node's event
+// counts (obs.Counts, the table the simulator's Result reads), and the
+// flight recorder. Observers the caller supplies ride the
 // node's bus; a spans.Collector among them is how a process traces (hybridd
 // -spans), and without one no trace event is built.
 //
@@ -61,12 +62,14 @@ func validate(cfg hybrid.Config) error {
 const flightCapacity = 256
 
 // shell is the process around one hybrid node, the same at both tiers: the
-// event loop the node runs on, the logging, registry, wire-counter and
-// flight-recorder plumbing every frame passes, and the reader of the node's
-// event counts (set by mirrorOnLoop).
+// event loop the node runs on, the inbox that carries protocol messages onto
+// it (set by StartSite / StartCentral), the logging, registry, wire-counter
+// and flight-recorder plumbing every frame passes, and the reader of the
+// node's event counts (set by mirrorOnLoop).
 type shell struct {
 	cfg    hybrid.Config
 	loop   *exec.Loop
+	inbox  *inbox
 	log    logx.Logger
 	reg    *metrics.Registry
 	wm     *wireMetrics
@@ -93,12 +96,13 @@ func (sh *shell) Metrics() *metrics.Registry { return sh.reg }
 // Flight returns the node's flight recorder of recent wire events.
 func (sh *shell) Flight() *flight.Recorder { return sh.fr }
 
-// deliver finishes the receive of one protocol frame a link decoded on the
-// read goroutine: the handler runs on the loop after the emulated link delay
-// the message crossed the star network with in the model; a frame that is
-// not one of this direction's messages is counted, one that does not decode
-// or validate also costs its sender the connection.
-func (sh *shell) deliver(conn *netx.Conn, f netx.Frame, txn int64, handle func(), err error) {
+// received finishes the receive of one protocol frame a link decoded on the
+// read goroutine: the message joins the node's inbox, which delivers it on
+// the loop after the emulated link delay it crossed the star network with in
+// the model; a frame that is not one of this direction's messages is
+// counted, one that does not decode or validate also costs its sender the
+// connection.
+func (sh *shell) received(conn *netx.Conn, f netx.Frame, m hybrid.Message, err error) {
 	name := netx.MsgName(f.Type)
 	switch {
 	case errors.Is(err, errNotProtocol):
@@ -109,8 +113,8 @@ func (sh *shell) deliver(conn *netx.Conn, f netx.Frame, txn int64, handle func()
 		sh.wm.Error("bad-" + name)
 		conn.Close()
 	default:
-		sh.fr.RecordFrame(flight.In, name, txn, flight.None)
-		sh.loop.Schedule(sh.cfg.CommDelay, handle)
+		sh.fr.RecordFrame(flight.In, name, m.Txn, flight.None)
+		sh.inbox.push(envelope{msg: m, from: conn})
 	}
 }
 

@@ -6,10 +6,10 @@ package cluster
 // use — run on one simulator, joined by this package's own siteLink /
 // centralLink: every message is netx-encoded on send and netx-decoded on
 // receive, each node resolves transaction ids against its own tables,
-// snapshots are stamped now − CommDelay by the receiver, and delivery rides a
-// comm.Network. One recorded trace is replayed through that assembly and
-// through hybrid.New(cfg).Run(); every count and every response-time sum
-// the bus carries must be equal, exactly.
+// snapshots are stamped now − CommDelay by the receiver, and the decoded
+// messages ride a comm.NetworkOf to the links' deliver. One recorded trace is
+// replayed through that assembly and through hybrid.New(cfg).Run(); every
+// count and every response-time sum the bus carries must be equal, exactly.
 
 import (
 	"bytes"
@@ -100,10 +100,10 @@ func (b *busTally) OnEvent(ev obs.Event) {
 }
 
 // codecCluster is the node assembly: sites and central on one simulator,
-// their links encoding into each other over a comm.Network.
+// their links encoding into each other over a comm.NetworkOf.
 type codecCluster struct {
 	sim     *sim.Simulator
-	net     *comm.Network
+	net     *comm.NetworkOf[hybrid.Message]
 	sites   []*hybrid.SiteNode
 	central *hybrid.CentralNode
 }
@@ -111,7 +111,7 @@ type codecCluster struct {
 func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strategy, o obs.Observer) *codecCluster {
 	t.Helper()
 	s := sim.New()
-	cc := &codecCluster{sim: s, net: comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)}
+	cc := &codecCluster{sim: s}
 	stray := func(msgType byte, txn int64) { t.Errorf("stray message type %d for txn %d", msgType, txn) }
 
 	siteLinks := make([]*siteLink, cfg.Sites)
@@ -122,14 +122,17 @@ func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strat
 		}
 		return true
 	}}
-	// Like a live node: decode where the frame arrives, run the handler one
-	// link delay later on the receiver's executor.
+	// Like a live node: decode where the frame arrives, deliver the message
+	// one link delay later on the receiver's executor.
+	cc.net = comm.NewNetworkOf(s, cfg.Sites, cfg.CommDelay,
+		func(m hybrid.Message) { centralL.deliver(m, nil) },
+		func(m hybrid.Message) { siteLinks[m.Site].deliver(m) })
 	centralL.send = func(site int, msgType byte, payload []byte) {
-		_, handle, err := siteLinks[site].receive(msgType, payload)
+		m, err := siteLinks[site].receive(msgType, payload)
 		if err != nil {
 			t.Fatalf("site %d cannot decode message type %d: %v", site, msgType, err)
 		}
-		cc.net.ToSite(site, handle)
+		cc.net.ToSite(site, m)
 	}
 	var err error
 	if cc.central, err = hybrid.NewCentralNode(cfg, exec.Sim(s), centralL, o); err != nil {
@@ -138,13 +141,13 @@ func newCodecCluster(t *testing.T, cfg hybrid.Config, strategies []routing.Strat
 	centralL.node = cc.central
 	for i := range siteLinks {
 		i := i
-		l := &siteLink{clock: exec.Sim(s), delay: cfg.CommDelay, stray: stray}
+		l := &siteLink{site: i, clock: exec.Sim(s), delay: cfg.CommDelay, stray: stray}
 		l.send = func(msgType byte, _ int64, payload []byte) {
-			_, handle, err := centralL.receive(nil, msgType, payload)
+			m, err := centralL.receive(msgType, payload)
 			if err != nil {
 				t.Fatalf("central cannot decode message type %d from site %d: %v", msgType, i, err)
 			}
-			cc.net.ToCentral(i, handle)
+			cc.net.ToCentral(i, m)
 		}
 		node, err := hybrid.NewSiteNode(cfg, i, exec.Sim(s), strategies[i], l, o)
 		if err != nil {

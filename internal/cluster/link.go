@@ -2,13 +2,14 @@ package cluster
 
 // The wire implementation of hybrid's Transport seam: each of the protocol's
 // seven typed sends is encoded as an internal/netx payload and handed to the
-// owning node's send function; each received payload is decoded and the same
-// hybrid receive handler the simulator delivers into is returned for the
-// caller to run once the emulated one-way delay has passed. The node itself
-// resolves a transaction id; one it does not know is reported as a stray.
-// The links know nothing of sockets: a live node's send function writes to a
-// netx.Conn, the codec-on-simulated-time test's schedules the peer's handler
-// on a comm.Network.
+// owning node's send function; each received payload is decoded into a
+// hybrid.Message, which the owner queues and, once the emulated one-way delay
+// has passed, hands to the link's deliver on the node's executor — the same
+// Deliver the simulator calls. The node itself resolves a transaction id; one
+// it does not know is reported as a stray. The links know nothing of sockets:
+// a live node's send function writes to a netx.Conn and its inbox (inbox.go)
+// runs deliver on the loop, the codec-on-simulated-time test's carries the
+// decoded message to the peer's deliver on a comm.NetworkOf.
 //
 // Each link encodes into one scratch buffer it owns, reused for every send:
 // all sends of a link happen on its node's executor, and a send function must
@@ -52,6 +53,7 @@ func toWire(s hybrid.Snapshot) netx.Snapshot {
 // decoder of the four central->site messages.
 type siteLink struct {
 	node  *hybrid.SiteNode
+	site  int
 	clock exec.Clock
 	delay float64 // emulated one-way delay, for stamping received snapshots
 
@@ -80,39 +82,47 @@ func (l *siteLink) Update(site int, txn int64, updates []uint32) {
 	l.send(netx.MsgUpdate, txn, l.buf)
 }
 
-// received converts a piggybacked snapshot into the receiver's timebase: it
-// was taken one emulated link delay ago. Keeping the two processes' clocks
-// out of the protocol costs only the (sub-millisecond on loopback) real
-// transport latency.
-func (l *siteLink) received(s netx.Snapshot) hybrid.Snapshot {
-	return hybrid.Snapshot{
-		Queue: int(s.Queue), InSystem: int(s.InSystem), Locks: int(s.Locks),
-		At: l.clock.Now() - l.delay,
-	}
+// fromWire converts a piggybacked snapshot; its instant is stamped at
+// delivery.
+func fromWire(s netx.Snapshot) hybrid.Snapshot {
+	return hybrid.Snapshot{Queue: int(s.Queue), InSystem: int(s.InSystem), Locks: int(s.Locks)}
 }
 
-// receive decodes one central->site frame. The returned handler must run on
-// the node's executor, after the emulated link delay.
-func (l *siteLink) receive(msgType byte, p []byte) (txn int64, handle func(), err error) {
+// receive decodes one central->site frame into the message deliver takes
+// after the emulated link delay.
+func (l *siteLink) receive(msgType byte, p []byte) (hybrid.Message, error) {
+	m := hybrid.Message{Site: l.site}
 	switch msgType {
 	case netx.MsgAuthReq:
 		a, err := netx.DecodeAuthReq(p)
-		return a.Txn, func() { l.node.OnAuthReq(a.Txn, a.Elements, a.Modes, l.received(a.Snap)) }, err
+		m.Kind, m.Txn, m.Elems, m.Modes, m.Snap = hybrid.MsgAuthReq, a.Txn, a.Elements, a.Modes, fromWire(a.Snap)
+		return m, err
 	case netx.MsgRelease:
 		r, err := netx.DecodeRelease(p)
-		return r.Txn, func() { l.node.OnRelease(r.Txn, l.received(r.Snap)) }, err
+		m.Kind, m.Txn, m.Snap = hybrid.MsgRelease, r.Txn, fromWire(r.Snap)
+		return m, err
 	case netx.MsgUpdateAck:
 		u, err := netx.DecodeUpdateAck(p)
-		return 0, func() { l.node.OnUpdateAck(u.Elements, l.received(u.Snap)) }, err
+		m.Kind, m.Elems, m.Snap = hybrid.MsgUpdateAck, u.Elements, fromWire(u.Snap)
+		return m, err
 	case netx.MsgReply:
 		r, err := netx.DecodeReply(p)
-		return r.Txn, func() {
-			if !l.node.OnReply(r.Txn, l.received(r.Snap)) {
-				l.stray(msgType, r.Txn)
-			}
-		}, err
+		m.Kind, m.Txn, m.Snap = hybrid.MsgReply, r.Txn, fromWire(r.Snap)
+		return m, err
 	}
-	return 0, nil, errNotProtocol
+	return m, errNotProtocol
+}
+
+// deliver hands a received message to the node, on its executor. The
+// piggybacked snapshot is stamped in the receiver's timebase: it was taken
+// one emulated link delay ago. Keeping the two processes' clocks out of the
+// protocol costs only the (sub-millisecond on loopback) real transport
+// latency.
+func (l *siteLink) deliver(m hybrid.Message) {
+	m.Snap.At = l.clock.Now() - l.delay
+	if !l.node.Deliver(m) {
+		l.stray(frameType[m.Kind], m.Txn)
+	}
 }
 
 // centralLink is the central complex's end of the wire: the node's
@@ -157,9 +167,9 @@ func (l *centralLink) Reply(home int, txn int64, classB bool, snap hybrid.Snapsh
 	l.send(home, netx.MsgReply, l.buf)
 }
 
-// receive decodes one site->central frame that arrived on from. The returned
-// handler must run on the node's executor, after the emulated link delay.
-func (l *centralLink) receive(from *netx.Conn, msgType byte, p []byte) (txn int64, handle func(), err error) {
+// receive decodes one site->central frame into the message deliver takes
+// after the emulated link delay. A Ship's input is validated here.
+func (l *centralLink) receive(msgType byte, p []byte) (hybrid.Message, error) {
 	switch msgType {
 	case netx.MsgShip:
 		spec, _, err := netx.DecodeShip(p)
@@ -167,23 +177,37 @@ func (l *centralLink) receive(from *netx.Conn, msgType byte, p []byte) (txn int6
 			err = checkSpec(l.cfg, spec)
 		}
 		if err != nil {
-			return 0, nil, err
+			return hybrid.Message{}, err
 		}
-		return spec.ID, func() {
-			if l.accept(from, spec) {
-				l.node.OnShip(spec)
-			}
-		}, nil
+		return hybrid.Message{Kind: hybrid.MsgShip, Site: spec.HomeSite, Txn: spec.ID, Spec: spec}, nil
 	case netx.MsgAuthReply:
 		a, err := netx.DecodeAuthReply(p)
-		return a.Txn, func() {
-			if !l.node.OnAuthReply(int(a.Site), a.Txn, a.NACK) {
-				l.stray(msgType, a.Txn)
-			}
-		}, err
+		return hybrid.Message{Kind: hybrid.MsgAuthReply, Site: int(a.Site), Txn: a.Txn, NACK: a.NACK}, err
 	case netx.MsgUpdate:
 		u, err := netx.DecodeUpdate(p)
-		return u.Txn, func() { l.node.OnUpdate(int(u.Site), u.Txn, u.Elements) }, err
+		return hybrid.Message{Kind: hybrid.MsgUpdate, Site: int(u.Site), Txn: u.Txn, Elems: u.Elements}, err
 	}
-	return 0, nil, errNotProtocol
+	return hybrid.Message{}, errNotProtocol
+}
+
+// deliver hands a message that arrived on from to the node, on its executor.
+// A Ship passes the owner's admission check first.
+func (l *centralLink) deliver(m hybrid.Message, from *netx.Conn) {
+	if m.Kind == hybrid.MsgShip && !l.accept(from, m.Spec) {
+		return
+	}
+	if !l.node.Deliver(m) {
+		l.stray(frameType[m.Kind], m.Txn)
+	}
+}
+
+// frameType is each protocol message's netx frame type.
+var frameType = [...]byte{
+	hybrid.MsgShip:      netx.MsgShip,
+	hybrid.MsgAuthReply: netx.MsgAuthReply,
+	hybrid.MsgUpdate:    netx.MsgUpdate,
+	hybrid.MsgAuthReq:   netx.MsgAuthReq,
+	hybrid.MsgRelease:   netx.MsgRelease,
+	hybrid.MsgUpdateAck: netx.MsgUpdateAck,
+	hybrid.MsgReply:     netx.MsgReply,
 }

@@ -37,8 +37,10 @@ type Site struct {
 	node *hybrid.SiteNode
 	link siteLink
 
-	// pending is written and read only on the loop; resBuf is respond's
-	// encoding scratch (Send copies before it returns).
+	// submits carries load generators' submissions onto the loop, with no
+	// link delay. pending is written and read only on the loop; resBuf is
+	// respond's encoding scratch (Send copies before it returns).
+	submits *inbox
 	pending map[int64]pendingSubmit
 	resBuf  []byte
 
@@ -77,7 +79,9 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 		idx:     idx,
 		pending: make(map[int64]pendingSubmit),
 	}
-	s.link = siteLink{clock: s.loop, delay: cfg.CommDelay, send: s.sendUp, stray: s.stray}
+	s.link = siteLink{site: idx, clock: s.loop, delay: cfg.CommDelay, send: s.sendUp, stray: s.stray}
+	s.inbox = newInbox(s.loop, cfg.CommDelay, func(e envelope) { s.link.deliver(e.msg) })
+	s.submits = newInbox(s.loop, 0, s.submit)
 	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, append([]obs.Observer{s}, observers...)...)
 	if err != nil {
 		s.loop.Stop()
@@ -158,15 +162,18 @@ func (s *Site) dispatchLoad(conn *netx.Conn, f netx.Frame) {
 		return
 	}
 	s.fr.RecordFrame(flight.In, "submit", spec.ID, flight.None)
-	reqID := f.ReqID
-	s.loop.Post(func() {
-		if _, dup := s.pending[spec.ID]; dup {
-			s.badSubmit(conn, fmt.Errorf("txn %d is already in flight", spec.ID))
-			return
-		}
-		s.pending[spec.ID] = pendingSubmit{conn: conn, reqID: reqID}
-		s.node.Admit(spec)
-	})
+	s.submits.push(envelope{msg: hybrid.Message{Spec: spec}, from: conn, reqID: f.ReqID})
+}
+
+// submit admits one load generator's submission, on the loop.
+func (s *Site) submit(e envelope) {
+	spec := e.msg.Spec
+	if _, dup := s.pending[spec.ID]; dup {
+		s.badSubmit(e.from, fmt.Errorf("txn %d is already in flight", spec.ID))
+		return
+	}
+	s.pending[spec.ID] = pendingSubmit{conn: e.from, reqID: e.reqID}
+	s.node.Admit(spec)
 }
 
 // badSubmit refuses a submission the node cannot run and drops the load
@@ -179,7 +186,8 @@ func (s *Site) badSubmit(conn *netx.Conn, err error) {
 
 // dispatchCentral handles frames arriving on the uplink: the handshake
 // answer here, the four protocol messages through the link — decoded on this
-// read goroutine, handled on the loop after the emulated link delay.
+// read goroutine, delivered through the inbox on the loop after the emulated
+// link delay.
 func (s *Site) dispatchCentral(conn *netx.Conn, f netx.Frame) {
 	s.wm.In(f.Type)
 	if f.Type == netx.MsgHelloAck {
@@ -199,8 +207,8 @@ func (s *Site) dispatchCentral(conn *netx.Conn, f netx.Frame) {
 		s.log.Debugf("clock offset vs central: %.6fs (rtt %.6fs)", offset, t1-ack.T0)
 		return
 	}
-	txn, handle, err := s.link.receive(f.Type, f.Payload)
-	s.deliver(conn, f, txn, handle, err)
+	m, err := s.link.receive(f.Type, f.Payload)
+	s.received(conn, f, m, err)
 }
 
 // sendUp is the link's send function: one protocol frame up to central. A

@@ -77,6 +77,7 @@ func TestInvalidLink(t *testing.T) {
 		func() { NewLink(nil, 1) },
 		func() { NewLink(sim.New(), -1) },
 		func() { NewLink(sim.New(), 1).Send(nil) },
+		func() { NewLinkOf[int](sim.New(), 1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -86,6 +87,47 @@ func TestInvalidLink(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestValueLinkNeverDrained runs a link of plain values that always has
+// messages in flight — one sent every 0.1 s, each delivered 1 s later — so
+// its ring never empties and rewinds. Delivery stays FIFO, InFlight tracks
+// the backlog, and the ring folds its live tail back to the front instead of
+// growing with every message sent.
+func TestValueLinkNeverDrained(t *testing.T) {
+	s := sim.New()
+	const n = 5000
+	var got []int
+	var l *LinkOf[int]
+	maxLen := 0
+	l = NewLinkOf(s, 1, func(v int) {
+		if v < n-20 && l.InFlight() == 0 {
+			t.Fatalf("the link drained at message %d", v)
+		}
+		maxLen = max(maxLen, len(l.pending.buf))
+		got = append(got, v)
+	})
+	sent := 0
+	var tick func()
+	tick = func() {
+		l.Send(sent)
+		if sent++; sent < n {
+			s.Schedule(0.1, tick)
+		}
+	}
+	s.Schedule(0, tick)
+	s.Run()
+	if len(got) != n || l.InFlight() != 0 || l.Delivered() != n {
+		t.Fatalf("delivered %d (counter %d) of %d, %d in flight", len(got), l.Delivered(), n, l.InFlight())
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery %d carried message %d", i, v)
+		}
+	}
+	if maxLen > 128 {
+		t.Errorf("the ring grew to %d entries for ~10 in flight: it never folded", maxLen)
 	}
 }
 

@@ -7,7 +7,7 @@
 // allocation, and deletes shift displaced neighbors backward instead of
 // leaving tombstones, so the table never degrades with churn.
 //
-// The map is deliberately minimal: Get/Put/Delete/Len plus an unordered
+// The map is deliberately minimal: Get/Put/Delete/Take/Len plus an unordered
 // Range for integrity checks. Nothing in the simulation may depend on
 // iteration order (the determinism contract); Range exists only for
 // self-check walks whose outcome is order-independent.
@@ -93,21 +93,29 @@ func (m *Map[K, V]) Put(k K, v V) {
 	}
 }
 
-// Delete removes k's entry, reporting whether one existed. Displaced
+// Delete removes k's entry, reporting whether one existed.
+func (m *Map[K, V]) Delete(k K) bool {
+	_, ok := m.Take(k)
+	return ok
+}
+
+// Take removes k's entry and returns its value, in one probe. Displaced
 // neighbors of the probe chain are shifted back over the hole, so the table
 // carries no tombstones and probe chains never outlive their entries.
-func (m *Map[K, V]) Delete(k K) bool {
+func (m *Map[K, V]) Take(k K) (V, bool) {
 	mask := len(m.keys) - 1
 	i := m.home(k)
 	for {
 		if !m.used[i] {
-			return false
+			var zero V
+			return zero, false
 		}
 		if m.keys[i] == k {
 			break
 		}
 		i = (i + 1) & mask
 	}
+	v := m.vals[i]
 	for j := i; ; {
 		j = (j + 1) & mask
 		if !m.used[j] {
@@ -125,7 +133,7 @@ func (m *Map[K, V]) Delete(k K) bool {
 	m.vals[i] = zero // drop any pointer so the value can be collected
 	m.used[i] = false
 	m.n--
-	return true
+	return v, true
 }
 
 // Range calls f for every entry in unspecified order until f returns false.

@@ -6,8 +6,9 @@ import (
 )
 
 // TestDifferentialAgainstBuiltin drives the flat map and a builtin map with
-// the same random operation stream — inserts, overwrites, deletes of absent
-// and present keys, lookups — and requires exact agreement after every step.
+// the same random operation stream — inserts, overwrites, deletes and takes
+// of absent and present keys, lookups — and requires exact agreement after
+// every step.
 // The key range is kept small relative to the operation count so probe
 // chains collide, break, and shift constantly; backward-shift deletion bugs
 // show up here as lookups missing displaced entries.
@@ -18,7 +19,7 @@ func TestDifferentialAgainstBuiltin(t *testing.T) {
 		ref := make(map[uint32]int)
 		for op := 0; op < 5000; op++ {
 			k := uint32(rng.Intn(300))
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				v := rng.Int()
 				m.Put(k, v)
@@ -36,6 +37,13 @@ func TestDifferentialAgainstBuiltin(t *testing.T) {
 				if ok != wok || got != want {
 					t.Fatalf("trial %d op %d: Get(%d)=(%d,%v), want (%d,%v)", trial, op, k, got, ok, want, wok)
 				}
+			case 3:
+				got, ok := m.Take(k)
+				want, wok := ref[k]
+				if ok != wok || got != want {
+					t.Fatalf("trial %d op %d: Take(%d)=(%d,%v), want (%d,%v)", trial, op, k, got, ok, want, wok)
+				}
+				delete(ref, k)
 			}
 			if m.Len() != len(ref) {
 				t.Fatalf("trial %d op %d: Len=%d, want %d", trial, op, m.Len(), len(ref))
@@ -74,8 +82,9 @@ func TestNegativeKeys(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree: once grown to its high-water population, a
-// delete+insert churn cycle allocates nothing — the property the lock
-// manager's per-transaction tables rely on.
+// delete+insert or take+insert churn cycle allocates nothing — the property
+// the lock manager's per-transaction tables and a site's parked table rely
+// on.
 func TestSteadyStateAllocFree(t *testing.T) {
 	m := New[int64, int](0)
 	for i := int64(0); i < 1000; i++ {
@@ -88,5 +97,14 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		i++
 	}); got != 0 {
 		t.Errorf("churn cycle allocates %v times per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(2000, func() {
+		if v, ok := m.Take(i); !ok || v != int(i-1000) {
+			t.Fatalf("Take(%d) = (%d, %v), want (%d, true)", i, v, ok, i-1000)
+		}
+		m.Put(i+1000, int(i))
+		i++
+	}); got != 0 {
+		t.Errorf("take+insert cycle allocates %v times per run, want 0", got)
 	}
 }

@@ -89,20 +89,24 @@ func (c *CentralNode) commitPoint(t *txnRun) {
 
 	txnID := t.spec.ID
 	snap := c.snapshot()
+	// Each request carries its site's stretch of the run's buffers, capped so
+	// no receiver can append into the next site's.
+	elems, modes := t.authElems[:0], t.authModes[:0]
 	for _, site := range sites {
-		var elems []uint32
-		var modes []lock.Mode
+		start := len(elems)
 		for j, elem := range t.spec.Elements {
 			if wl.PartitionOf(elem) == site {
 				elems = append(elems, elem)
 				modes = append(modes, t.spec.Modes[j])
 			}
 		}
+		end := len(elems)
 		if env.detailed() {
-			env.emitDetail(c.sched.Now(), trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", len(elems)))
+			env.emitDetail(c.sched.Now(), trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", end-start))
 		}
-		env.down.AuthReq(site, txnID, elems, modes, snap)
+		env.down.AuthReq(site, txnID, elems[start:end:end], modes[start:end:end], snap)
 	}
+	t.authElems, t.authModes = elems, modes
 }
 
 // OnAuthReq processes an authentication request at a local site: NACK if
@@ -237,11 +241,10 @@ func (s *SiteNode) OnReply(txnID int64, snap Snapshot) bool {
 	if s.parked == nil {
 		return false
 	}
-	p, ok := s.parked.Get(lock.ID(txnID))
+	p, ok := s.parked.Take(lock.ID(txnID))
 	if !ok {
 		return false
 	}
-	s.parked.Delete(lock.ID(txnID))
 	s.emit(trace.ReplyDelivered, txnID, 0, "")
 	if s.env.cfg.Feedback == FeedbackAllMessages {
 		s.refreshView(snap)

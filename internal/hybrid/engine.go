@@ -23,8 +23,9 @@ import (
 //     authenticate/ack/nack commit protocol;
 //   - propagation layer (propagate.go): asynchronous update application and
 //     the piggybacked central-state feedback routingState consumes;
-//   - transport seam (seam.go, wire_sim.go): the seven typed messages and
-//     their delivery closures over the simulated star network;
+//   - transport seam (seam.go, wire_sim.go): the seven typed messages, the
+//     Message values the simulated star network carries, and the nodes'
+//     Deliver switch;
 //   - observer bus (obs package, wired here): metrics, tracing, queue
 //     sampling, and invariant self-checks subscribe to node events.
 //
@@ -40,8 +41,8 @@ type Engine struct {
 	strategy routing.Strategy
 
 	simulator *sim.Simulator // the sequential event queue (shard 0's in a sharded run)
-	// wire is the simulator's Transport: typed sends as delivery closures
-	// over comm.Network, or over shardNet in a sharded run.
+	// wire is the simulator's Transport: typed sends as Messages over
+	// comm.NetworkOf, or over shardNet in a sharded run.
 	wire      simWire
 	generator *workload.Generator
 	arrivals  []*workload.Arrivals
@@ -95,7 +96,7 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 	e.env.poolSpecs = true
 	e.env.up, e.env.down = &e.wire, &e.wire
 	e.central.init(&e.env, exec.Sim(s))
-	e.wire.net = comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)
+	e.wire.net = comm.NewNetworkOf(s, cfg.Sites, cfg.CommDelay, e.wire.toCentral, e.wire.toSite)
 	e.env.bus.Subscribe(e.m)
 	if cfg.SelfCheck {
 		e.env.bus.Subscribe(invariantObserver{e})

@@ -800,3 +800,34 @@ func TestSeriesDisabledByDefault(t *testing.T) {
 		t.Errorf("series recorded without SeriesBucket: %d buckets", len(r.RTSeries))
 	}
 }
+
+// TestEngineSteadyStateAllocs: once the pools are warm, a transaction costs
+// the heap nothing. Two runs of DefaultConfig under the paper's best strategy
+// differ only in their horizon, so the allocations the longer run adds are
+// those of its extra transactions and their seven kinds of protocol message;
+// they must stay below one per transaction.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	measure := func(duration float64) (allocs float64, completed uint64) {
+		cfg := DefaultConfig()
+		cfg.Duration = duration
+		allocs = testing.AllocsPerRun(1, func() {
+			e, err := New(cfg, routing.MinAverage{Params: cfg.ModelParams(), Estimator: routing.FromInSystem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			completed = e.Run().Completed
+		})
+		return allocs, completed
+	}
+	shortAllocs, shortDone := measure(200)
+	longAllocs, longDone := measure(1000)
+	if longDone <= shortDone+1000 {
+		t.Fatalf("the longer horizon completed %d transactions, the shorter %d", longDone, shortDone)
+	}
+	per := (longAllocs - shortAllocs) / float64(longDone-shortDone)
+	t.Logf("%.0f allocations for %d transactions, %.0f for %d: %.3f per extra transaction",
+		shortAllocs, shortDone, longAllocs, longDone, per)
+	if per >= 1 {
+		t.Errorf("%.3f allocations per extra transaction, want < 1", per)
+	}
+}

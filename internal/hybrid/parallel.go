@@ -101,7 +101,7 @@ func (e *Engine) setupRunMode() {
 	// synchronizer can bound site shards by central's clock alone and let
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
-	e.wire.net = newShardNet(e.group, sims, shardOf, e.env.cfg.CommDelay)
+	e.wire.net = newShardNet(e.group, sims, shardOf, e.env.cfg.CommDelay, e.wire.toCentral, e.wire.toSite)
 }
 
 // confineStrategy gives each event loop its own instance of a
@@ -141,47 +141,49 @@ type shardLink struct {
 	to    int            // receiving shard index
 	edge  int            // FIFO edge id (unique per link)
 	delay float64
+	recv  func(Message)
 
 	sent      uint64
 	delivered uint64
 }
 
-func (l *shardLink) send(deliver func()) {
+// send posts one closure carrying the message across the shard boundary.
+func (l *shardLink) send(m Message) {
 	l.sent++
 	l.group.Post(l.from, l.to, l.edge, l.src.Now()+l.delay, func() {
 		l.delivered++
-		deliver()
+		l.recv(m)
 	})
 }
 
 // shardNet is the sharded transport: the same star topology as
-// comm.Network, with messages crossing shard boundaries through the Group.
+// comm.NetworkOf, with messages crossing shard boundaries through the Group.
 type shardNet struct {
 	up   []*shardLink // site i -> central
 	down []*shardLink // central -> site i
 }
 
-func newShardNet(g *sim.Group, sims []*sim.Simulator, shardOf []int, delay float64) *shardNet {
+func newShardNet(g *sim.Group, sims []*sim.Simulator, shardOf []int, delay float64, toCentral, toSite func(Message)) *shardNet {
 	n := len(shardOf)
 	net := &shardNet{up: make([]*shardLink, n), down: make([]*shardLink, n)}
 	for i, sh := range shardOf {
 		net.up[i] = &shardLink{
-			group: g, src: sims[sh], from: sh, to: 0, edge: i, delay: delay,
+			group: g, src: sims[sh], from: sh, to: 0, edge: i, delay: delay, recv: toCentral,
 		}
 		net.down[i] = &shardLink{
-			group: g, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay,
+			group: g, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay, recv: toSite,
 		}
 	}
 	return net
 }
 
-// ToCentral implements transport.
-func (n *shardNet) ToCentral(site int, deliver func()) { n.up[site].send(deliver) }
+// ToCentral implements simNet.
+func (n *shardNet) ToCentral(site int, m Message) { n.up[site].send(m) }
 
-// ToSite implements transport.
-func (n *shardNet) ToSite(site int, deliver func()) { n.down[site].send(deliver) }
+// ToSite implements simNet.
+func (n *shardNet) ToSite(site int, m Message) { n.down[site].send(m) }
 
-// MessagesSent implements transport. Call only between rounds or after the
+// MessagesSent implements simNet. Call only between rounds or after the
 // run (the coordinator's view of the link counters).
 func (n *shardNet) MessagesSent() uint64 {
 	var total uint64
@@ -191,7 +193,7 @@ func (n *shardNet) MessagesSent() uint64 {
 	return total
 }
 
-// MessagesInFlight implements transport.
+// MessagesInFlight implements simNet.
 func (n *shardNet) MessagesInFlight() uint64 {
 	var total uint64
 	for i := range n.up {

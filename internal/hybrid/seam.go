@@ -7,11 +7,13 @@ package hybrid
 // touch an event queue or a socket: every "read the clock" and "do this
 // later" goes through the node's Scheduler, and every "tell the other tier"
 // is one of the seven typed sends below. The discrete-event simulator is one implementation of the
-// seams (exec.Sim over internal/sim for time, wire_sim.go over comm.Network
+// seams (exec.Sim over internal/sim for time, wire_sim.go over comm.NetworkOf
 // / shardNet for transport); the live cluster is the second (exec.Loop for
 // wall-clock time, internal/cluster encoding each send as an internal/netx
-// frame). Both deliver into the same receive handlers — SiteNode.OnAuthReq,
-// CentralNode.OnShip and so on — so there is one protocol implementation.
+// frame). Both carry each message as a Message value into the receiving
+// node's Deliver, the one switch over the receive handlers —
+// SiteNode.OnAuthReq, CentralNode.OnShip and so on — so there is one
+// protocol implementation.
 
 import (
 	"hybriddb/internal/exec"
@@ -76,4 +78,71 @@ type Downlink interface {
 type Transport interface {
 	Uplink
 	Downlink
+}
+
+// MsgKind names one of the seven messages of the §2 protocol.
+type MsgKind uint8
+
+// The three site->central messages, then the four central->site ones.
+const (
+	MsgShip MsgKind = iota + 1
+	MsgAuthReply
+	MsgUpdate
+	MsgAuthReq
+	MsgRelease
+	MsgUpdateAck
+	MsgReply
+)
+
+// Message is one protocol message as a value: what a transport carries from
+// a typed send to the receiving node's Deliver. Only the fields its kind
+// names are set.
+type Message struct {
+	Kind MsgKind
+	NACK bool // AuthReply
+	// Site is the sending site of an uplink message, the addressed site of a
+	// downlink one.
+	Site  int
+	Txn   int64         // every kind but UpdateAck (0 for a batched Update)
+	Spec  *workload.Txn // Ship
+	Elems []uint32      // AuthReq's elements; Update's and UpdateAck's update set
+	Modes []lock.Mode   // AuthReq
+	Snap  Snapshot      // the four downlink messages
+}
+
+// Deliver runs the receive handler m names at this site. It reports false for
+// a message the site cannot take — a Reply naming no transaction parked here
+// (a stray, duplicate or late message), or a kind sent to central — having
+// changed nothing.
+func (s *SiteNode) Deliver(m Message) bool {
+	switch m.Kind {
+	case MsgAuthReq:
+		s.OnAuthReq(m.Txn, m.Elems, m.Modes, m.Snap)
+	case MsgRelease:
+		s.OnRelease(m.Txn, m.Snap)
+	case MsgUpdateAck:
+		s.OnUpdateAck(m.Elems, m.Snap)
+	case MsgReply:
+		return s.OnReply(m.Txn, m.Snap)
+	default:
+		return false
+	}
+	return true
+}
+
+// Deliver runs the receive handler m names at central. It reports false for
+// a message central cannot take — an AuthReply naming no transaction that
+// awaits one, or a kind sent to a site — having changed nothing.
+func (c *CentralNode) Deliver(m Message) bool {
+	switch m.Kind {
+	case MsgShip:
+		c.OnShip(m.Spec)
+	case MsgAuthReply:
+		return c.OnAuthReply(m.Site, m.Txn, m.NACK)
+	case MsgUpdate:
+		c.OnUpdate(m.Site, m.Txn, m.Elems)
+	default:
+		return false
+	}
+	return true
 }

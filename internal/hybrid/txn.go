@@ -35,10 +35,16 @@ type txnRun struct {
 	// ones). Checked at commit.
 	marked bool
 
-	// Authentication state (central executions only).
+	// Authentication state (central executions only). authElems/authModes
+	// hold one round's AuthReq lists, site after site; each message carries
+	// its site's sub-slice. The next round, an abort or freeing the run only
+	// happens once every answer is in, so every request of the round has
+	// been delivered before the buffers are refilled.
 	authPending int
 	authNACK    bool
 	authSeized  []int // sites where locks were seized and must be released
+	authElems   []uint32
+	authModes   []lock.Mode
 
 	lockWaitFrom float64 // set while phase == phaseLockWait
 
@@ -65,7 +71,7 @@ type txnConts struct {
 func (t *txnRun) id() lock.ID { return lock.ID(t.spec.ID) }
 
 // takeRun pops a run off the partition's free list, keeping the allocations
-// it carries (the seized-site slice and the bound continuations), or
+// it carries (the authentication buffers and the bound continuations), or
 // allocates and binds the pool's next object, and initializes it for a first
 // execution of spec.
 func (p *partition) takeRun(spec *workload.Txn) *txnRun {
@@ -73,7 +79,8 @@ func (p *partition) takeRun(spec *workload.Txn) *txnRun {
 	if n := len(p.txnFree); n > 0 {
 		t = p.txnFree[n-1]
 		p.txnFree = p.txnFree[:n-1]
-		*t = txnRun{owner: t.owner, authSeized: t.authSeized[:0], conts: t.conts}
+		*t = txnRun{owner: t.owner, authSeized: t.authSeized[:0],
+			authElems: t.authElems[:0], authModes: t.authModes[:0], conts: t.conts}
 	} else {
 		t = &txnRun{owner: p}
 		t.bindContinuations()

@@ -2,9 +2,9 @@ package netx
 
 // The cluster's protocol messages and their binary payload codecs. Each
 // message of the simulated lifecycle that crosses a tier boundary as a
-// closure (ship, authenticate, ack/nack, release, update, acknowledge,
-// reply) is reified here as a wire message, so the live engine in
-// internal/cluster can run the same state machine across processes.
+// hybrid.Message (ship, authenticate, ack/nack, release, update,
+// acknowledge, reply) is encoded here as a wire message, so the live engine
+// in internal/cluster can run the same state machine across processes.
 //
 // Encodings are fixed-width big-endian, mirroring the frame header. List
 // lengths are uint32 counts validated against the remaining payload before
