@@ -56,7 +56,7 @@ type Engine struct {
 	central *CentralNode
 
 	// Sharded-run state (parallel.go); group is nil in a sequential run.
-	group    *sim.Group
+	group    *sim.GroupOf[Message]
 	parallel bool
 
 	// m is the metrics observer, always subscribed: it produces the Result.

@@ -807,15 +807,33 @@ func TestSeriesDisabledByDefault(t *testing.T) {
 // those of its extra transactions and their seven kinds of protocol message;
 // they must stay below one per transaction.
 func TestEngineSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, 0)
+}
+
+// TestShardedEngineSteadyStateAllocs is the same pin on the sharded core:
+// the cross-shard messages ride sim.Group as values, so they too cost the
+// heap nothing once the outboxes and inboxes have grown.
+func TestShardedEngineSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, 3)
+}
+
+// checkSteadyStateAllocs runs DefaultConfig with the given Shards at two
+// horizons and requires fewer than one allocation per extra transaction.
+func checkSteadyStateAllocs(t *testing.T, shards int) {
+	t.Helper()
 	measure := func(duration float64) (allocs float64, completed uint64) {
 		cfg := DefaultConfig()
 		cfg.Duration = duration
+		cfg.Shards = shards
 		allocs = testing.AllocsPerRun(1, func() {
 			e, err := New(cfg, routing.MinAverage{Params: cfg.ModelParams(), Estimator: routing.FromInSystem})
 			if err != nil {
 				t.Fatal(err)
 			}
 			completed = e.Run().Completed
+			if e.Parallel() != (shards > 1) {
+				t.Fatalf("Shards=%d ran parallel=%v", shards, e.Parallel())
+			}
 		})
 		return allocs, completed
 	}

@@ -18,22 +18,26 @@ package hybrid
 //     coordinator), so no result depends on the global interleaving of
 //     events at different partitions — only on each partition's own event
 //     order, which conservative synchronization preserves exactly.
-//  2. Deterministic message order. Cross-shard messages are merged between
-//     rounds sorted by (arrival time, edge, per-edge sequence); each edge
-//     is written by one shard, so the per-edge sequence reproduces the
-//     sequential engine's per-link FIFO order, including same-instant
+//  2. Deterministic message order. Each link is one Group edge, written by
+//     one shard. Between rounds the touched edges are drained in ascending
+//     edge index, with no sort: every Message value joins its edge's inbox,
+//     kept in (arrival time, post order), and schedules the edge's delivery
+//     on the destination queue. Deliveries therefore fire in (arrival time,
+//     edge, per-edge sequence) order, and the per-edge sequence reproduces
+//     the sequential engine's per-link FIFO order, including same-instant
 //     release-before-reply guarantees the commit protocol relies on.
 //  3. Barrier-aligned global events. Measurement start, queue samples, and
 //     self-checks execute with every shard clock advanced to the event's
 //     instant, in a fixed priority order, so clock integrals (CPU busy
 //     time) and cross-partition reads see the sequential state.
 //
-// The one remaining difference class: an event at site A and an event at
-// site B at the exact same float64 timestamp execute in seq order on one
-// queue and concurrently here. Such ties have measure zero — every site
-// timestamp descends from its own continuous exponential arrival chain —
-// and cannot influence any partitioned accumulator anyway; the simtest
-// differential gate would catch a violation.
+// The one remaining difference class: a site-local event and a cross-shard
+// arrival at the exact same float64 instant. The sequential queue orders
+// them by global insertion, this run by round-end delivery. Such ties are
+// not rare: service offsets sit on a millisecond lattice, and a delay on
+// that lattice can make unrelated chains collide. DESIGN.md §16.4 records
+// the off-lattice delay rule that keeps the differential gates clear of
+// them; ROADMAP item 1 is the total event order that removes the class.
 
 import (
 	"hybriddb/internal/exec"
@@ -95,13 +99,12 @@ func (e *Engine) setupRunMode() {
 	}
 	e.confineStrategy(shardOf, nShards)
 	e.m.setHistGroups(shardOf, nShards)
-	// Two edges per site (uplink, downlink); lookahead = the one-way delay.
-	e.group = sim.NewGroup(sims, 2*len(e.sites), e.env.cfg.CommDelay)
+	net := newShardNet(sims, shardOf, e.env.cfg.CommDelay, e.wire.toCentral, e.wire.toSite)
+	e.wire.net, e.group = net, net.group
 	// Declare the star: sites talk only to central (shard 0), so the
 	// synchronizer can bound site shards by central's clock alone and let
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
-	e.wire.net = newShardNet(e.group, sims, shardOf, e.env.cfg.CommDelay, e.wire.toCentral, e.wire.toSite)
 }
 
 // confineStrategy gives each event loop its own instance of a
@@ -135,46 +138,59 @@ func (e *Engine) confineStrategy(shardOf []int, loops int) {
 // the receiving shard's worker (distinct words; the Group's round barrier
 // orders them against the coordinator's reads).
 type shardLink struct {
-	group *sim.Group
+	group *sim.GroupOf[Message]
 	src   *sim.Simulator // sending shard's clock
 	from  int            // sending shard index
 	to    int            // receiving shard index
 	edge  int            // FIFO edge id (unique per link)
 	delay float64
-	recv  func(Message)
 
 	sent      uint64
 	delivered uint64
 }
 
-// send posts one closure carrying the message across the shard boundary.
+// send posts the message across the shard boundary.
 func (l *shardLink) send(m Message) {
 	l.sent++
-	l.group.Post(l.from, l.to, l.edge, l.src.Now()+l.delay, func() {
-		l.delivered++
-		l.recv(m)
-	})
+	l.group.Post(l.from, l.to, l.edge, l.src.Now()+l.delay, m)
 }
 
 // shardNet is the sharded transport: the same star topology as
 // comm.NetworkOf, with messages crossing shard boundaries through the Group.
+// Edge i is site i's uplink and edge n+i its downlink.
 type shardNet struct {
-	up   []*shardLink // site i -> central
-	down []*shardLink // central -> site i
+	group     *sim.GroupOf[Message]
+	up        []*shardLink // site i -> central
+	down      []*shardLink // central -> site i
+	toCentral func(Message)
+	toSite    func(Message)
 }
 
-func newShardNet(g *sim.Group, sims []*sim.Simulator, shardOf []int, delay float64, toCentral, toSite func(Message)) *shardNet {
+func newShardNet(sims []*sim.Simulator, shardOf []int, delay float64, toCentral, toSite func(Message)) *shardNet {
 	n := len(shardOf)
-	net := &shardNet{up: make([]*shardLink, n), down: make([]*shardLink, n)}
+	net := &shardNet{
+		up: make([]*shardLink, n), down: make([]*shardLink, n),
+		toCentral: toCentral, toSite: toSite,
+	}
+	// Two edges per site (uplink, downlink); lookahead = the one-way delay.
+	net.group = sim.NewGroupOf(sims, 2*n, delay, net.receive)
 	for i, sh := range shardOf {
-		net.up[i] = &shardLink{
-			group: g, src: sims[sh], from: sh, to: 0, edge: i, delay: delay, recv: toCentral,
-		}
-		net.down[i] = &shardLink{
-			group: g, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay, recv: toSite,
-		}
+		net.up[i] = &shardLink{group: net.group, src: sims[sh], from: sh, to: 0, edge: i, delay: delay}
+		net.down[i] = &shardLink{group: net.group, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay}
 	}
 	return net
+}
+
+// receive is the Group's receive function: it counts the delivery on the
+// edge's link and hands the message to the receiving node.
+func (n *shardNet) receive(edge int, m Message) {
+	if edge < len(n.up) {
+		n.up[edge].delivered++
+		n.toCentral(m)
+		return
+	}
+	n.down[edge-len(n.up)].delivered++
+	n.toSite(m)
 }
 
 // ToCentral implements simNet.

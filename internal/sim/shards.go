@@ -20,14 +20,22 @@
 // talk only to the hub): spokes are then bounded only by the hub's next
 // event and the hub only by the earliest spoke.
 //
+// A Group carries values of any type M to one receive function, called with
+// the message's edge on the destination shard at the arrival instant. The
+// func() instance (Group) is a group whose messages are their own delivery
+// callbacks.
+//
 // Message merging needs no global sort: messages are collected in pooled
 // per-edge outbox buffers (each edge is written by exactly one shard), and
-// between rounds the touched edges are drained in ascending edge index into
-// the destination queues. A destination calendar orders events by (time,
-// insertion sequence), and insertion order only matters for same-instant
-// events, so draining the per-edge streams in edge order reproduces exactly
-// the total (arrival time, edge, per-edge sequence) order a global sort
-// would produce.
+// between rounds the touched edges are drained in ascending edge index. Each
+// message moves into its edge's inbox and schedules the edge's delivery
+// function at its arrival time on the destination queue. A destination
+// calendar orders events by (time, insertion sequence), and insertion order
+// only matters for same-instant events, so draining the per-edge streams in
+// edge order reproduces exactly the total (arrival time, edge, per-edge
+// sequence) order a global sort would produce. The inbox is kept in (arrival
+// time, post order), the order in which the edge's delivery events fire, so
+// each firing pops the message it was scheduled for.
 //
 // Globally synchronized events (measurement start, periodic samples,
 // invariant audits) do not belong to any shard: they are scheduled on the
@@ -39,6 +47,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,10 +56,51 @@ import (
 )
 
 // groupMsg is one cross-shard message awaiting delivery; its edge and
-// destination are implied by the outbox holding it.
-type groupMsg struct {
+// destination are implied by the outbox or inbox holding it.
+type groupMsg[M any] struct {
 	at Time
-	fn func()
+	m  M
+}
+
+// inbox is one edge's merged, undelivered messages in (arrival time, post
+// order). The coordinator pushes between rounds and the destination shard's
+// worker pops during them; the round barrier orders the two. The buffer is
+// reused: it rewinds whenever it drains, and folds its live tail back to the
+// front when it is full and at least half consumed.
+type inbox[M any] struct {
+	buf  []groupMsg[M]
+	head int
+}
+
+// push inserts e after every message arriving no later than it. Arrival
+// times that never decrease append; a regressing one moves back past the
+// later arrivals, so equal times keep their post order.
+func (q *inbox[M]) push(e groupMsg[M]) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head*2 >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, e)
+	i := len(q.buf) - 1
+	for i > q.head && q.buf[i-1].at > e.at {
+		q.buf[i] = q.buf[i-1]
+		i--
+	}
+	q.buf[i] = e
+}
+
+// pop removes and returns the earliest message. The inbox must not be empty.
+func (q *inbox[M]) pop() groupMsg[M] {
+	e := q.buf[q.head]
+	q.buf[q.head] = groupMsg[M]{} // drop any pointer the value holds
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return e
 }
 
 // globalEvent is one barrier-executed event, ordered by (at, prio, seq).
@@ -61,24 +111,31 @@ type globalEvent struct {
 	fn   func()
 }
 
-// Group synchronizes a set of shard Simulators conservatively. Construct
-// with NewGroup, schedule initial work on the shards and global events on
-// the Group, then call Run once. A Group is not reusable across runs.
-type Group struct {
+// GroupOf synchronizes a set of shard Simulators conservatively and carries
+// messages of type M between them. Construct with NewGroupOf (or NewGroup),
+// schedule initial work on the shards and global events on the Group, then
+// call Run once. A Group is not reusable across runs.
+type GroupOf[M any] struct {
 	shards    []*Simulator
 	lookahead Time
+	recv      func(edge int, m M)
+	vet       func(M) // nil, or a check every message must pass at Post
 
 	// Per-edge outboxes: each edge is written only by its sending shard's
 	// worker during a round and drained by the coordinator between rounds
 	// (the WaitGroup barrier orders the accesses). Buffers are pooled —
 	// drained to length zero, capacity retained.
-	edgeBox [][]groupMsg
+	edgeBox [][]groupMsg[M]
 	// edgeTo pins each edge's destination shard (-1 until first use); an
 	// edge is a point-to-point FIFO channel, not a bus.
 	edgeTo []int32
 	// touched collects, per sending shard, the edges it posted to this
 	// round (owner-written, coordinator-drained).
 	touched [][]int32
+	// inboxes hold each edge's merged, undelivered messages; deliverFns[e]
+	// (bound once at construction) pops edge e's earliest and receives it.
+	inboxes    []inbox[M]
+	deliverFns []func()
 
 	// hub >= 0 declares a star topology: shard hub exchanges messages with
 	// every other shard, and the non-hub shards never message each other.
@@ -137,12 +194,16 @@ type workerCmd struct {
 // workload) is stuck.
 const DefaultWatchdog = 10 * time.Second
 
-// NewGroup builds a synchronizer over the given shards. edges is the number
-// of distinct FIFO message edges (each used by one sending shard only);
-// lookahead is the minimum cross-shard message latency and must be positive
-// — with zero lookahead no shard could ever safely lead, and the caller
-// should run single-queue instead.
-func NewGroup(shards []*Simulator, edges int, lookahead Time) *Group {
+// Group is a group whose messages are their delivery callbacks.
+type Group = GroupOf[func()]
+
+// NewGroupOf builds a synchronizer over the given shards that delivers every
+// message to recv, with the message's edge. edges is the number of distinct
+// FIFO message edges (each used by one sending shard only); lookahead is the
+// minimum cross-shard message latency and must be positive — with zero
+// lookahead no shard could ever safely lead, and the caller should run
+// single-queue instead.
+func NewGroupOf[M any](shards []*Simulator, edges int, lookahead Time, recv func(edge int, m M)) *GroupOf[M] {
 	if len(shards) < 2 {
 		panic(fmt.Sprintf("sim: group needs >= 2 shards, got %d", len(shards)))
 	}
@@ -152,39 +213,66 @@ func NewGroup(shards []*Simulator, edges int, lookahead Time) *Group {
 	if edges < 0 {
 		panic(fmt.Sprintf("sim: negative edge count %d", edges))
 	}
-	g := &Group{
-		shards:    shards,
-		lookahead: lookahead,
-		edgeBox:   make([][]groupMsg, edges),
-		edgeTo:    make([]int32, edges),
-		touched:   make([][]int32, len(shards)),
-		hub:       -1,
-		times:     make([]Time, len(shards)),
-		haveT:     make([]bool, len(shards)),
-		bounds:    make([]Time, len(shards)),
-		cmds:      make([]chan workerCmd, len(shards)),
-		watchdog:  DefaultWatchdog,
+	if recv == nil {
+		panic("sim: nil receive function")
+	}
+	g := &GroupOf[M]{
+		shards:     shards,
+		lookahead:  lookahead,
+		recv:       recv,
+		edgeBox:    make([][]groupMsg[M], edges),
+		edgeTo:     make([]int32, edges),
+		touched:    make([][]int32, len(shards)),
+		inboxes:    make([]inbox[M], edges),
+		deliverFns: make([]func(), edges),
+		hub:        -1,
+		times:      make([]Time, len(shards)),
+		haveT:      make([]bool, len(shards)),
+		bounds:     make([]Time, len(shards)),
+		cmds:       make([]chan workerCmd, len(shards)),
+		watchdog:   DefaultWatchdog,
 	}
 	for i := range g.edgeTo {
 		g.edgeTo[i] = -1
+		edge := i
+		g.deliverFns[i] = func() { g.deliverNext(edge) }
 	}
 	return g
 }
 
+// NewGroup builds a synchronizer whose messages are callbacks: each runs on
+// its destination shard at its arrival time.
+func NewGroup(shards []*Simulator, edges int, lookahead Time) *Group {
+	g := NewGroupOf(shards, edges, lookahead, call)
+	g.vet = vetAction
+	return g
+}
+
+// call is the callback group's receive function.
+func call(_ int, action func()) { action() }
+
+// vetAction refuses a nil callback at Post, where the mistake is made,
+// rather than at its delivery.
+func vetAction(action func()) {
+	if action == nil {
+		panic("sim: nil post action")
+	}
+}
+
 // SetWatchdog overrides the stall budget; d <= 0 disables the watchdog.
-func (g *Group) SetWatchdog(d time.Duration) { g.watchdog = d }
+func (g *GroupOf[M]) SetWatchdog(d time.Duration) { g.watchdog = d }
 
 // SetStallHandler overrides the watchdog's stall action (default: panic
 // with the dump). Intended for tests that must observe the stall report
 // without killing the process. Call before Run.
-func (g *Group) SetStallHandler(fn func(dump string)) { g.onStall = fn }
+func (g *GroupOf[M]) SetStallHandler(fn func(dump string)) { g.onStall = fn }
 
 // SetHub declares a star topology with the given shard as the hub: every
 // non-hub shard exchanges messages only with the hub. The coordinator then
 // bounds each spoke by the hub's next event alone (and the hub by the
 // earliest spoke), letting a spoke far ahead of the hub advance many
 // lookahead windows in one round. Call before Run.
-func (g *Group) SetHub(hub int) {
+func (g *GroupOf[M]) SetHub(hub int) {
 	if hub < 0 || hub >= len(g.shards) {
 		panic(fmt.Sprintf("sim: hub %d out of range [0,%d)", hub, len(g.shards)))
 	}
@@ -192,26 +280,27 @@ func (g *Group) SetHub(hub int) {
 }
 
 // Shards returns the number of shards.
-func (g *Group) Shards() int { return len(g.shards) }
+func (g *GroupOf[M]) Shards() int { return len(g.shards) }
 
 // Shard returns the i-th shard simulator.
-func (g *Group) Shard(i int) *Simulator { return g.shards[i] }
+func (g *GroupOf[M]) Shard(i int) *Simulator { return g.shards[i] }
 
-// Post sends a cross-shard message: fn executes on shard to at time at.
-// It must be called from within an event executing on shard from (during a
-// round), and at must respect the lookahead: at >= from.Now() + lookahead.
-// An edge is a point-to-point channel: all its posts come from one shard and
-// go to one shard. Deliveries execute in arrival-time order; same-instant
-// ties break by (edge index, post order), so an edge whose arrival times
-// never decrease — every fixed-delay link — behaves as a FIFO channel.
-func (g *Group) Post(from, to, edge int, at Time, fn func()) {
+// Post sends a cross-shard message: the receive function gets m on shard to
+// at time at. It must be called from within an event executing on shard from
+// (during a round), and at must respect the lookahead: at >= from.Now() +
+// lookahead. An edge is a point-to-point channel: all its posts come from one
+// shard and go to one shard. Deliveries execute in arrival-time order;
+// same-instant ties break by (edge index, post order), so an edge whose
+// arrival times never decrease — every fixed-delay link — behaves as a FIFO
+// channel.
+func (g *GroupOf[M]) Post(from, to, edge int, at Time, m M) {
 	src := g.shards[from]
 	if at < src.now+g.lookahead {
 		panic(fmt.Sprintf("sim: post at %v violates lookahead (now %v + %v)",
 			at, src.now, g.lookahead))
 	}
-	if fn == nil {
-		panic("sim: nil post action")
+	if g.vet != nil {
+		g.vet(m)
 	}
 	switch g.edgeTo[edge] {
 	case int32(to):
@@ -223,14 +312,14 @@ func (g *Group) Post(from, to, edge int, at Time, fn func()) {
 	if len(g.edgeBox[edge]) == 0 {
 		g.touched[from] = append(g.touched[from], int32(edge))
 	}
-	g.edgeBox[edge] = append(g.edgeBox[edge], groupMsg{at: at, fn: fn})
+	g.edgeBox[edge] = append(g.edgeBox[edge], groupMsg[M]{at: at, m: m})
 }
 
 // ScheduleGlobalAt schedules a barrier-executed event at absolute time at.
 // When several global events share an instant they execute in (prio, FIFO)
 // order. Call before Run or from a global event's handler (the coordinator
 // context); never from shard events.
-func (g *Group) ScheduleGlobalAt(at Time, prio int, fn func()) {
+func (g *GroupOf[M]) ScheduleGlobalAt(at Time, prio int, fn func()) {
 	if fn == nil {
 		panic("sim: nil global action")
 	}
@@ -253,7 +342,7 @@ func (g *Group) ScheduleGlobalAt(at Time, prio int, fn func()) {
 
 // peekAll refreshes the per-shard next-event snapshot and returns the
 // global minimum (ok reports whether any shard has work).
-func (g *Group) peekAll() (Time, bool) {
+func (g *GroupOf[M]) peekAll() (Time, bool) {
 	var best Time
 	found := false
 	for i, sh := range g.shards {
@@ -278,7 +367,7 @@ func (g *Group) peekAll() (Time, bool) {
 // no message can ever arrive at j below the bound — which is what lets a
 // shard far ahead of its senders advance many lookahead windows in one
 // round while the others catch up.
-func (g *Group) computeBounds(capAt Time) {
+func (g *GroupOf[M]) computeBounds(capAt Time) {
 	if g.hub >= 0 {
 		// Star topology: the hub is one hop from every spoke; spokes are
 		// two hops from each other (and from themselves, via the hub).
@@ -356,7 +445,7 @@ func (g *Group) computeBounds(capAt Time) {
 // return every shard's clock sits exactly at horizon and all events with
 // at <= horizon have executed — the same contract as Simulator.RunUntil on
 // a single queue. Run may be called once per Group.
-func (g *Group) Run(horizon Time) {
+func (g *GroupOf[M]) Run(horizon Time) {
 	g.startWorkers()
 	defer g.stopWorkers()
 	g.startWatchdog()
@@ -420,7 +509,7 @@ func (g *Group) Run(horizon Time) {
 // round fans the current execution window out to the shard workers — only
 // those with events below their bound — and merges the cross-shard messages
 // they posted back into the destination queues.
-func (g *Group) round(horizon Time, until bool) {
+func (g *GroupOf[M]) round(horizon Time, until bool) {
 	dispatched := 0
 	for i := range g.shards {
 		if until {
@@ -442,12 +531,12 @@ func (g *Group) round(horizon Time, until bool) {
 }
 
 // deliver drains every edge touched this round into its destination shard,
-// in ascending edge index. Each edge's buffer is already in arrival order
-// (the FIFO-edge contract), and a destination queue breaks equal-time ties
-// by insertion order, so this reproduces the deterministic total order
-// (arrival time, edge, per-edge sequence) independent of how the OS
-// interleaved the workers.
-func (g *Group) deliver() {
+// in ascending edge index: each message joins its edge's inbox and schedules
+// the edge's delivery function at its arrival time. A destination queue
+// breaks equal-time ties by insertion order, so the delivery events fire in
+// the deterministic total order (arrival time, edge, per-edge sequence)
+// independent of how the OS interleaved the workers.
+func (g *GroupOf[M]) deliver() {
 	g.drained = g.drained[:0]
 	for i := range g.touched {
 		g.drained = append(g.drained, g.touched[i]...)
@@ -456,19 +545,44 @@ func (g *Group) deliver() {
 	if len(g.drained) == 0 {
 		return
 	}
-	sort.Slice(g.drained, func(a, b int) bool { return g.drained[a] < g.drained[b] })
+	slices.Sort(g.drained)
 	for _, edge := range g.drained {
 		box := g.edgeBox[edge]
 		dst := g.shards[g.edgeTo[edge]]
+		fn := g.deliverFns[edge]
+		monotone := true
 		for i := range box {
-			dst.ScheduleAt(box[i].at, box[i].fn)
-			box[i].fn = nil
+			dst.ScheduleAt(box[i].at, fn)
+			monotone = monotone && (i == 0 || box[i-1].at <= box[i].at)
+		}
+		in := &g.inboxes[edge]
+		if monotone && len(in.buf) == 0 {
+			// The outbox is already in inbox order: hand it over whole, and
+			// the drained inbox's buffer becomes the next outbox.
+			g.edgeBox[edge], in.buf = in.buf, box
+			continue
+		}
+		for i := range box {
+			in.push(box[i])
+			box[i] = groupMsg[M]{}
 		}
 		g.edgeBox[edge] = box[:0]
 	}
 }
 
-func (g *Group) startWorkers() {
+// deliverNext pops edge's earliest message and hands it to the receive
+// function. The edge's delivery events fire in inbox order, so the message
+// is the one this event was scheduled for; the arrival-time check turns any
+// departure from that pairing into a loud failure.
+func (g *GroupOf[M]) deliverNext(edge int) {
+	e := g.inboxes[edge].pop()
+	if now := g.shards[g.edgeTo[edge]].now; e.at != now {
+		panic(fmt.Sprintf("sim: edge %d delivered a message due at %v at %v", edge, e.at, now))
+	}
+	g.recv(edge, e.m)
+}
+
+func (g *GroupOf[M]) startWorkers() {
 	if g.started {
 		panic("sim: group run re-entered")
 	}
@@ -490,7 +604,7 @@ func (g *Group) startWorkers() {
 	}
 }
 
-func (g *Group) stopWorkers() {
+func (g *GroupOf[M]) stopWorkers() {
 	for _, ch := range g.cmds {
 		close(ch)
 	}
@@ -498,7 +612,7 @@ func (g *Group) stopWorkers() {
 
 // snapshotStall records the coordinator's view of the round for the
 // watchdog dump. The mutex keeps the watchdog's read race-free.
-func (g *Group) snapshotStall(dispatched int) {
+func (g *GroupOf[M]) snapshotStall(dispatched int) {
 	g.stallMu.Lock()
 	g.stall.round++
 	g.stall.times = append(g.stall.times[:0], g.times...)
@@ -509,7 +623,7 @@ func (g *Group) snapshotStall(dispatched int) {
 }
 
 // stallDump formats the last-round snapshot for the stall report.
-func (g *Group) stallDump(budget time.Duration, progress uint64) string {
+func (g *GroupOf[M]) stallDump(budget time.Duration, progress uint64) string {
 	g.stallMu.Lock()
 	defer g.stallMu.Unlock()
 	var b strings.Builder
@@ -529,7 +643,7 @@ func (g *Group) stallDump(budget time.Duration, progress uint64) string {
 	return b.String()
 }
 
-func (g *Group) startWatchdog() {
+func (g *GroupOf[M]) startWatchdog() {
 	if g.watchdog <= 0 {
 		return
 	}
@@ -568,7 +682,7 @@ func (g *Group) startWatchdog() {
 	}()
 }
 
-func (g *Group) stopWatchdog() {
+func (g *GroupOf[M]) stopWatchdog() {
 	if g.stopDog != nil {
 		close(g.stopDog)
 		g.stopDog = nil

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +181,57 @@ func TestGroupTimestampOrderPerShard(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no events executed")
+	}
+}
+
+// TestGroupValueInboxOrder: values ride two edges into one shard with arrival
+// times that regress within a post burst and across rounds, and that tie
+// across the edges. Each value must be received at its own arrival instant,
+// on its own edge, in (time, edge, post order) order — the pairing of
+// delivery events to inbox entries is positional, so an inbox that kept post
+// order would hand values to the wrong events.
+func TestGroupValueInboxOrder(t *testing.T) {
+	type post struct {
+		at   Time
+		edge int
+		v    int
+	}
+	// Shard i posts on edge i, values i*100, i*100+1, … in post order, and
+	// logs its posts itself (the sending shards run concurrently).
+	var posts [2][]post
+	sims := []*Simulator{New(), New(), New()}
+	var got []post
+	g := NewGroupOf(sims, 2, 1.0, func(edge int, v int) {
+		got = append(got, post{at: sims[2].Now(), edge: edge, v: v})
+	})
+	burst := func(from int, at Time, arrivals ...Time) {
+		sims[from].ScheduleAt(at, func() {
+			for _, a := range arrivals {
+				p := post{at: a, edge: from, v: from*100 + len(posts[from])}
+				posts[from] = append(posts[from], p)
+				g.Post(from, 2, from, a, p.v)
+			}
+		})
+	}
+	// Shard 0's second burst regresses below its first burst's 5.0, which
+	// is still in the inbox then: shard 2 cannot pass 3.5+lookahead before
+	// shard 0 has run 3.5. Shard 1's last burst is monotone and lands on an
+	// empty inbox.
+	burst(0, 0, 3.0, 2.0, 2.0, 1.5, 5.0)
+	burst(1, 0, 2.0, 1.5, 3.0, 2.0)
+	burst(0, 3.5, 4.75, 4.5, 5.0)
+	burst(1, 6, 7.0, 7.0, 7.5)
+	g.Run(10)
+
+	want := append(slices.Clone(posts[0]), posts[1]...)
+	slices.SortStableFunc(want, func(a, b post) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.edge, b.edge)
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("received (at, edge, value)\n%v\nwant\n%v", got, want)
 	}
 }
 
