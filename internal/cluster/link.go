@@ -1,15 +1,15 @@
 package cluster
 
-// The wire implementation of hybrid's Transport seam: each of the protocol's
-// seven typed sends is encoded as an internal/netx payload and handed to the
-// owning node's send function; each received payload is decoded into a
-// hybrid.Message, which the owner queues and, once the emulated one-way delay
-// has passed, hands to the link's deliver on the node's executor — the same
-// Deliver the simulator calls. The node itself resolves a transaction id; one
-// it does not know is reported as a stray. The links know nothing of sockets:
-// a live node's send function writes to a netx.Conn and its inbox (inbox.go)
-// runs deliver on the loop, the codec-on-simulated-time test's carries the
-// decoded message to the peer's deliver on a comm.NetworkOf.
+// The wire's hybrid.Sender: each protocol message is encoded as an
+// internal/netx payload and handed to the owning node's send function; each
+// received payload is decoded into a hybrid.Message, which the owner queues
+// and, once the emulated one-way delay has passed, hands to the link's
+// deliver on the node's executor — the same Deliver the simulator calls. The
+// node itself resolves a transaction id; one it does not know is reported as
+// a stray. The links know nothing of sockets: a live node's send function
+// writes to a netx.Conn and its inbox (inbox.go) runs deliver on the loop,
+// the codec-on-simulated-time test's carries the decoded message to the
+// peer's deliver on a comm.NetworkOf.
 //
 // Each link encodes into one scratch buffer it owns, reused for every send:
 // all sends of a link happen on its node's executor, and a send function must
@@ -23,7 +23,6 @@ import (
 
 	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
-	"hybriddb/internal/lock"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/workload"
 )
@@ -44,13 +43,86 @@ func checkSpec(cfg *hybrid.Config, spec *workload.Txn) error {
 	return nil
 }
 
-// toWire drops a snapshot's instant: it is not on the wire.
-func toWire(s hybrid.Snapshot) netx.Snapshot {
-	return netx.Snapshot{Queue: int32(s.Queue), InSystem: int32(s.InSystem), Locks: int32(s.Locks)}
+// appendMessage encodes m onto dst as the payload of its netx frame type. A
+// snapshot's instant stays off the wire, stamped by the receiver, and so
+// does a Reply's class: the home site reads it from the input it parked.
+func appendMessage(dst []byte, m hybrid.Message) (byte, []byte) {
+	snap := netx.Snapshot{Queue: int32(m.Snap.Queue), InSystem: int32(m.Snap.InSystem), Locks: int32(m.Snap.Locks)}
+	switch m.Kind {
+	case hybrid.MsgShip:
+		dst = netx.AppendShip(dst, m.Spec, true)
+	case hybrid.MsgAuthReply:
+		dst = netx.AppendAuthReply(dst, netx.AuthReply{Txn: m.Txn, Site: uint32(m.Site), NACK: m.NACK})
+	case hybrid.MsgUpdate:
+		dst = netx.AppendUpdate(dst, netx.Update{Site: uint32(m.Site), Txn: m.Txn, Elements: m.Elems, Traced: true})
+	case hybrid.MsgAuthReq:
+		dst = netx.AppendAuthReq(dst, netx.AuthReq{Txn: m.Txn, Elements: m.Elems, Modes: m.Modes, Snap: snap, Traced: true})
+	case hybrid.MsgRelease:
+		dst = netx.AppendRelease(dst, netx.Release{Txn: m.Txn, Snap: snap})
+	case hybrid.MsgUpdateAck:
+		dst = netx.AppendUpdateAck(dst, netx.UpdateAck{Elements: m.Elems, Snap: snap})
+	case hybrid.MsgReply:
+		dst = netx.AppendReply(dst, netx.Reply{Txn: m.Txn, Snap: snap, Traced: true})
+	default:
+		panic(fmt.Sprintf("cluster: no frame for message kind %d", m.Kind))
+	}
+	return frameType[m.Kind], dst
 }
 
-// siteLink is a site's end of the wire: the node's hybrid.Uplink, and the
-// decoder of the four central->site messages.
+// decodeMessage decodes one frame into its protocol message. Kind is set for
+// every protocol frame type, even when the payload does not decode, and is 0
+// (with errNotProtocol) for any other. An uplink message names its sender;
+// a downlink one leaves Site to the receiving link, and a snapshot's instant
+// to deliver.
+func decodeMessage(msgType byte, p []byte) (hybrid.Message, error) {
+	switch msgType {
+	case netx.MsgShip:
+		spec, _, err := netx.DecodeShip(p)
+		if err != nil {
+			return hybrid.Message{Kind: hybrid.MsgShip}, err
+		}
+		return hybrid.Message{Kind: hybrid.MsgShip, Site: spec.HomeSite, Txn: spec.ID, Spec: spec}, nil
+	case netx.MsgAuthReply:
+		a, err := netx.DecodeAuthReply(p)
+		return hybrid.Message{Kind: hybrid.MsgAuthReply, Site: int(a.Site), Txn: a.Txn, NACK: a.NACK}, err
+	case netx.MsgUpdate:
+		u, err := netx.DecodeUpdate(p)
+		return hybrid.Message{Kind: hybrid.MsgUpdate, Site: int(u.Site), Txn: u.Txn, Elems: u.Elements}, err
+	case netx.MsgAuthReq:
+		a, err := netx.DecodeAuthReq(p)
+		return hybrid.Message{Kind: hybrid.MsgAuthReq, Txn: a.Txn, Elems: a.Elements, Modes: a.Modes, Snap: fromWire(a.Snap)}, err
+	case netx.MsgRelease:
+		r, err := netx.DecodeRelease(p)
+		return hybrid.Message{Kind: hybrid.MsgRelease, Txn: r.Txn, Snap: fromWire(r.Snap)}, err
+	case netx.MsgUpdateAck:
+		u, err := netx.DecodeUpdateAck(p)
+		return hybrid.Message{Kind: hybrid.MsgUpdateAck, Elems: u.Elements, Snap: fromWire(u.Snap)}, err
+	case netx.MsgReply:
+		r, err := netx.DecodeReply(p)
+		return hybrid.Message{Kind: hybrid.MsgReply, Txn: r.Txn, Snap: fromWire(r.Snap)}, err
+	}
+	return hybrid.Message{}, errNotProtocol
+}
+
+// fromWire converts a piggybacked snapshot; its instant is stamped at
+// delivery.
+func fromWire(s netx.Snapshot) hybrid.Snapshot {
+	return hybrid.Snapshot{Queue: int(s.Queue), InSystem: int(s.InSystem), Locks: int(s.Locks)}
+}
+
+// frameType is each protocol message's netx frame type.
+var frameType = [...]byte{
+	hybrid.MsgShip:      netx.MsgShip,
+	hybrid.MsgAuthReply: netx.MsgAuthReply,
+	hybrid.MsgUpdate:    netx.MsgUpdate,
+	hybrid.MsgAuthReq:   netx.MsgAuthReq,
+	hybrid.MsgRelease:   netx.MsgRelease,
+	hybrid.MsgUpdateAck: netx.MsgUpdateAck,
+	hybrid.MsgReply:     netx.MsgReply,
+}
+
+// siteLink is a site's end of the wire: the node's Sender up to central, and
+// the receiver of the four central->site messages.
 type siteLink struct {
 	node  *hybrid.SiteNode
 	site  int
@@ -65,52 +137,22 @@ type siteLink struct {
 	stray func(msgType byte, txn int64)
 }
 
-func (l *siteLink) Ship(_ int, spec *workload.Txn) {
-	l.buf = netx.AppendShip(l.buf[:0], spec, true)
-	l.send(netx.MsgShip, spec.ID, l.buf)
-}
-
-func (l *siteLink) AuthReply(site int, txn int64, nack bool) {
-	l.buf = netx.AppendAuthReply(l.buf[:0], netx.AuthReply{Txn: txn, Site: uint32(site), NACK: nack})
-	l.send(netx.MsgAuthReply, txn, l.buf)
-}
-
-func (l *siteLink) Update(site int, txn int64, updates []uint32) {
-	l.buf = netx.AppendUpdate(l.buf[:0], netx.Update{
-		Site: uint32(site), Txn: txn, Elements: updates, Traced: true,
-	})
-	l.send(netx.MsgUpdate, txn, l.buf)
-}
-
-// fromWire converts a piggybacked snapshot; its instant is stamped at
-// delivery.
-func fromWire(s netx.Snapshot) hybrid.Snapshot {
-	return hybrid.Snapshot{Queue: int(s.Queue), InSystem: int(s.InSystem), Locks: int(s.Locks)}
+// Send encodes an uplink message and transmits it.
+func (l *siteLink) Send(m hybrid.Message) {
+	var msgType byte
+	msgType, l.buf = appendMessage(l.buf[:0], m)
+	l.send(msgType, m.Txn, l.buf)
 }
 
 // receive decodes one central->site frame into the message deliver takes
-// after the emulated link delay.
+// after the emulated link delay, addressed to this site.
 func (l *siteLink) receive(msgType byte, p []byte) (hybrid.Message, error) {
-	m := hybrid.Message{Site: l.site}
-	switch msgType {
-	case netx.MsgAuthReq:
-		a, err := netx.DecodeAuthReq(p)
-		m.Kind, m.Txn, m.Elems, m.Modes, m.Snap = hybrid.MsgAuthReq, a.Txn, a.Elements, a.Modes, fromWire(a.Snap)
-		return m, err
-	case netx.MsgRelease:
-		r, err := netx.DecodeRelease(p)
-		m.Kind, m.Txn, m.Snap = hybrid.MsgRelease, r.Txn, fromWire(r.Snap)
-		return m, err
-	case netx.MsgUpdateAck:
-		u, err := netx.DecodeUpdateAck(p)
-		m.Kind, m.Elems, m.Snap = hybrid.MsgUpdateAck, u.Elements, fromWire(u.Snap)
-		return m, err
-	case netx.MsgReply:
-		r, err := netx.DecodeReply(p)
-		m.Kind, m.Txn, m.Snap = hybrid.MsgReply, r.Txn, fromWire(r.Snap)
-		return m, err
+	m, err := decodeMessage(msgType, p)
+	if m.Kind.Up() { // an uplink kind, or no protocol message at all
+		return hybrid.Message{}, errNotProtocol
 	}
-	return m, errNotProtocol
+	m.Site = l.site
+	return m, err
 }
 
 // deliver hands a received message to the node, on its executor. The
@@ -125,8 +167,8 @@ func (l *siteLink) deliver(m hybrid.Message) {
 	}
 }
 
-// centralLink is the central complex's end of the wire: the node's
-// hybrid.Downlink, and the decoder of the three site->central messages.
+// centralLink is the central complex's end of the wire: the node's Sender
+// down to the sites, and the receiver of the three site->central messages.
 type centralLink struct {
 	node *hybrid.CentralNode
 	cfg  *hybrid.Config
@@ -143,51 +185,24 @@ type centralLink struct {
 	accept func(from *netx.Conn, spec *workload.Txn) bool
 }
 
-func (l *centralLink) AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap hybrid.Snapshot) {
-	l.buf = netx.AppendAuthReq(l.buf[:0], netx.AuthReq{
-		Txn: txn, Elements: elems, Modes: modes, Snap: toWire(snap), Traced: true,
-	})
-	l.send(site, netx.MsgAuthReq, l.buf)
-}
-
-func (l *centralLink) Release(site int, txn int64, snap hybrid.Snapshot) {
-	l.buf = netx.AppendRelease(l.buf[:0], netx.Release{Txn: txn, Snap: toWire(snap)})
-	l.send(site, netx.MsgRelease, l.buf)
-}
-
-func (l *centralLink) UpdateAck(site int, updates []uint32, snap hybrid.Snapshot) {
-	l.buf = netx.AppendUpdateAck(l.buf[:0], netx.UpdateAck{Elements: updates, Snap: toWire(snap)})
-	l.send(site, netx.MsgUpdateAck, l.buf)
-}
-
-func (l *centralLink) Reply(home int, txn int64, classB bool, snap hybrid.Snapshot) {
-	l.buf = netx.AppendReply(l.buf[:0], netx.Reply{
-		Txn: txn, ClassB: classB, Snap: toWire(snap), Traced: true,
-	})
-	l.send(home, netx.MsgReply, l.buf)
+// Send encodes a downlink message and transmits it to the site it names.
+func (l *centralLink) Send(m hybrid.Message) {
+	var msgType byte
+	msgType, l.buf = appendMessage(l.buf[:0], m)
+	l.send(m.Site, msgType, l.buf)
 }
 
 // receive decodes one site->central frame into the message deliver takes
 // after the emulated link delay. A Ship's input is validated here.
 func (l *centralLink) receive(msgType byte, p []byte) (hybrid.Message, error) {
-	switch msgType {
-	case netx.MsgShip:
-		spec, _, err := netx.DecodeShip(p)
-		if err == nil {
-			err = checkSpec(l.cfg, spec)
-		}
-		if err != nil {
-			return hybrid.Message{}, err
-		}
-		return hybrid.Message{Kind: hybrid.MsgShip, Site: spec.HomeSite, Txn: spec.ID, Spec: spec}, nil
-	case netx.MsgAuthReply:
-		a, err := netx.DecodeAuthReply(p)
-		return hybrid.Message{Kind: hybrid.MsgAuthReply, Site: int(a.Site), Txn: a.Txn, NACK: a.NACK}, err
-	case netx.MsgUpdate:
-		u, err := netx.DecodeUpdate(p)
-		return hybrid.Message{Kind: hybrid.MsgUpdate, Site: int(u.Site), Txn: u.Txn, Elems: u.Elements}, err
+	m, err := decodeMessage(msgType, p)
+	if m.Kind == 0 || !m.Kind.Up() {
+		return hybrid.Message{}, errNotProtocol
 	}
-	return hybrid.Message{}, errNotProtocol
+	if err == nil && m.Kind == hybrid.MsgShip {
+		err = checkSpec(l.cfg, m.Spec)
+	}
+	return m, err
 }
 
 // deliver hands a message that arrived on from to the node, on its executor.
@@ -199,15 +214,4 @@ func (l *centralLink) deliver(m hybrid.Message, from *netx.Conn) {
 	if !l.node.Deliver(m) {
 		l.stray(frameType[m.Kind], m.Txn)
 	}
-}
-
-// frameType is each protocol message's netx frame type.
-var frameType = [...]byte{
-	hybrid.MsgShip:      netx.MsgShip,
-	hybrid.MsgAuthReply: netx.MsgAuthReply,
-	hybrid.MsgUpdate:    netx.MsgUpdate,
-	hybrid.MsgAuthReq:   netx.MsgAuthReq,
-	hybrid.MsgRelease:   netx.MsgRelease,
-	hybrid.MsgUpdateAck: netx.MsgUpdateAck,
-	hybrid.MsgReply:     netx.MsgReply,
 }

@@ -104,7 +104,7 @@ func (c *CentralNode) commitPoint(t *txnRun) {
 		if env.detailed() {
 			env.emitDetail(c.sched.Now(), trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", end-start))
 		}
-		env.down.AuthReq(site, txnID, elems[start:end:end], modes[start:end:end], snap)
+		env.down.Send(Message{Kind: MsgAuthReq, Site: site, Txn: txnID, Elems: elems[start:end:end], Modes: modes[start:end:end], Snap: snap})
 	}
 	t.authElems, t.authModes = elems, modes
 }
@@ -143,7 +143,7 @@ func (s *SiteNode) OnAuthReq(txnID int64, elems []uint32, modes []lock.Mode, sna
 	} else {
 		s.emit(trace.AuthNACK, txnID, 0, "in-flight updates")
 	}
-	s.env.up.AuthReply(s.idx, txnID, nack)
+	s.env.up.Send(Message{Kind: MsgAuthReply, Site: s.idx, Txn: txnID, NACK: nack})
 }
 
 // markVictim marks the local holder of a seized lock for abort. A victim ID
@@ -201,7 +201,7 @@ func (c *CentralNode) abort(t *txnRun, cause obs.Kind, reason string) {
 // releaseAuthLocks tells every site that seized locks for t to release them.
 func (c *CentralNode) releaseAuthLocks(t *txnRun, snap Snapshot) {
 	for _, site := range t.authSeized {
-		c.env.down.Release(site, t.spec.ID, snap)
+		c.env.down.Send(Message{Kind: MsgRelease, Site: site, Txn: t.spec.ID, Snap: snap})
 	}
 	t.authSeized = t.authSeized[:0]
 }
@@ -228,7 +228,7 @@ func (c *CentralNode) finish(t *txnRun) {
 	c.running.Delete(t.id())
 	c.emit(trace.CommitCentral, t.spec.ID, 0, "")
 	c.observe(obs.Event{Kind: obs.TxnCentralCommit, Txn: t.spec.ID, Aux: float64(t.attempt)})
-	c.env.down.Reply(t.spec.HomeSite, t.spec.ID, t.spec.Class == workload.ClassB, snap)
+	c.env.down.Send(Message{Kind: MsgReply, Site: t.spec.HomeSite, Txn: t.spec.ID, Snap: snap})
 	c.freeRun(t)
 }
 

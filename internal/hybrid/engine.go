@@ -23,9 +23,9 @@ import (
 //     authenticate/ack/nack commit protocol;
 //   - propagation layer (propagate.go): asynchronous update application and
 //     the piggybacked central-state feedback routingState consumes;
-//   - transport seam (seam.go, wire_sim.go): the seven typed messages, the
-//     Message values the simulated star network carries, and the nodes'
-//     Deliver switch;
+//   - transport seam (seam.go, wire_sim.go): the seven messages as Message
+//     values, the Sender nodes hand them to, the simulated star network
+//     that carries them, and the nodes' Deliver switch;
 //   - observer bus (obs package, wired here): metrics, tracing, queue
 //     sampling, and invariant self-checks subscribe to node events.
 //
@@ -41,7 +41,7 @@ type Engine struct {
 	strategy routing.Strategy
 
 	simulator *sim.Simulator // the sequential event queue (shard 0's in a sharded run)
-	// wire is the simulator's Transport: typed sends as Messages over
+	// wire is the simulator's Sender, for both directions: Messages over
 	// comm.NetworkOf, or over shardNet in a sharded run.
 	wire      simWire
 	generator *workload.Generator

@@ -29,8 +29,8 @@ import (
 type nodeEnv struct {
 	cfg  Config
 	bus  obs.Bus
-	up   Uplink
-	down Downlink
+	up   Sender
+	down Sender
 
 	// Partial-replication precompute (Config.CentralHotFraction < 1): a
 	// partition element at offset >= hotPerPart is cold — not centrally
@@ -184,7 +184,7 @@ func (c *CentralNode) init(env *nodeEnv, sched exec.Scheduler) {
 // its own instance of a routing.LoopLocal strategy (several sites may be
 // built from one such value); a routing.SiteLocal strategy should arrive
 // already forked for this site. Submitted specs stay the caller's.
-func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy, up Uplink, observers ...obs.Observer) (*SiteNode, error) {
+func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy, up Sender, observers ...obs.Observer) (*SiteNode, error) {
 	if err := ValidateStandalone(cfg); err != nil {
 		return nil, err
 	}
@@ -204,7 +204,7 @@ func NewSiteNode(cfg Config, idx int, sched Scheduler, strategy routing.Strategy
 
 // NewCentralNode builds the central complex as a standalone node: handlers
 // on sched, its four outbound messages through down, events to observers.
-func NewCentralNode(cfg Config, sched Scheduler, down Downlink, observers ...obs.Observer) (*CentralNode, error) {
+func NewCentralNode(cfg Config, sched Scheduler, down Sender, observers ...obs.Observer) (*CentralNode, error) {
 	if err := ValidateStandalone(cfg); err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func (s *SiteNode) ship(spec *workload.Txn) {
 		s.parked = flatmap.New[lock.ID, parkedTxn](0)
 	}
 	s.parked.Put(lock.ID(spec.ID), parkedTxn{spec: spec, arrivedAt: s.sched.Now()})
-	s.env.up.Ship(s.idx, spec)
+	s.env.up.Send(Message{Kind: MsgShip, Site: s.idx, Txn: spec.ID, Spec: spec})
 }
 
 // OnShip receives a shipped transaction's input — the Ship message — and

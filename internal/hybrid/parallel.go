@@ -134,9 +134,8 @@ func (e *Engine) confineStrategy(shardOf []int, loops int) {
 }
 
 // shardLink is one directed site<->central link of a sharded run. The sent
-// counter is written only by the sending shard's worker, delivered only by
-// the receiving shard's worker (distinct words; the Group's round barrier
-// orders them against the coordinator's reads).
+// counter is written only by the sending shard's worker (the Group's round
+// barrier orders it against the coordinator's reads).
 type shardLink struct {
 	group *sim.GroupOf[Message]
 	src   *sim.Simulator // sending shard's clock
@@ -145,8 +144,7 @@ type shardLink struct {
 	edge  int            // FIFO edge id (unique per link)
 	delay float64
 
-	sent      uint64
-	delivered uint64
+	sent uint64
 }
 
 // send posts the message across the shard boundary.
@@ -181,16 +179,14 @@ func newShardNet(sims []*sim.Simulator, shardOf []int, delay float64, toCentral,
 	return net
 }
 
-// receive is the Group's receive function: it counts the delivery on the
-// edge's link and hands the message to the receiving node.
+// receive is the Group's receive function: it hands the message to the node
+// at the receiving end of the edge.
 func (n *shardNet) receive(edge int, m Message) {
 	if edge < len(n.up) {
-		n.up[edge].delivered++
 		n.toCentral(m)
-		return
+	} else {
+		n.toSite(m)
 	}
-	n.down[edge-len(n.up)].delivered++
-	n.toSite(m)
 }
 
 // ToCentral implements simNet.
@@ -205,15 +201,6 @@ func (n *shardNet) MessagesSent() uint64 {
 	var total uint64
 	for i := range n.up {
 		total += n.up[i].sent + n.down[i].sent
-	}
-	return total
-}
-
-// MessagesInFlight implements simNet.
-func (n *shardNet) MessagesInFlight() uint64 {
-	var total uint64
-	for i := range n.up {
-		total += (n.up[i].sent - n.up[i].delivered) + (n.down[i].sent - n.down[i].delivered)
 	}
 	return total
 }

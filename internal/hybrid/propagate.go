@@ -49,7 +49,7 @@ func (s *SiteNode) propagate(txnID int64, updates []uint32) {
 		// site's epoch ticker (armEpochTick) drains the batch.
 		s.stash(updates)
 	default:
-		s.env.up.Update(s.idx, txnID, updates)
+		s.env.up.Send(Message{Kind: MsgUpdate, Site: s.idx, Txn: txnID, Elems: updates})
 	}
 }
 
@@ -106,7 +106,7 @@ func (s *SiteNode) flushPendingUpdates() {
 	}
 	batch := s.pendingUpdates
 	s.pendingUpdates = nil
-	s.env.up.Update(s.idx, 0, batch)
+	s.env.up.Send(Message{Kind: MsgUpdate, Site: s.idx, Elems: batch})
 }
 
 // OnUpdate processes an asynchronous update message from a local site:
@@ -141,7 +141,7 @@ func (c *CentralNode) applyNow(site int, txnID int64, updates []uint32) {
 		c.emit(trace.UpdateApplied, 0, 0, fmt.Sprintf("%d elements from site %d", len(updates), site))
 	}
 	c.observe(obs.Event{Kind: obs.UpdateApplied, Txn: txnID, Value: float64(len(updates)), Aux: float64(site)})
-	c.env.down.UpdateAck(site, updates, c.snapshot())
+	c.env.down.Send(Message{Kind: MsgUpdateAck, Site: site, Elems: updates, Snap: c.snapshot()})
 }
 
 // OnUpdateAck lowers the coherence counts an acknowledged update raised and

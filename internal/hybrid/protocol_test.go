@@ -188,23 +188,21 @@ func TestProtocolUpdatesOnlyAfterCommit(t *testing.T) {
 	}
 }
 
-// recWire is a Transport that records what a standalone node sends.
-type recWire struct {
-	ships    []int64
-	authReqs []int64
-	replies  []int64
-	releases int
-}
+// recWire is a Sender that records what a standalone node sends.
+type recWire struct{ sent []Message }
 
-func (w *recWire) Ship(_ int, spec *workload.Txn) { w.ships = append(w.ships, spec.ID) }
-func (w *recWire) AuthReply(int, int64, bool)     {}
-func (w *recWire) Update(int, int64, []uint32)    {}
-func (w *recWire) AuthReq(_ int, txn int64, _ []uint32, _ []lock.Mode, _ Snapshot) {
-	w.authReqs = append(w.authReqs, txn)
+func (w *recWire) Send(m Message) { w.sent = append(w.sent, m) }
+
+// of returns the recorded messages of one kind, in send order.
+func (w *recWire) of(k MsgKind) []Message {
+	var out []Message
+	for _, m := range w.sent {
+		if m.Kind == k {
+			out = append(out, m)
+		}
+	}
+	return out
 }
-func (w *recWire) Release(int, int64, Snapshot)               { w.releases++ }
-func (w *recWire) UpdateAck(int, []uint32, Snapshot)          {}
-func (w *recWire) Reply(_ int, txn int64, _ bool, _ Snapshot) { w.replies = append(w.replies, txn) }
 
 // kindCount counts lifecycle events by kind.
 type kindCount map[obs.Kind]int
@@ -259,8 +257,8 @@ func TestSiteNodeIgnoresStrayReplies(t *testing.T) {
 	spec := workload.NewGenerator(standaloneConfig().WorkloadConfig(), 3).Next(0)
 	spec.Class = workload.ClassB // ships whatever the strategy
 	node.Admit(spec)
-	if len(wire.ships) != 1 || node.away() != 1 {
-		t.Fatalf("class B admission sent %d ships and parked %d", len(wire.ships), node.away())
+	if ships := len(wire.of(MsgShip)); ships != 1 || node.away() != 1 {
+		t.Fatalf("class B admission sent %d ships and parked %d", ships, node.away())
 	}
 	state := func() [6]uint64 {
 		return [6]uint64{node.counts[obs.TxnReply], node.counts.Completed(), uint64(node.away()),
@@ -313,7 +311,7 @@ func TestCentralNodeIgnoresStrayAuthReplies(t *testing.T) {
 		aborts, commits           int
 	}
 	snapshot := func() state {
-		return state{run.state(), node.inSystem, node.locks.LocksHeld(), wire.releases,
+		return state{run.state(), node.inSystem, node.locks.LocksHeld(), len(wire.of(MsgRelease)),
 			events[obs.AbortCentralNACK], events[obs.TxnCentralCommit]}
 	}
 	unchangedBy := func(why string, txn int64) {
@@ -329,8 +327,8 @@ func TestCentralNodeIgnoresStrayAuthReplies(t *testing.T) {
 
 	unchangedBy("before the first round", spec.ID) // still executing its calls
 	s.RunUntil(5)
-	if len(wire.authReqs) != 1 || run.phase != phaseAuthWait {
-		t.Fatalf("%d auth requests, phase %d: the transaction never reached its commit point", len(wire.authReqs), run.phase)
+	if reqs := len(wire.of(MsgAuthReq)); reqs != 1 || run.phase != phaseAuthWait {
+		t.Fatalf("%d auth requests, phase %d: the transaction never reached its commit point", reqs, run.phase)
 	}
 	unchangedBy("unknown id", spec.ID+1)
 	if !node.OnAuthReply(0, spec.ID, true) {
@@ -341,14 +339,14 @@ func TestCentralNodeIgnoresStrayAuthReplies(t *testing.T) {
 	}
 	unchangedBy("late answer after the NACK-restart", spec.ID)
 	s.RunUntil(10)
-	if len(wire.authReqs) != 2 {
-		t.Fatalf("%d auth requests after the re-run, want 2", len(wire.authReqs))
+	if reqs := len(wire.of(MsgAuthReq)); reqs != 2 {
+		t.Fatalf("%d auth requests after the re-run, want 2", reqs)
 	}
 	if !node.OnAuthReply(0, spec.ID, false) {
 		t.Fatal("the ACK of the second round was refused")
 	}
-	if len(wire.replies) != 1 || node.InSystem() != 0 || wire.releases != 1 {
-		t.Fatalf("after the ACK: %d replies, %d in system, %d releases", len(wire.replies), node.InSystem(), wire.releases)
+	if replies, releases := len(wire.of(MsgReply)), len(wire.of(MsgRelease)); replies != 1 || node.InSystem() != 0 || releases != 1 {
+		t.Fatalf("after the ACK: %d replies, %d in system, %d releases", replies, node.InSystem(), releases)
 	}
 	if len(node.txnFree) != 1 || node.txnFree[0] != run {
 		t.Error("the finished run did not return to central's own pool")
@@ -368,6 +366,52 @@ type txnRunState struct {
 
 func (t *txnRun) state() txnRunState {
 	return txnRunState{t.phase, t.attempt, t.authPending, t.authNACK, len(t.authSeized), t.marked}
+}
+
+// TestAuthReqStretchesAreCapped: commitPoint carves every site's element and
+// mode lists from two buffers the run keeps, so each AuthReq must carry a
+// stretch whose capacity ends where it does — a receiver appending to one
+// site's list cannot write into the next site's.
+func TestAuthReqStretchesAreCapped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sites = 3
+	wl := cfg.WorkloadConfig()
+	gen := workload.NewGenerator(wl, 3)
+	spec := gen.Next(0)
+	for len(spec.AppendSitesTouched(wl, nil)) < 2 {
+		spec = gen.Next(0)
+	}
+	wire, s := &recWire{}, sim.New()
+	node, err := NewCentralNode(cfg, exec.Sim(s), wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.OnShip(spec)
+	s.RunUntil(10)
+
+	reqs := wire.of(MsgAuthReq)
+	if want := len(spec.AppendSitesTouched(wl, nil)); len(reqs) != want {
+		t.Fatalf("%d auth requests for a transaction touching %d sites", len(reqs), want)
+	}
+	carried := 0
+	for _, m := range reqs {
+		if len(m.Elems) == 0 || len(m.Modes) != len(m.Elems) {
+			t.Errorf("site %d: %d elements, %d modes", m.Site, len(m.Elems), len(m.Modes))
+		}
+		if cap(m.Elems) != len(m.Elems) || cap(m.Modes) != len(m.Modes) {
+			t.Errorf("site %d: elements len %d cap %d, modes len %d cap %d: the stretch is not capped",
+				m.Site, len(m.Elems), cap(m.Elems), len(m.Modes), cap(m.Modes))
+		}
+		for _, elem := range m.Elems {
+			if p := wl.PartitionOf(elem); p != m.Site {
+				t.Errorf("site %d was asked to authenticate element %d of partition %d", m.Site, elem, p)
+			}
+		}
+		carried += len(m.Elems)
+	}
+	if carried != len(spec.Elements) {
+		t.Errorf("the requests carried %d elements of %d", carried, len(spec.Elements))
+	}
 }
 
 // TestRunsStayWithTheirPartition is the one-owner rule on the sharded core

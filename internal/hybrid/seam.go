@@ -6,13 +6,13 @@ package hybrid
 // methods of the two partition types, SiteNode and CentralNode. They never
 // touch an event queue or a socket: every "read the clock" and "do this
 // later" goes through the node's Scheduler, and every "tell the other tier"
-// is one of the seven typed sends below. The discrete-event simulator is one implementation of the
-// seams (exec.Sim over internal/sim for time, wire_sim.go over comm.NetworkOf
-// / shardNet for transport); the live cluster is the second (exec.Loop for
-// wall-clock time, internal/cluster encoding each send as an internal/netx
-// frame). Both carry each message as a Message value into the receiving
-// node's Deliver, the one switch over the receive handlers —
-// SiteNode.OnAuthReq, CentralNode.OnShip and so on — so there is one
+// is one Message value handed to the node's Sender. The discrete-event
+// simulator is one implementation of the seams (exec.Sim over internal/sim
+// for time, wire_sim.go over comm.NetworkOf / shardNet for transport); the
+// live cluster is the second (exec.Loop for wall-clock time, internal/cluster
+// encoding each message as an internal/netx frame). Both carry the Message
+// into the receiving node's Deliver, the one switch over the receive handlers
+// — SiteNode.OnAuthReq, CentralNode.OnShip and so on — so there is one
 // protocol implementation.
 
 import (
@@ -37,66 +37,37 @@ type Snapshot struct {
 	At       float64
 }
 
-// Uplink carries the three site->central messages of the §2 protocol. Every
-// implementation delivers FIFO per site with the configured one-way delay.
-// Messages carry values — a transaction's input, its id, element lists —
-// never a run: a run belongs to the partition that took it from its pool,
-// and the receiving node resolves an id against its own tables.
-type Uplink interface {
-	// Ship transfers a transaction's input to the central complex, which
-	// executes it in a run of its own; CentralNode.OnShip receives it.
-	Ship(home int, spec *workload.Txn)
-	// AuthReply answers an authentication request; CentralNode.OnAuthReply
-	// receives it.
-	AuthReply(site int, txn int64, nack bool)
-	// Update carries committed updates (one commit's, or a flushed batch's
-	// with txn 0) and ownership of the slice; CentralNode.OnUpdate receives
-	// it.
-	Update(site int, txn int64, updates []uint32)
-}
-
-// Downlink carries the four central->site messages, each piggybacking a
-// Snapshot. Sends issued by one handler reach a site in the order issued.
-type Downlink interface {
-	// AuthReq runs the commit-time authentication phase at a master site;
-	// SiteNode.OnAuthReq receives it.
-	AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap Snapshot)
-	// Release frees a transaction's seized authentication locks;
-	// SiteNode.OnRelease receives it.
-	Release(site int, txn int64, snap Snapshot)
-	// UpdateAck acknowledges an Update so the site lowers its coherence
-	// counts and takes the slice back; SiteNode.OnUpdateAck receives it.
-	UpdateAck(site int, updates []uint32, snap Snapshot)
-	// Reply completes a shipped transaction at its home site, which parked
-	// its input and arrival instant under the id; SiteNode.OnReply receives
-	// it.
-	Reply(home int, txn int64, classB bool, snap Snapshot)
-}
-
-// Transport is the whole star network: what the simulator's wire implements
-// for every partition of an engine at once.
-type Transport interface {
-	Uplink
-	Downlink
+// Sender carries a node's messages to the other tier: an uplink message to
+// the central complex, a downlink one to the site it names. Every
+// implementation delivers FIFO per site with the configured one-way delay,
+// so messages sent by one handler reach their receiver in the order sent.
+type Sender interface {
+	Send(Message)
 }
 
 // MsgKind names one of the seven messages of the §2 protocol.
 type MsgKind uint8
 
-// The three site->central messages, then the four central->site ones.
+// The three site->central messages, then the four central->site ones. The
+// Deliver switches name each one's receive handler.
 const (
-	MsgShip MsgKind = iota + 1
-	MsgAuthReply
-	MsgUpdate
-	MsgAuthReq
-	MsgRelease
-	MsgUpdateAck
-	MsgReply
+	MsgShip      MsgKind = iota + 1 // a transaction's input, for central to execute in a run of its own
+	MsgAuthReply                    // an authentication answer
+	MsgUpdate                       // committed updates, and ownership of the slice
+	MsgAuthReq                      // the commit-time authentication phase at a master site
+	MsgRelease                      // frees a transaction's seized authentication locks
+	MsgUpdateAck                    // lowers the coherence counts and returns the slice
+	MsgReply                        // completes a shipped transaction at its home site
 )
 
-// Message is one protocol message as a value: what a transport carries from
-// a typed send to the receiving node's Deliver. Only the fields its kind
-// names are set.
+// Up reports whether k is a site->central message.
+func (k MsgKind) Up() bool { return k < MsgAuthReq }
+
+// Message is one protocol message as a value: what a node hands its Sender
+// and the receiving node's Deliver takes. Only the fields its kind names are
+// set. A message carries values — a transaction's input, its id, element
+// lists — never a run: a run belongs to the partition that took it from its
+// pool, and the receiving node resolves an id against its own tables.
 type Message struct {
 	Kind MsgKind
 	NACK bool // AuthReply

@@ -1,17 +1,12 @@
 package hybrid
 
-// The simulator's implementation of the Transport seam: each typed send
-// becomes one Message on the star network's link — comm.NetworkOf in the
-// sequential run, shardNet (parallel.go) in the sharded one — delivered to
-// the receiving node's Deliver. A transaction's input and the element lists
-// ride in the message by reference, a run never does.
+// The simulator's Sender: each Message goes onto its direction's link of the
+// star network — comm.NetworkOf in the sequential run, shardNet
+// (parallel.go) in the sharded one — and is delivered to the receiving
+// node's Deliver. A transaction's input and the element lists ride in the
+// message by reference, a run never does.
 
-import (
-	"fmt"
-
-	"hybriddb/internal/lock"
-	"hybriddb/internal/workload"
-)
+import "fmt"
 
 // simNet is what both simulated star networks offer: fixed-delay FIFO links
 // that carry Messages.
@@ -19,7 +14,6 @@ type simNet interface {
 	ToCentral(site int, m Message)
 	ToSite(site int, m Message)
 	MessagesSent() uint64
-	MessagesInFlight() uint64
 }
 
 // simWire joins the partitions of one engine. It is embedded in the Engine
@@ -30,34 +24,13 @@ type simWire struct {
 	central *CentralNode
 }
 
-var _ Transport = (*simWire)(nil)
-
-func (w *simWire) Ship(home int, spec *workload.Txn) {
-	w.net.ToCentral(home, Message{Kind: MsgShip, Site: home, Txn: spec.ID, Spec: spec})
-}
-
-func (w *simWire) AuthReq(site int, txn int64, elems []uint32, modes []lock.Mode, snap Snapshot) {
-	w.net.ToSite(site, Message{Kind: MsgAuthReq, Site: site, Txn: txn, Elems: elems, Modes: modes, Snap: snap})
-}
-
-func (w *simWire) AuthReply(site int, txn int64, nack bool) {
-	w.net.ToCentral(site, Message{Kind: MsgAuthReply, Site: site, Txn: txn, NACK: nack})
-}
-
-func (w *simWire) Release(site int, txn int64, snap Snapshot) {
-	w.net.ToSite(site, Message{Kind: MsgRelease, Site: site, Txn: txn, Snap: snap})
-}
-
-func (w *simWire) Update(site int, txn int64, updates []uint32) {
-	w.net.ToCentral(site, Message{Kind: MsgUpdate, Site: site, Txn: txn, Elems: updates})
-}
-
-func (w *simWire) UpdateAck(site int, updates []uint32, snap Snapshot) {
-	w.net.ToSite(site, Message{Kind: MsgUpdateAck, Site: site, Elems: updates, Snap: snap})
-}
-
-func (w *simWire) Reply(home int, txn int64, _ bool, snap Snapshot) {
-	w.net.ToSite(home, Message{Kind: MsgReply, Site: home, Txn: txn, Snap: snap})
+// Send puts m on the link between central and the site it names.
+func (w *simWire) Send(m Message) {
+	if m.Kind.Up() {
+		w.net.ToCentral(m.Site, m)
+	} else {
+		w.net.ToSite(m.Site, m)
+	}
 }
 
 // toCentral and toSite are the links' receive functions.

@@ -177,7 +177,8 @@ type UpdateAck struct {
 }
 
 // Reply delivers a shipped transaction's completion to its home site.
-// Traced is carried and ignored, as on AuthReq.
+// ClassB is carried and ignored, as Traced is (see AuthReq): the home site
+// takes the class from the input it parked, and the cluster sends false.
 type Reply struct {
 	Txn    int64
 	ClassB bool
