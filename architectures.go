@@ -1,44 +1,15 @@
 package hybriddb
 
-import (
-	"hybriddb/internal/altarch"
-	"hybriddb/internal/model"
-	"hybriddb/internal/replicate"
-	"hybriddb/internal/routing"
-)
+import "hybriddb/internal/altarch"
 
-// Alternative-architecture and methodology types (see also DESIGN.md §2).
-type (
-	// ArchResult summarises a run of a pure (centralized or distributed)
-	// architecture.
-	ArchResult = altarch.Result
-	// ArchComparison is one operating point of the three-architecture
-	// comparison of the paper's introduction.
-	ArchComparison = altarch.Comparison
-	// Replication aggregates independent simulation replications with
-	// confidence intervals.
-	Replication = replicate.Summary
-	// Estimate is a replication-aggregated scalar with a 95% interval.
-	Estimate = replicate.Estimate
-)
+// ArchComparison is one operating point of the three-architecture comparison
+// of the paper's introduction: fully centralized, fully distributed, and the
+// hybrid under its best strategy.
+type ArchComparison = altarch.Comparison
 
 // DefaultLockTimeout is the lock-wait timeout the fully distributed
 // architecture uses to break cross-site deadlocks.
 const DefaultLockTimeout = altarch.DefaultLockTimeout
-
-// RunCentralized simulates the fully centralized architecture of §1: every
-// transaction is shipped to the central complex and processed there.
-func RunCentralized(cfg Config) (ArchResult, error) {
-	return altarch.RunCentralized(cfg)
-}
-
-// RunDistributed simulates the fully distributed architecture of §1:
-// transactions run at their home site with remote function calls for
-// non-local data, two-phase commits across sites, and timeout-based
-// cross-site deadlock resolution.
-func RunDistributed(cfg Config, lockTimeout float64) (ArchResult, error) {
-	return altarch.RunDistributed(cfg, lockTimeout)
-}
 
 // CompareArchitectures runs centralized, distributed, and the hybrid (under
 // its best strategy) on the shared configuration — the paper's motivating
@@ -52,28 +23,3 @@ func CompareArchitectures(cfg Config, lockTimeout float64) (ArchComparison, erro
 func LocalitySweep(cfg Config, pLocals []float64, lockTimeout float64) ([]ArchComparison, error) {
 	return altarch.LocalitySweep(cfg, pLocals, lockTimeout)
 }
-
-// AdaptiveStatic returns the semi-static strategy: probabilistic shipping
-// like Static, with the probability re-optimized from measured arrival
-// rates every window seconds.
-func AdaptiveStatic(cfg Config, window float64, seed uint64) (Strategy, error) {
-	return routing.NewAdaptiveStatic(cfg.ModelParams(), cfg.PLocal, window, seed)
-}
-
-// Replicate runs n independent replications of cfg under the strategy built
-// by mk for each run, aggregating the headline metrics with 95% confidence
-// intervals.
-func Replicate(cfg Config, mk func(Config) (Strategy, error), n int) (Replication, error) {
-	return replicate.Run(cfg, mk, n)
-}
-
-// ReplicateCompare replicates two strategies and reports whether the first
-// is significantly faster (non-overlapping 95% intervals on mean response
-// time).
-func ReplicateCompare(cfg Config, a, b func(Config) (Strategy, error), n int) (bool, Replication, Replication, error) {
-	return replicate.Compare(cfg, a, b, n)
-}
-
-// ModelParams exposes the analytical model's parameter block derived from a
-// configuration, for callers composing their own routing strategies.
-func ModelParams(cfg Config) model.Params { return cfg.ModelParams() }

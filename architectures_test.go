@@ -6,27 +6,6 @@ import (
 	"hybriddb"
 )
 
-func TestPublicArchitectures(t *testing.T) {
-	cfg := smallConfig()
-	cfg.ArrivalRatePerSite = 0.5
-
-	cent, err := hybriddb.RunCentralized(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cent.Architecture != "centralized" || cent.Completed == 0 {
-		t.Fatalf("centralized result: %+v", cent)
-	}
-
-	dist, err := hybriddb.RunDistributed(cfg, hybriddb.DefaultLockTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist.Architecture != "distributed" || dist.Completed == 0 {
-		t.Fatalf("distributed result: %+v", dist)
-	}
-}
-
 func TestPublicCompareArchitectures(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ArrivalRatePerSite = 0.5
@@ -52,60 +31,5 @@ func TestPublicLocalitySweep(t *testing.T) {
 	}
 	if points[1].Distributed.RemoteCallsPerTxn != 0 {
 		t.Errorf("full locality has %v remote calls", points[1].Distributed.RemoteCallsPerTxn)
-	}
-}
-
-func TestPublicAdaptiveStatic(t *testing.T) {
-	cfg := smallConfig()
-	s, err := hybriddb.AdaptiveStatic(cfg, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "adaptive-static" {
-		t.Errorf("name = %q", s.Name())
-	}
-	res, err := hybriddb.Run(cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed == 0 {
-		t.Fatal("no completions")
-	}
-}
-
-func TestPublicReplicate(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Warmup, cfg.Duration = 15, 40
-	sum, err := hybriddb.Replicate(cfg, func(c hybriddb.Config) (hybriddb.Strategy, error) {
-		return hybriddb.QueueLengthHeuristic(), nil
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Replications != 3 || sum.MeanRT.Mean <= 0 {
-		t.Fatalf("summary: %+v", sum)
-	}
-}
-
-func TestPublicReplicateCompare(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Warmup, cfg.Duration = 15, 40
-	cfg.ArrivalRatePerSite = 3.2
-	better, _, _, err := hybriddb.ReplicateCompare(cfg,
-		func(c hybriddb.Config) (hybriddb.Strategy, error) { return hybriddb.Best(c), nil },
-		func(c hybriddb.Config) (hybriddb.Strategy, error) { return hybriddb.None(), nil },
-		3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !better {
-		t.Error("best dynamic not significantly better than none at 32 tps")
-	}
-}
-
-func TestPublicModelParams(t *testing.T) {
-	p := hybriddb.ModelParams(smallConfig())
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -129,26 +129,6 @@ func BenchmarkAblationFeedback(b *testing.B) {
 	b.ReportMetric(rows[len(rows)-1].BestRT, "idealrt/s")
 }
 
-// BenchmarkSimulationRun measures raw simulator speed: one 200-simulated-
-// second run of the full protocol at 25 tps under the best dynamic strategy.
-func BenchmarkSimulationRun(b *testing.B) {
-	cfg := hybriddb.DefaultConfig()
-	cfg.ArrivalRatePerSite = 2.5
-	cfg.Warmup = 50
-	cfg.Duration = 150
-	var completed uint64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		r, err := hybriddb.Run(cfg, hybriddb.Best(cfg))
-		if err != nil {
-			b.Fatal(err)
-		}
-		completed += r.Completed
-	}
-	// Simulated transactions processed per wall-clock second.
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "txn/s")
-}
-
 // BenchmarkArchitectures regenerates the introduction's three-architecture
 // comparison (§1) at one locality point and reports the hybrid's advantage
 // over the worse pure architecture.
@@ -211,18 +191,3 @@ func BenchmarkFig42Reps4Parallel4(b *testing.B) { benchReplicatedFig42(b, 4) }
 
 // BenchmarkFig42Reps4ParallelMax uses every core (GOMAXPROCS workers).
 func BenchmarkFig42Reps4ParallelMax(b *testing.B) { benchReplicatedFig42(b, 0) }
-
-// BenchmarkReplicationsParallel measures the fan-out of one operating
-// point's replications across all cores.
-func BenchmarkReplicationsParallel(b *testing.B) {
-	cfg := hybriddb.DefaultConfig()
-	cfg.ArrivalRatePerSite = 2.5
-	cfg.Warmup = 50
-	cfg.Duration = 150
-	mk := func(cfg hybriddb.Config) (hybriddb.Strategy, error) { return hybriddb.Best(cfg), nil }
-	for i := 0; i < b.N; i++ {
-		if _, err := hybriddb.Replicate(cfg, mk, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

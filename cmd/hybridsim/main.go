@@ -26,7 +26,6 @@ import (
 	"hybriddb/internal/obsx/progress"
 	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/replicate"
-	"hybriddb/internal/report"
 	"hybriddb/internal/runner"
 )
 
@@ -218,7 +217,7 @@ func run(args []string, out io.Writer) error {
 				warnClipped(r)
 			}
 		}
-		if werr := report.WriteReplication(out, summary); werr != nil {
+		if werr := writeReplication(out, summary); werr != nil {
 			return werr
 		}
 		return err
@@ -328,4 +327,16 @@ func warnClipped(r hybrid.Result) {
 	fmt.Fprintf(os.Stderr,
 		"hybridsim: warning: %s: %d of %d response times exceeded the histogram range; p95/p99 are underestimates\n",
 		r.Strategy, r.ClipAll.Over, completed)
+}
+
+// writeReplication renders a replication summary with confidence intervals.
+func writeReplication(w io.Writer, s replicate.Summary) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "strategy\t%s (%d replications)\n", s.Strategy, s.Replications)
+	fmt.Fprintf(tw, "mean response time\t%s s\n", s.MeanRT)
+	fmt.Fprintf(tw, "throughput\t%s tps\n", s.Throughput)
+	fmt.Fprintf(tw, "ship fraction\t%s\n", s.ShipFraction)
+	fmt.Fprintf(tw, "abort rate\t%s per txn\n", s.AbortRate)
+	fmt.Fprintf(tw, "utilization\tlocal %s, central %s\n", s.UtilLocal, s.UtilCentral)
+	return tw.Flush()
 }

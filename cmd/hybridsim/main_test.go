@@ -10,6 +10,7 @@ import (
 
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/obsx/manifest"
+	"hybriddb/internal/replicate"
 )
 
 // TestShardFallbackReason pins the reason the -shards note prints, from
@@ -285,5 +286,25 @@ func TestRunReportsPercentiles(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "percentiles") || !strings.Contains(buf.String(), "p99") {
 		t.Errorf("report missing percentile line:\n%s", buf.String())
+	}
+}
+
+func TestWriteReplication(t *testing.T) {
+	s := replicate.Summary{
+		Strategy:     "queue-length",
+		Replications: 5,
+		MeanRT:       replicate.Estimate{Mean: 1.0, HalfWidth: 0.01},
+		Throughput:   replicate.Estimate{Mean: 25, HalfWidth: 0.5},
+	}
+	var buf bytes.Buffer
+	if err := writeReplication(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "queue-length (5 replications)") {
+		t.Errorf("header missing:\n%s", out)
+	}
+	if !strings.Contains(out, "±") {
+		t.Errorf("confidence interval missing:\n%s", out)
 	}
 }

@@ -21,12 +21,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"text/tabwriter"
 
 	"hybriddb/internal/experiments"
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/obsx/spans"
-	"hybriddb/internal/report"
 	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
@@ -143,7 +143,25 @@ func replay(args []string, out io.Writer) error {
 	}
 	res := engine.Run()
 	fmt.Fprintf(out, "replayed %d of %d recorded transactions\n\n", res.Generated, len(txns))
-	return report.WriteResult(out, res)
+	return writeResult(out, res)
+}
+
+// writeResult renders one simulation result as a labelled block.
+func writeResult(w io.Writer, r hybrid.Result) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "strategy\t%s\n", r.Strategy)
+	fmt.Fprintf(tw, "throughput\t%.2f tps over %.0f s\n", r.Throughput, r.Window)
+	fmt.Fprintf(tw, "mean response time\t%.3f s (p95 %.3f s)\n", r.MeanRT, r.P95RT)
+	fmt.Fprintf(tw, "  class A local\t%.3f s (%d)\n", r.MeanRTLocalA, r.CompletedLocalA)
+	fmt.Fprintf(tw, "  class A shipped\t%.3f s (%d)\n", r.MeanRTShippedA, r.CompletedShippedA)
+	fmt.Fprintf(tw, "  class B\t%.3f s (%d)\n", r.MeanRTClassB, r.CompletedClassB)
+	fmt.Fprintf(tw, "ship fraction\t%.3f\n", r.ShipFraction)
+	fmt.Fprintf(tw, "utilization\tlocal %.2f (max %.2f), central %.2f\n",
+		r.UtilLocalMean, r.UtilLocalMax, r.UtilCentral)
+	fmt.Fprintf(tw, "aborts\t%d (deadlock %d/%d, seized %d, NACK %d, invalidated %d)\n",
+		r.TotalAborts(), r.AbortsDeadlockLocal, r.AbortsDeadlockCentral,
+		r.AbortsLocalSeized, r.AbortsCentralNACK, r.AbortsCentralInval)
+	return tw.Flush()
 }
 
 // export runs a simulation with the span collector attached and writes a

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybriddb/internal/hybrid"
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/trace"
@@ -160,5 +161,35 @@ func TestExportRejectsBadStrategy(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"export", "-strategy", "nonsense"}, &buf); err == nil {
 		t.Fatal("bad strategy accepted")
+	}
+}
+
+func TestWriteResult(t *testing.T) {
+	r := hybrid.Result{
+		Strategy:          "best",
+		Window:            100,
+		MeanRT:            1.0,
+		P95RT:             2.0,
+		Throughput:        25,
+		ShipFraction:      0.4,
+		CompletedLocalA:   100,
+		CompletedShippedA: 80,
+		CompletedClassB:   60,
+		MeanRTLocalA:      0.8,
+		MeanRTShippedA:    1.1,
+		MeanRTClassB:      1.1,
+		UtilLocalMean:     0.5,
+		UtilLocalMax:      0.6,
+		UtilCentral:       0.4,
+	}
+	var buf bytes.Buffer
+	if err := writeResult(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"best", "25.00 tps", "1.000 s", "ship fraction", "aborts"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }

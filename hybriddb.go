@@ -3,8 +3,8 @@
 // discrete-event simulator of the hybrid architecture — geographically
 // distributed database systems attached to a central computing complex that
 // replicates every local database — together with the paper's
-// concurrency/coherency protocol, its analytical performance model, and all
-// of its static and dynamic load-sharing strategies.
+// concurrency/coherency protocol, its analytical performance model, and its
+// static and dynamic load-sharing strategies.
 //
 // The central question the library answers is where to run a "class A"
 // transaction (one touching only its home region's data): at its home site,
@@ -21,16 +21,17 @@
 //	res, err := hybriddb.Run(cfg, hybriddb.Best(cfg))
 //
 // Strategies are constructed by the helpers below (None, StaticOptimal,
-// MeasuredRT, QueueLengthHeuristic, QueueThreshold, MinIncoming*,
-// MinAverage*); Best returns the strategy the paper found strongest,
-// min-average/nis. Analyze and OptimalShipFraction expose the §3.1
-// analytical model directly.
+// AdaptiveStatic, QueueLengthHeuristic); Best returns the strategy the paper
+// found strongest, min-average/nis. Analyze and OptimalShipFraction expose
+// the §3.1 analytical model directly. The package's examples are its tour;
+// every other policy runs through cmd/hybridsim -strategy.
 package hybriddb
 
 import (
 	"hybriddb/internal/hybrid"
 	"hybriddb/internal/model"
 	"hybriddb/internal/routing"
+	"hybriddb/internal/workload"
 )
 
 // Core simulation types. These are aliases of the internal engine types so
@@ -40,37 +41,14 @@ type (
 	Config = hybrid.Config
 	// Result is the measured outcome of one simulation run.
 	Result = hybrid.Result
-	// Feedback selects how local sites learn the central site's state.
-	Feedback = hybrid.Feedback
-	// Engine is a configured simulation, created by NewEngine.
-	Engine = hybrid.Engine
 	// Strategy routes incoming class A transactions.
 	Strategy = routing.Strategy
-	// RoutingState is the information a Strategy sees per decision.
-	RoutingState = routing.State
-	// Decision is a strategy's routing outcome.
-	Decision = routing.Decision
 	// ModelResult is the analytical model's steady-state solution.
 	ModelResult = model.Result
-)
-
-// Feedback modes (see the Feedback type).
-const (
-	// FeedbackAuthOnly updates a site's view of the central state only on
-	// authentication messages — the paper's assumption.
-	FeedbackAuthOnly = hybrid.FeedbackAuthOnly
-	// FeedbackAllMessages piggybacks central state on every message.
-	FeedbackAllMessages = hybrid.FeedbackAllMessages
-	// FeedbackIdeal gives strategies instantaneous central state.
-	FeedbackIdeal = hybrid.FeedbackIdeal
-)
-
-// Routing decisions (see the Decision type).
-const (
-	// RunLocal keeps the transaction at its home site.
-	RunLocal = routing.RunLocal
-	// Ship sends the transaction to the central site.
-	Ship = routing.Ship
+	// RateSchedule is a cyclic piecewise-constant arrival-rate function
+	// (Config.RateSchedules) — the "load fluctuations" the paper's
+	// introduction motivates.
+	RateSchedule = workload.Schedule
 )
 
 // DefaultConfig returns the paper's §4.1 parameters: 10 local sites of
@@ -78,9 +56,6 @@ const (
 // class A transactions, 10 database calls per transaction over a 32K-element
 // lockspace, and the pathlengths of §3.1.
 func DefaultConfig() Config { return hybrid.DefaultConfig() }
-
-// NewEngine builds a simulation for the configuration and strategy.
-func NewEngine(cfg Config, s Strategy) (*Engine, error) { return hybrid.New(cfg, s) }
 
 // Run builds and runs a simulation, returning the measured result.
 func Run(cfg Config, s Strategy) (Result, error) {
@@ -97,10 +72,6 @@ func Run(cfg Config, s Strategy) (Result, error) {
 // at their home site.
 func None() Strategy { return routing.AlwaysLocal{} }
 
-// Static returns the static probabilistic policy shipping each class A
-// transaction with probability p. It panics if p is outside [0, 1].
-func Static(p float64, seed uint64) Strategy { return routing.NewStatic(p, seed) }
-
 // StaticOptimal computes the analytically optimal ship probability for the
 // configuration (§3.1) and returns the corresponding static strategy along
 // with the probability chosen.
@@ -112,47 +83,24 @@ func StaticOptimal(cfg Config) (Strategy, float64, error) {
 	return routing.NewStatic(opt.PShip, cfg.Seed^0x5bd1e995), opt.PShip, nil
 }
 
-// MeasuredRT returns the §3.2.3 heuristic: ship when the last shipped
-// transaction's measured response time beat the last local one's.
-func MeasuredRT() Strategy { return routing.MeasuredRT{} }
+// AdaptiveStatic returns the semi-static strategy: probabilistic shipping
+// like StaticOptimal's, with the probability re-optimized from measured
+// arrival rates every window seconds.
+func AdaptiveStatic(cfg Config, window float64, seed uint64) (Strategy, error) {
+	return routing.NewAdaptiveStatic(cfg.ModelParams(), cfg.PLocal, window, seed)
+}
 
 // QueueLengthHeuristic returns the §3.2.4 heuristic: ship when the central
 // CPU queue (as last seen) is shorter than the local one.
 func QueueLengthHeuristic() Strategy { return routing.QueueLength{} }
 
-// QueueThreshold returns the tuned heuristic of Figures 4.4/4.7: ship when
-// the local utilization estimate exceeds the central one by more than theta
-// (theta may be negative).
-func QueueThreshold(theta float64) Strategy { return routing.QueueThreshold{Theta: theta} }
-
-// MinIncomingByQueue minimizes the incoming transaction's estimated response
-// time with utilizations from CPU queue lengths (§3.2.1a, curve C).
-func MinIncomingByQueue(cfg Config) Strategy {
-	return routing.MinIncoming{Params: cfg.ModelParams(), Estimator: routing.FromQueueLength}
-}
-
-// MinIncomingByCount minimizes the incoming transaction's estimated response
-// time with utilizations from transactions-in-system counts (§3.2.1b,
-// curve D).
-func MinIncomingByCount(cfg Config) Strategy {
-	return routing.MinIncoming{Params: cfg.ModelParams(), Estimator: routing.FromInSystem}
-}
-
-// MinAverageByQueue minimizes the estimated average response time of all
-// running transactions, queue-length variant (§3.2.2, curve E).
-func MinAverageByQueue(cfg Config) Strategy {
-	return routing.MinAverage{Params: cfg.ModelParams(), Estimator: routing.FromQueueLength}
-}
-
-// MinAverageByCount minimizes the estimated average response time of all
-// running transactions, transactions-in-system variant (§3.2.2, curve F) —
-// the paper's best strategy.
-func MinAverageByCount(cfg Config) Strategy {
+// Best returns the strategy the paper found best overall: it minimizes the
+// estimated average response time of all running transactions, with
+// utilizations from transactions-in-system counts (§3.2.2, curve F,
+// min-average/nis).
+func Best(cfg Config) Strategy {
 	return routing.MinAverage{Params: cfg.ModelParams(), Estimator: routing.FromInSystem}
 }
-
-// Best returns the strategy the paper found best overall: MinAverageByCount.
-func Best(cfg Config) Strategy { return MinAverageByCount(cfg) }
 
 // ---- Analytical model.
 

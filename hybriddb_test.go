@@ -1,6 +1,7 @@
 package hybriddb_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,36 +37,23 @@ func TestPublicRunInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestNewEngine(t *testing.T) {
+func TestStrategyConstructors(t *testing.T) {
 	cfg := smallConfig()
-	e, err := hybriddb.NewEngine(cfg, hybriddb.None())
+	cfg.ArrivalRatePerSite = 2.5
+	static, p, err := hybriddb.StaticOptimal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e.Run(); r.ShipFraction != 0 {
-		t.Errorf("None shipped %v", r.ShipFraction)
-	}
-}
-
-func TestStrategyConstructors(t *testing.T) {
-	cfg := smallConfig()
 	strategies := map[string]hybriddb.Strategy{
-		"none":             hybriddb.None(),
-		"static(0.300)":    hybriddb.Static(0.3, 1),
-		"measured-rt":      hybriddb.MeasuredRT(),
-		"queue-length":     hybriddb.QueueLengthHeuristic(),
-		"min-incoming/ql":  hybriddb.MinIncomingByQueue(cfg),
-		"min-incoming/nis": hybriddb.MinIncomingByCount(cfg),
-		"min-average/ql":   hybriddb.MinAverageByQueue(cfg),
-		"min-average/nis":  hybriddb.MinAverageByCount(cfg),
+		"none":                         hybriddb.None(),
+		fmt.Sprintf("static(%.3f)", p): static,
+		"queue-length":                 hybriddb.QueueLengthHeuristic(),
+		"min-average/nis":              hybriddb.Best(cfg),
 	}
 	for want, s := range strategies {
 		if s.Name() != want {
 			t.Errorf("Name() = %q, want %q", s.Name(), want)
 		}
-	}
-	if got := hybriddb.QueueThreshold(-0.2).Name(); got != "queue-threshold(-0.20)" {
-		t.Errorf("threshold name = %q", got)
 	}
 }
 
@@ -122,14 +110,20 @@ func TestOptimalShipFractionExposed(t *testing.T) {
 	}
 }
 
-func TestFeedbackConstantsWired(t *testing.T) {
+func TestPublicAdaptiveStatic(t *testing.T) {
 	cfg := smallConfig()
-	for _, f := range []hybriddb.Feedback{
-		hybriddb.FeedbackAuthOnly, hybriddb.FeedbackAllMessages, hybriddb.FeedbackIdeal,
-	} {
-		cfg.Feedback = f
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("feedback %v rejected: %v", f, err)
-		}
+	s, err := hybriddb.AdaptiveStatic(cfg, 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name() != "adaptive-static" {
+		t.Errorf("name = %q", s.Name())
+	}
+	res, err := hybriddb.Run(cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed == 0 {
+		t.Fatal("no completions")
 	}
 }

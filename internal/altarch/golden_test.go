@@ -43,7 +43,8 @@ func hexResult(r Result) string {
 
 // goldenPoints covers every configuration this package's tests run, the four
 // `figures -fig arch` points (full length and -quick), BenchmarkArchitectures'
-// point and the four points of examples/architectures (D = 0.5 s).
+// point and the four points of the root package's ExampleLocalitySweep
+// (D = 0.5 s).
 var goldenPoints = []goldenPoint{
 	{name: "low-load", warmup: 30, duration: 120, rate: 0.2, pLocal: 0.75,
 		cent: "centralized gen=300 done=297 aborts=0 rt=0x1.6eb4a06edcc8p-01 p95=0x1.970a3d70a3d71p-01 tput=0x1.0333333333333p+01 util=0x1.f141205bc035ap-05/0x0p+00 calls=0x0p+00",

@@ -123,10 +123,10 @@ type Config struct {
 	// own (SiteNode.armEpochTick). The sites of one simulation count
 	// boundaries from the same zero and so share the epoch grid — the
 	// central complex sees synchronized update bursts instead of a Poisson
-	// trickle, the head-to-head comparison examples/epochs runs; the sites
-	// of a live cluster each tick on their own process clock. Mutually
-	// exclusive with UpdateBatchWindow; zero (the default) keeps per-commit
-	// async propagation.
+	// trickle, the head-to-head comparison the root package's
+	// Example_epochs runs; the sites of a live cluster each tick on their
+	// own process clock. Mutually exclusive with UpdateBatchWindow; zero
+	// (the default) keeps per-commit async propagation.
 	EpochLength float64
 
 	// Contention realism (DESIGN.md §16).

@@ -88,7 +88,7 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 		strategy:  strategy,
 		simulator: s,
 		generator: workload.NewGenerator(cfg.WorkloadConfig(), root.Split().Uint64()),
-		m:         newMetrics(cfg.SeriesBucket, cfg.Sites),
+		m:         newMetrics(cfg.SeriesBucket, cfg.Duration, cfg.Sites),
 		central:   &CentralNode{},
 		horizon:   cfg.Warmup + cfg.Duration,
 	}

@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"math"
+
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/stats"
 )
@@ -23,6 +25,7 @@ type metrics struct {
 	start   float64 // window start time
 
 	seriesBucket float64
+	seriesLast   int // index of the window's last bucket
 	cores        []metricsCore
 
 	// Response-time histograms are kept per shard group, not per core: the
@@ -85,13 +88,19 @@ type metricsCore struct {
 	seriesQCount []uint64  // queue samples per bucket
 }
 
-func newMetrics(bucket float64, sites int) *metrics {
-	return &metrics{
+// newMetrics sizes the series grid to cover a measurement window of the
+// given length: ceil(window/bucket) buckets.
+func newMetrics(bucket, window float64, sites int) *metrics {
+	m := &metrics{
 		seriesBucket: bucket,
 		cores:        make([]metricsCore, sites+2),
 		hists:        make([]*histSet, 1),
 		histGroup:    make([]int32, sites+2),
 	}
+	if bucket > 0 {
+		m.seriesLast = int(math.Ceil(window/bucket)) - 1
+	}
+	return m
 }
 
 // setHistGroups re-homes the histogram sets for a sharded run: core i's
@@ -184,7 +193,9 @@ func (m *metrics) OnEvent(ev obs.Event) {
 }
 
 // seriesIndex maps a window time to its bucket, or -1 when the series is
-// disabled or the time precedes the measurement window.
+// disabled or the time precedes the measurement window. A time at the
+// horizon itself (a queue sample or completion at exactly the window's end)
+// folds into the last bucket rather than opening one past the window.
 func (m *metrics) seriesIndex(now float64) int {
 	// The pre-window guard must precede the division: int() truncates toward
 	// zero, so a time just before the window would otherwise fold into
@@ -192,7 +203,7 @@ func (m *metrics) seriesIndex(now float64) int {
 	if m.seriesBucket <= 0 || now < m.start {
 		return -1
 	}
-	return int((now - m.start) / m.seriesBucket)
+	return min(int((now-m.start)/m.seriesBucket), m.seriesLast)
 }
 
 // recordSeries adds a completed response time to its time bucket.

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"math"
 	"testing"
 
 	"hybriddb/internal/hybrid/obs"
@@ -14,10 +15,11 @@ func coordCore(m *metrics) *metricsCore { return &m.cores[len(m.cores)-1] }
 
 // TestSeriesBucketBoundaries pins the bucket grid: a completion at exactly
 // the window start lands in bucket 0, one an epsilon before a boundary stays
-// in the earlier bucket, one exactly on a boundary opens the next, and
-// skipped buckets materialize as zero-count entries.
+// in the earlier bucket, one exactly on a boundary opens the next, skipped
+// buckets materialize as zero-count entries, and one at exactly the horizon
+// folds into the last bucket instead of opening one past the window.
 func TestSeriesBucketBoundaries(t *testing.T) {
-	m := newMetrics(10, 1)
+	m := newMetrics(10, 50, 1)
 	m.OnEvent(obs.Event{Kind: obs.MeasureStart, At: 100})
 
 	commit := func(at, rt float64) {
@@ -27,8 +29,9 @@ func TestSeriesBucketBoundaries(t *testing.T) {
 	commit(109.999, 2.0) // still bucket 0
 	commit(110, 3.0)     // bucket 1, boundary opens the next bucket
 	commit(135, 4.0)     // bucket 3; bucket 2 stays empty
+	commit(150, 5.0)     // the horizon: last bucket, 4
 
-	wantCounts := []uint64{2, 1, 0, 1}
+	wantCounts := []uint64{2, 1, 0, 1, 1}
 	if len(siteCore(m).seriesCount) != len(wantCounts) {
 		t.Fatalf("got %d buckets, want %d", len(siteCore(m).seriesCount), len(wantCounts))
 	}
@@ -48,7 +51,7 @@ func TestSeriesBucketBoundaries(t *testing.T) {
 // TestSeriesDisabledRecordsNothing: SeriesBucket = 0 must leave every series
 // slice nil, whatever arrives.
 func TestSeriesDisabledRecordsNothing(t *testing.T) {
-	m := newMetrics(0, 1)
+	m := newMetrics(0, 50, 1)
 	m.OnEvent(obs.Event{Kind: obs.MeasureStart, At: 0})
 	m.OnEvent(obs.Event{Kind: obs.TxnLocalCommit, At: 5, Value: 1, Site: 0})
 	m.OnEvent(obs.Event{Kind: obs.QueueSample, At: 5, Value: 2, Aux: 1})
@@ -60,7 +63,7 @@ func TestSeriesDisabledRecordsNothing(t *testing.T) {
 // TestQueueSampleFolding: queue observations fold into the same bucket grid
 // as response times, accumulating separate central and local sums.
 func TestQueueSampleFolding(t *testing.T) {
-	m := newMetrics(10, 1)
+	m := newMetrics(10, 50, 1)
 	m.OnEvent(obs.Event{Kind: obs.MeasureStart, At: 100})
 
 	sample := func(at, central, local float64) {
@@ -89,7 +92,7 @@ func TestQueueSampleFolding(t *testing.T) {
 // and an event carrying a pre-window timestamp after enablement maps to no
 // bucket rather than a negative index.
 func TestSeriesIgnoresPreWindowEvents(t *testing.T) {
-	m := newMetrics(10, 1)
+	m := newMetrics(10, 50, 1)
 	m.OnEvent(obs.Event{Kind: obs.TxnLocalCommit, At: 50, Value: 1, Site: 0})
 	m.OnEvent(obs.Event{Kind: obs.MeasureStart, At: 100})
 	m.OnEvent(obs.Event{Kind: obs.QueueSample, At: 99.5, Value: 1, Aux: 1})
@@ -102,15 +105,16 @@ func TestSeriesIgnoresPreWindowEvents(t *testing.T) {
 }
 
 // TestResultSeriesEndToEnd runs a real simulation with SeriesBucket set and
-// checks the assembled RTSeries: contiguous buckets on the grid, completions
-// and queue samples both folded, and means derived from the folded sums.
+// checks the assembled RTSeries: exactly ceil(Duration/SeriesBucket)
+// contiguous buckets on the grid, completions and queue samples both folded,
+// and means derived from the folded sums.
 func TestResultSeriesEndToEnd(t *testing.T) {
 	cfg := testConfig()
 	cfg.SeriesBucket = 25
 	r := run(t, cfg, routing.QueueLength{})
 
-	if len(r.RTSeries) == 0 {
-		t.Fatal("no RTSeries with SeriesBucket set")
+	if want := int(math.Ceil(cfg.Duration / cfg.SeriesBucket)); len(r.RTSeries) != want {
+		t.Fatalf("RTSeries has %d buckets, want %d", len(r.RTSeries), want)
 	}
 	var completions, qsamples uint64
 	for i, b := range r.RTSeries {

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Output gate: a refactor of the experiment code must not move a single byte
-# of what the CLIs print. Builds cmd/figures, cmd/analyze, cmd/hybridsim and
-# examples/architectures (whose D = 0.5 rows EXPERIMENTS.md quotes) at the
-# parent (scripts/benchparent.sh: the merge-base with main, exported
+# of what the CLIs print. Builds cmd/figures, cmd/analyze and cmd/hybridsim
+# at the parent (scripts/benchparent.sh: the merge-base with main, exported
 # with `git archive`) and at this working tree, runs the fixed invocation
 # list below with each, and diffs the outputs file by file; it also diffs the
 # custom metrics (not ns/op) of the root package's figure, max-throughput,
-# ablation and architecture benchmarks at -benchtime 1x. Under a minute on a
-# 2-vCPU host.
+# ablation and architecture benchmarks at -benchtime 1x. The working tree's
+# outputs are then rendered a second time and diffed against the first (a
+# fixed seed must reproduce itself), and its hybridsim -shards 1 and
+# -shards 4 outputs against each other (sharding must not change a result).
+# About a minute on a 2-vCPU host.
 #
 #   scripts/outputgate.sh        (make output-gate; BASE, SCRATCH as in benchpair.sh)
 set -euo pipefail
@@ -25,8 +27,7 @@ rm -rf "$work"
 render() {
 	local src="$1" bin="$work/bin-$2" o="$work/$2"
 	mkdir -p "$bin" "$o"
-	(cd "$src" && for cmd in figures analyze hybridsim; do go build -o "$bin/$cmd" "./cmd/$cmd"; done &&
-		go build -o "$bin/architectures" ./examples/architectures)
+	(cd "$src" && for cmd in figures analyze hybridsim; do go build -o "$bin/$cmd" "./cmd/$cmd"; done)
 	(
 		cd "$o"
 		"$bin/figures" -quick -csv all.csv >all.txt
@@ -34,9 +35,10 @@ render() {
 		"$bin/figures" -quick -fig 4.3 -reps 3 -parallel 2 -csv fig43-reps.csv >fig43-reps.txt
 		"$bin/figures" -quick -fig max >max.txt
 		"$bin/figures" -quick -fig arch >arch.txt
-		"$bin/architectures" >example-architectures.txt
 		"$bin/analyze" -pship 0.3 -validate >validate.txt
 		"$bin/hybridsim" -rate 1.5 -warmup 20 -duration 100 -reps 3 >hybridsim-reps.txt
+		"$bin/hybridsim" -rate 2.5 -warmup 20 -duration 100 -shards 1 >hybridsim-shards1.txt
+		"$bin/hybridsim" -rate 2.5 -warmup 20 -duration 100 -shards 4 >hybridsim-shards4.txt
 		"$bin/figures" -quick -fig 4.1 -manifest RUN_fig41.json >/dev/null 2>&1
 		# The provenance line names the build and the wall clock; drop it.
 		"$bin/analyze" -manifest RUN_fig41.json | sed '/^built with /d' >manifest-summary.txt
@@ -49,15 +51,25 @@ render() {
 
 render "$parent" parent
 render "$root" change
+render "$root" rerun
 
 status=0
-for f in "$work"/parent/*; do
-	name="$(basename "$f")"
-	if diff -u "$f" "$work/change/$name" >"$work/$name.diff"; then
-		echo "same  $name"
+# same <a> <b> <label>: diff two outputs and report the verdict under label.
+same() {
+	if diff -u "$1" "$2" >"$work/$3.diff"; then
+		echo "same  $3"
 	else
-		echo "DIFF  $name (see $work/$name.diff)"
+		echo "DIFF  $3 (see $work/$3.diff)"
 		status=1
 	fi
+}
+for f in "$work"/parent/*; do
+	name="$(basename "$f")"
+	same "$f" "$work/change/$name" "$name"
 done
+for f in "$work"/change/*; do
+	name="$(basename "$f")"
+	same "$f" "$work/rerun/$name" "rerun-$name"
+done
+same "$work/change/hybridsim-shards1.txt" "$work/change/hybridsim-shards4.txt" shards1-vs-shards4.txt
 exit $status
