@@ -197,7 +197,8 @@ func spanVocabulary(t *testing.T, path string) map[string]bool {
 // level: build both binaries, boot 1 central + 4 sites as real processes on
 // loopback (DefaultLiveConfig, ports picked by the kernel), run a short
 // paced load, scrape every node's /metrics and require transaction
-// conservation per site and cluster-wide, then require nonzero commits,
+// conservation per site and cluster-wide and one response time per
+// completion at every site, then require nonzero commits,
 // zero request errors, clean SIGTERM shutdowns all around, and a merged
 // span trace with at least one transaction crossing two processes that says
 // nothing a simulator's export of the same configuration does not.
@@ -292,6 +293,14 @@ func TestClusterProcessSmoke(t *testing.T) {
 		if gen != acc {
 			t.Errorf("site %d conservation broken: generated %v != completed_local %v + replies %v + in_flight %v",
 				i, gen, snap["site_completed_local_total"], snap["site_replies_delivered_total"], snap["site_in_flight"])
+		}
+		// One response time per completion, from the same loop instant.
+		if rt, local := snap[`site_rt_seconds_count{route="local"}`], snap["site_completed_local_total"]; rt != local {
+			t.Errorf("site %d: %v local response times for %v local commits", i, rt, local)
+		}
+		if rt, replies := snap[`site_rt_seconds_count{route="shipped"}`]+snap[`site_rt_seconds_count{route="ship_b"}`],
+			snap["site_replies_delivered_total"]; rt != replies {
+			t.Errorf("site %d: %v shipped response times for %v replies delivered", i, rt, replies)
 		}
 		genSum += gen
 		doneSum += acc

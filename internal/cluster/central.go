@@ -41,7 +41,7 @@ func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*C
 	}
 	c.link = centralLink{cfg: &c.cfg, send: c.toSite, stray: c.stray, accept: c.acceptShip}
 	c.inbox = newInbox(c.loop, cfg.CommDelay, func(e envelope) { c.link.deliver(e.msg, e.from) })
-	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, observers...)
+	node, err := hybrid.NewCentralNode(cfg, c.loop, &c.link, append([]obs.Observer{c.dists}, observers...)...)
 	if err != nil {
 		c.loop.Stop()
 		return nil, err
@@ -55,15 +55,15 @@ func StartCentral(cfg hybrid.Config, addr string, observers ...obs.Observer) (*C
 	return c, nil
 }
 
-// registerMetrics wires the registry: the node's count table and state
-// gauges mirrored in one loop-time instant — which is what lets a scrape
-// assert the exact conservation invariant ship_arrived == commits +
+// registerMetrics wires the registry: the node's count table, distributions
+// and state gauges mirrored in one loop-time instant — which is what lets a
+// scrape assert the exact conservation invariant ship_arrived == commits +
 // in_system.
 func (c *Central) registerMetrics() {
 	inSystem := c.reg.Gauge("central_in_system", "transactions at central in any phase")
 	queue := c.reg.Gauge("central_cpu_queue_depth", "bursts queued at the central CPU, job in service included")
 	locksHeld := c.reg.Gauge("central_locks_held", "locks held at central")
-	c.mirrorOnLoop(centralCounts, c.node.Counts, func() {
+	c.mirrorOnLoop(centralCounts, obs.AtCentral, "central_", c.node.Counts, func() {
 		inSystem.Set(float64(c.node.InSystem()))
 		queue.Set(float64(c.node.QueueLength()))
 		locksHeld.Set(float64(c.node.LocksHeld()))

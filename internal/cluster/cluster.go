@@ -43,10 +43,12 @@ import (
 	"hybriddb/internal/obsx/metrics"
 )
 
-// validate rejects configurations the live engine cannot honor: the corner
-// only the whole-system simulator can (hybrid.ValidateStandalone — ideal
-// feedback), and arrival-rate schedules, which are the load generator's
-// business here.
+// validate rejects the two Config fields that stay simulator-only (DESIGN.md
+// §13.2). Ideal feedback (hybrid.ValidateStandalone) routes on the central
+// complex's state at the decision instant; a site learns that state only from
+// messages that left central CommDelay ago, and no wire carries it faster.
+// Arrival-rate schedules pace arrivals, and a live node admits whatever its
+// load generators submit: pacing is theirs (hybridload -rate, -ramp).
 func validate(cfg hybrid.Config) error {
 	if err := hybrid.ValidateStandalone(cfg); err != nil {
 		return err
@@ -64,8 +66,9 @@ const flightCapacity = 256
 // shell is the process around one hybrid node, the same at both tiers: the
 // event loop the node runs on, the inbox that carries protocol messages onto
 // it (set by StartSite / StartCentral), the logging, registry, wire-counter
-// and flight-recorder plumbing every frame passes, and the reader of the
-// node's event counts (set by mirrorOnLoop).
+// and flight-recorder plumbing every frame passes, the node's distribution
+// tally (subscribed to its bus), and the reader of the node's event counts
+// (set by mirrorOnLoop).
 type shell struct {
 	cfg    hybrid.Config
 	loop   *exec.Loop
@@ -75,6 +78,7 @@ type shell struct {
 	wm     *wireMetrics
 	net    *netx.Stats
 	fr     *flight.Recorder
+	dists  *distTally
 	counts func() obs.Counts
 }
 
@@ -85,7 +89,7 @@ func newShell(cfg hybrid.Config, name string) shell {
 	return shell{
 		cfg: cfg, loop: exec.NewLoop(), log: logx.New(name),
 		reg: reg, wm: newWireMetrics(reg), net: ns,
-		fr: flight.NewRecorder(name, flightCapacity),
+		fr: flight.NewRecorder(name, flightCapacity), dists: newDistTally(),
 	}
 }
 

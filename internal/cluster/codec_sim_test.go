@@ -9,7 +9,8 @@ package cluster
 // snapshots are stamped now − CommDelay by the receiver, and the decoded
 // messages ride a comm.NetworkOf to the links' deliver. One recorded trace is
 // replayed through that assembly and through hybrid.New(cfg).Run(); every
-// count and every response-time sum the bus carries must be equal, exactly.
+// partition's event counts and distributions, folded from the bus, must be
+// equal, bit for bit.
 
 import (
 	"bytes"
@@ -24,79 +25,45 @@ import (
 	"hybriddb/internal/rng"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
+	"hybriddb/internal/stats"
 	"hybriddb/internal/workload"
 )
 
-// busTally folds a run's lifecycle events into counts and sums. Float sums
-// accumulate in emission order, which one event queue fixes, so equal event
-// streams give equal bits.
-type busTally struct {
-	Arrivals, ShippedA, ShippedB []uint64 // per site
-	LocalCommits, Replies        []uint64
-	RTLocal, RTReply             []float64
-	AttemptsLocal                float64
-
-	ShipArrive, CentralCommits uint64
-	AttemptsCentral            float64
-	AuthRounds, AuthSitesAsked uint64
-	ColdFetches                uint64
-	Updates, UpdateElems       uint64
-	LockWaits                  uint64
-	LockWaitSum                float64
-	Aborts                     map[string]uint64
-
-	// ViewAgeSum is the one exempt statistic: a receiver-stamped snapshot
-	// instant (now − D) and the sender's own clock differ by an ulp.
-	ViewAgeSum float64
+// partitionTally folds a run's bus into each partition's obs.Counts and
+// distTally — sites by index, central last — as a live node folds its own.
+// Accumulation follows emission order, which one event queue fixes, so equal
+// event streams give equal bits.
+type partitionTally struct {
+	counts []obs.Counts
+	dists  []*distTally
 }
 
-func newBusTally(sites int) *busTally {
-	return &busTally{
-		Arrivals: make([]uint64, sites), ShippedA: make([]uint64, sites), ShippedB: make([]uint64, sites),
-		LocalCommits: make([]uint64, sites), Replies: make([]uint64, sites),
-		RTLocal: make([]float64, sites), RTReply: make([]float64, sites),
-		Aborts: make(map[string]uint64),
+func newPartitionTally(sites int) *partitionTally {
+	p := &partitionTally{counts: make([]obs.Counts, sites+1)}
+	for range sites + 1 {
+		p.dists = append(p.dists, newDistTally())
 	}
+	return p
 }
 
-func (b *busTally) OnEvent(ev obs.Event) {
-	switch ev.Kind {
-	case obs.TxnArrive:
-		b.Arrivals[ev.Site]++
-		switch {
-		case ev.ClassB:
-			b.ShippedB[ev.Site]++
-		case ev.Shipped:
-			b.ShippedA[ev.Site]++
-		}
-		b.ViewAgeSum += ev.Value
-	case obs.TxnLocalCommit:
-		b.LocalCommits[ev.Site]++
-		b.RTLocal[ev.Site] += ev.Value
-		b.AttemptsLocal += ev.Aux
-	case obs.TxnReply:
-		b.Replies[ev.Site]++
-		b.RTReply[ev.Site] += ev.Value
-	case obs.ShipArrive:
-		b.ShipArrive++
-	case obs.TxnCentralCommit:
-		b.CentralCommits++
-		b.AttemptsCentral += ev.Aux
-	case obs.AuthRound:
-		b.AuthRounds++
-		b.AuthSitesAsked += uint64(ev.Value)
-	case obs.ColdFetch:
-		b.ColdFetches++
-	case obs.UpdateApplied:
-		b.Updates++
-		b.UpdateElems += uint64(ev.Value)
-	case obs.LockWaitEnd:
-		b.LockWaits++
-		b.LockWaitSum += ev.Value
-	case obs.AbortDeadlockLocal, obs.AbortDeadlockCentral, obs.AbortLocalSeized,
-		obs.AbortCentralNACK, obs.AbortCentralInval:
-		b.Aborts[ev.Kind.String()]++
+func (p *partitionTally) OnEvent(ev obs.Event) {
+	if ev.Kind == obs.MeasureStart || ev.Kind == obs.QueueSample {
+		return // the engine's coordinator events: no node emits them
 	}
+	i := ev.Site
+	if i < 0 {
+		i = len(p.counts) - 1
+	}
+	p.counts[i].Add(ev)
+	p.dists[i].OnEvent(ev)
+}
+
+// total sums a kind's count over the partitions.
+func (p *partitionTally) total(k obs.Kind) (n uint64) {
+	for i := range p.counts {
+		n += p.counts[i][k]
+	}
+	return n
 }
 
 // codecCluster is the node assembly: sites and central on one simulator,
@@ -235,7 +202,7 @@ func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
 		strategy routing.Strategy
 		forNodes func(hybrid.Config) []routing.Strategy
 		tune     func(*hybrid.Config)
-		check    func(t *testing.T, b *busTally)
+		check    func(t *testing.T, p *partitionTally)
 	}{
 		{"queue-threshold", threshold, shared(threshold), nil, contended},
 		{"static", static, staticForks, nil, contended},
@@ -246,16 +213,12 @@ func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
 			cfg.ColdFetchDelay = 0.0137
 			cfg.SkewTheta = 0.5
 			cfg.DisksCentral = 6
-		}, func(t *testing.T, b *busTally) {
-			if b.ColdFetches == 0 {
+		}, func(t *testing.T, p *partitionTally) {
+			if p.total(obs.ColdFetch) == 0 {
 				t.Error("no cold fetches under partial replication")
 			}
-			var commits uint64
-			for _, n := range b.LocalCommits {
-				commits += n
-			}
-			if b.Updates == 0 || b.Updates >= commits {
-				t.Errorf("%d update messages for %d local commits: the batch window batched nothing", b.Updates, commits)
+			if updates, commits := p.total(obs.UpdateApplied), p.total(obs.TxnLocalCommit); updates == 0 || updates >= commits {
+				t.Errorf("%d update messages for %d local commits: the batch window batched nothing", updates, commits)
 			}
 		}},
 	} {
@@ -274,7 +237,7 @@ func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			want := newBusTally(cfg.Sites)
+			want := newPartitionTally(cfg.Sites)
 			e, err := hybrid.New(cfg, tc.strategy)
 			if err != nil {
 				t.Fatal(err)
@@ -285,21 +248,35 @@ func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
 			e.Subscribe(want)
 			res := e.Run()
 
-			got := newBusTally(cfg.Sites)
+			got := newPartitionTally(cfg.Sites)
 			cc := newCodecCluster(t, cfg, tc.forNodes(cfg), got)
 			cc.replay(txns, gaps, cfg.Warmup+cfg.Duration)
 
 			if msgs := cc.net.MessagesSent(); msgs != res.MessagesSent {
 				t.Errorf("codec run sent %d messages, the engine %d", msgs, res.MessagesSent)
 			}
-			t.Logf("%d messages, %d local commits at site 0, %d central commits, aborts %v, view-age sums %v vs %v",
-				res.MessagesSent, want.LocalCommits[0], want.CentralCommits, want.Aborts, got.ViewAgeSum, want.ViewAgeSum)
-			got.ViewAgeSum, want.ViewAgeSum = 0, 0
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("the protocol through the codec diverged from the engine\ncodec:  %+v\nengine: %+v", *got, *want)
+			central := cfg.Sites
+			t.Logf("%d messages, %d local commits at site 0, %d central commits",
+				res.MessagesSent, want.counts[0][obs.TxnLocalCommit], want.counts[central][obs.TxnCentralCommit])
+			for i := range want.counts {
+				if got.counts[i] != want.counts[i] {
+					t.Errorf("partition %d: counts diverged from the engine\ncodec:  %v\nengine: %v", i, got.counts[i], want.counts[i])
+				}
+				// The view age is the one exempt row: a receiver-stamped
+				// snapshot instant (now − D) and the sender's own clock differ
+				// by an ulp. Its sample count is still exact.
+				g, w := got.dists[i], want.dists[i]
+				if g.moments[obs.ViewAge].Count() != w.moments[obs.ViewAge].Count() {
+					t.Errorf("partition %d: %d view-age samples, the engine %d", i, g.moments[obs.ViewAge].Count(), w.moments[obs.ViewAge].Count())
+				}
+				g.moments[obs.ViewAge], w.moments[obs.ViewAge] = stats.Welford{}, stats.Welford{}
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("partition %d: distributions diverged from the engine\ncodec:  %+v\nengine: %+v", i, g.moments, w.moments)
+				}
 			}
-			if want.CentralCommits == 0 || want.LocalCommits[0] == 0 {
-				t.Errorf("vacuous: %d central commits, %d local commits at site 0", want.CentralCommits, want.LocalCommits[0])
+			if want.counts[central][obs.TxnCentralCommit] == 0 || want.counts[0][obs.TxnLocalCommit] == 0 {
+				t.Errorf("vacuous: %d central commits, %d local commits at site 0",
+					want.counts[central][obs.TxnCentralCommit], want.counts[0][obs.TxnLocalCommit])
 			}
 			tc.check(t, want)
 		})
@@ -308,9 +285,9 @@ func TestProtocolThroughCodecOnSimulatedTime(t *testing.T) {
 
 // contended requires the run to have exercised the protocol's hard corners:
 // seizures, NACKs and invalidations.
-func contended(t *testing.T, b *busTally) {
+func contended(t *testing.T, p *partitionTally) {
 	for _, k := range []obs.Kind{obs.AbortLocalSeized, obs.AbortCentralNACK, obs.AbortCentralInval} {
-		if b.Aborts[k.String()] == 0 {
+		if p.total(k) == 0 {
 			t.Errorf("no %s in the run: the configuration is too gentle to prove anything", k)
 		}
 	}

@@ -87,10 +87,11 @@ func bootClusterNodes(t *testing.T, cfg hybrid.Config, strategy routing.Strategy
 
 // assertConservation holds the scraped metrics of one central + N sites to
 // the flow invariants the loop-consistent scrape hooks guarantee exactly:
-// per site, generated == completed_local + replies_delivered + in_flight;
-// at central, ship_arrived == commits + in_system; cluster-wide, the sums
-// balance. Shared by the in-process smoke (registry snapshots) and the
-// process smoke (HTTP scrapes).
+// per site, generated == completed_local + replies_delivered + in_flight,
+// and one response time per completion — the local route's count equals the
+// local commits, the shipped and ship_b routes' the replies delivered; at
+// central, ship_arrived == commits + in_system; cluster-wide, the sums
+// balance. cmd/hybridd's process smoke holds its HTTP scrapes to the same.
 func assertConservation(t *testing.T, centralSnap map[string]float64, siteSnaps []map[string]float64) {
 	t.Helper()
 	if got, want := centralSnap["central_ship_arrived_total"],
@@ -105,6 +106,13 @@ func assertConservation(t *testing.T, centralSnap map[string]float64, siteSnaps 
 		if gen != done {
 			t.Errorf("site %d conservation broken: generated %v != completed_local %v + replies %v + in_flight %v",
 				i, gen, snap["site_completed_local_total"], snap["site_replies_delivered_total"], snap["site_in_flight"])
+		}
+		if rt, local := snap[`site_rt_seconds_count{route="local"}`], snap["site_completed_local_total"]; rt != local {
+			t.Errorf("site %d: %v local response times for %v local commits", i, rt, local)
+		}
+		if rt, replies := snap[`site_rt_seconds_count{route="shipped"}`]+snap[`site_rt_seconds_count{route="ship_b"}`],
+			snap["site_replies_delivered_total"]; rt != replies {
+			t.Errorf("site %d: %v shipped response times for %v replies delivered", i, rt, replies)
 		}
 		genSum += gen
 		doneSum += done

@@ -2,18 +2,20 @@ package cluster
 
 // Observability plumbing shared by the live nodes: per-message-type wire
 // counters, wire-error tallies, transport-stat gauges, the table naming the
-// node's event counts, and the loop-consistent scrape hook that makes the
-// conservation invariant (submitted == completed + in-flight) exactly
-// checkable from a /metrics scrape. The node's obs.Counts — the count table
-// its partition keeps, as in the simulator — is the source of truth; at
-// scrape time one closure posted onto the event loop mirrors it and the
-// node's state gauges into the registry, so every sample a scrape sees came
-// from the same instant of loop time.
+// node's event counts, the node's distribution tally, and the loop-consistent
+// scrape hook that makes the conservation invariant (submitted == completed +
+// in-flight) exactly checkable from a /metrics scrape. The node's obs.Counts
+// — the count table its partition keeps, as in the simulator — and its
+// distTally over the rows of obs.Dists are the source of truth; at scrape
+// time one closure posted onto the event loop mirrors both and the node's
+// state gauges into the registry, so every sample a scrape sees came from the
+// same instant of loop time.
 
 import (
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/metrics"
+	"hybriddb/internal/stats"
 )
 
 // countSeries names one of a node's event counts in its registry.
@@ -53,6 +55,28 @@ var (
 		{"central_aborts_total", "central aborts by cause", label("cause", "deadlock"), slot(obs.AbortDeadlockCentral)},
 	}
 )
+
+// distTally is one partition's distribution table: the moments of every row
+// of obs.Dists and the histograms of the rows that keep one, folded from the
+// partition's bus events as the simulator's metrics observer folds them. A
+// live node subscribes its tally to its bus, so it is written on the loop.
+type distTally struct {
+	moments obs.Moments
+	hists   *obs.RTHists
+}
+
+func newDistTally() *distTally { return &distTally{hists: obs.NewRTHists()} }
+
+// OnEvent implements obs.Observer.
+func (d *distTally) OnEvent(ev obs.Event) {
+	s, n := obs.Samples(ev)
+	for _, x := range s[:n] {
+		d.moments[x.Dist].Add(x.Value)
+		if h := d.hists[x.Dist]; h != nil {
+			h.Add(x.Value)
+		}
+	}
+}
 
 // wireMetrics counts frames per message type and direction, plus decode and
 // delivery errors by kind. The counters are plain atomics bumped inline on
@@ -110,18 +134,35 @@ func registerNetStats(reg *metrics.Registry, ns *netx.Stats) {
 	reg.GaugeFunc("net_connects", "successful uplink dials (reconnects after the first)", u(ns.Connects.Load))
 }
 
-// mirrorOnLoop registers a counter per row of the node's count table and
-// one scrape hook that runs on the node's loop and waits for it: the hook
-// advances every counter to the node's counts and then sets the state
+// mirrorOnLoop registers a counter per row of the node's count table, a
+// series per row of obs.Dists the node's tier emits (named prefix+Series: a
+// histogram or a summary), and one scrape hook that runs on the node's loop
+// and waits for it: the hook advances every counter to the node's counts,
+// sets every distribution from the node's tally, and then sets the state
 // gauges, so everything a scrape sees is one consistent loop-time snapshot.
 // Only the (serialized) hook writes these counters and counts are monotone,
 // so each delta is never negative. If the loop is stopped the hook is a
 // no-op and the last mirrored values stand.
-func (sh *shell) mirrorOnLoop(table []countSeries, counts func() obs.Counts, gauges func()) {
+func (sh *shell) mirrorOnLoop(table []countSeries, tier obs.Emitter, prefix string, counts func() obs.Counts, gauges func()) {
 	sh.counts = counts
 	counters := make([]*metrics.Counter, len(table))
 	for i, row := range table {
 		counters[i] = sh.reg.Counter(row.name, row.help, row.labels...)
+	}
+	var dists [obs.NumDists]*metrics.Distribution // nil where the tier publishes no series
+	for r, row := range obs.Dists {
+		if row.From&tier == 0 || row.Series == "" {
+			continue
+		}
+		var labels []metrics.Label
+		if row.Route != "" {
+			labels = label("route", row.Route)
+		}
+		register := sh.reg.Summary
+		if row.Hist {
+			register = sh.reg.Histogram
+		}
+		dists[r] = register(prefix+row.Series, row.Help, labels...)
 	}
 	sh.reg.OnScrape(func() {
 		done := make(chan struct{})
@@ -130,6 +171,17 @@ func (sh *shell) mirrorOnLoop(table []countSeries, counts func() obs.Counts, gau
 			c := counts()
 			for i, row := range table {
 				counters[i].Add(row.count(&c) - counters[i].Value())
+			}
+			for r, dist := range dists {
+				if dist == nil {
+					continue
+				}
+				w := &sh.dists.moments[r]
+				d := stats.HistogramDump{Count: w.Count(), Mean: w.Mean()}
+				if h := sh.dists.hists[r]; h != nil {
+					d = h.Dump()
+				}
+				dist.Set(d, w.Mean()*float64(w.Count()))
 			}
 			gauges()
 		}) {

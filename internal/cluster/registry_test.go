@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"hybriddb/internal/obsx/metrics"
@@ -17,9 +18,10 @@ var update = flag.Bool("update", false, "rewrite testdata/registry.golden")
 const registryGolden = "testdata/registry.golden"
 
 // TestRegistryGolden pins every series a freshly booted central and site
-// register — names and labels, not values — so a renamed, added or dropped
-// series shows up as a diff of testdata/registry.golden. An intentional
-// change to the registry regenerates it with -update.
+// register — names, labels and exposition kinds, not values — so a renamed,
+// added or dropped series, or one that changes kind (counter to gauge,
+// histogram to summary), shows up as a diff of testdata/registry.golden. An
+// intentional change to the registry regenerates it with -update.
 func TestRegistryGolden(t *testing.T) {
 	_, central, sites, teardown := bootClusterNodes(t, smokeConfig(1), routing.AlwaysLocal{})
 	defer teardown()
@@ -28,6 +30,7 @@ func TestRegistryGolden(t *testing.T) {
 		role string
 		reg  *metrics.Registry
 	}{{"central", central.Metrics()}, {"site", sites[0].Metrics()}} {
+		kinds := familyKinds(t, node.reg)
 		snap := node.reg.Snapshot()
 		names := make([]string, 0, len(snap))
 		for name := range snap {
@@ -35,7 +38,17 @@ func TestRegistryGolden(t *testing.T) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(&buf, "%s %s\n", node.role, name)
+			family, _, _ := strings.Cut(name, "{")
+			kind, ok := kinds[family]
+			for _, suffix := range []string{"_count", "_sum", "_p50", "_p95"} {
+				if !ok {
+					kind, ok = kinds[strings.TrimSuffix(family, suffix)]
+				}
+			}
+			if !ok {
+				t.Errorf("%s %s: no # TYPE line names its family", node.role, name)
+			}
+			fmt.Fprintf(&buf, "%s %s %s\n", node.role, name, kind)
 		}
 	}
 	if *update {
@@ -53,4 +66,21 @@ func TestRegistryGolden(t *testing.T) {
 		t.Fatalf("registered series diverged from %s:\n%s\nIf the registry changed intentionally, re-run with -update.",
 			registryGolden, buf.String())
 	}
+}
+
+// familyKinds reads each metric family's kind off the # TYPE lines of the
+// registry's Prometheus exposition.
+func familyKinds(t *testing.T, reg *metrics.Registry) map[string]string {
+	t.Helper()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]string)
+	for _, line := range strings.Split(text.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kinds[f[2]] = f[3]
+		}
+	}
+	return kinds
 }

@@ -18,7 +18,6 @@ import (
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/netx"
 	"hybriddb/internal/obsx/flight"
-	"hybriddb/internal/obsx/metrics"
 	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/routing"
 )
@@ -43,11 +42,6 @@ type Site struct {
 	submits *inbox
 	pending map[int64]pendingSubmit
 	resBuf  []byte
-
-	// rtLocal / rtShipped are observed on the loop at completion — the live
-	// counterparts of the simulator's per-route RT histograms.
-	rtLocal   *metrics.Histogram
-	rtShipped *metrics.Histogram
 
 	up *netx.Client // uplink to central
 
@@ -82,7 +76,7 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	s.link = siteLink{site: idx, clock: s.loop, delay: cfg.CommDelay, send: s.sendUp, stray: s.stray}
 	s.inbox = newInbox(s.loop, cfg.CommDelay, func(e envelope) { s.link.deliver(e.msg) })
 	s.submits = newInbox(s.loop, 0, s.submit)
-	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, append([]obs.Observer{s}, observers...)...)
+	node, err := hybrid.NewSiteNode(cfg, idx, s.loop, strategy, &s.link, append([]obs.Observer{s, s.dists}, observers...)...)
 	if err != nil {
 		s.loop.Stop()
 		return nil, err
@@ -110,20 +104,18 @@ func StartSite(cfg hybrid.Config, idx int, centralAddr, addr string, strategy ro
 	return s, nil
 }
 
-// registerMetrics wires the registry: per-route RT histograms observed on
-// the loop, and the node's count table and state gauges mirrored in one
-// scrape hook, so the site conservation invariant generated ==
-// completed_local + replies_delivered + in_flight holds exactly in every
-// exposition.
+// registerMetrics wires the registry: the node's count table, distributions
+// and state gauges mirrored in one scrape hook, so the site conservation
+// invariant generated == completed_local + replies_delivered + in_flight, and
+// each route's response-time count against its completions, hold exactly in
+// every exposition.
 func (s *Site) registerMetrics() {
-	s.rtLocal = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "local"))
-	s.rtShipped = s.reg.Histogram("site_rt_seconds", "transaction response time by route", 0, 30, 3000, metrics.L("route", "shipped"))
 	s.reg.GaugeFunc("site_clock_offset_seconds", "estimated central-minus-local clock offset from the Hello handshake", s.ClockOffset)
 	inFlight := s.reg.Gauge("site_in_flight", "submissions awaiting a result, both routes")
 	inSystem := s.reg.Gauge("site_in_system", "transactions executing locally")
 	queue := s.reg.Gauge("site_cpu_queue_depth", "bursts queued at the site CPU, job in service included")
 	locksHeld := s.reg.Gauge("site_locks_held", "locks held at this site")
-	s.mirrorOnLoop(siteCounts, s.node.Counts, func() {
+	s.mirrorOnLoop(siteCounts, obs.AtSite, "site_", s.node.Counts, func() {
 		inFlight.Set(float64(len(s.pending)))
 		inSystem.Set(float64(s.node.InSystem()))
 		queue.Set(float64(s.node.QueueLength()))
@@ -227,16 +219,13 @@ func (s *Site) sendUp(msgType byte, txn int64, payload []byte) {
 }
 
 // OnEvent implements obs.Observer on the node's bus: a completion event
-// feeds the response-time histograms and answers the load generator that
-// submitted the transaction. It runs on the loop, inside the handler that
-// emitted it.
+// answers the load generator that submitted the transaction. It runs on the
+// loop, inside the handler that emitted it.
 func (s *Site) OnEvent(ev obs.Event) {
 	switch ev.Kind {
 	case obs.TxnLocalCommit:
-		s.rtLocal.Observe(ev.Value)
 		s.respond(netx.Result{Txn: ev.Txn})
 	case obs.TxnReply:
-		s.rtShipped.Observe(ev.Value)
 		s.respond(netx.Result{Txn: ev.Txn, Shipped: true, ClassB: ev.ClassB})
 	}
 }

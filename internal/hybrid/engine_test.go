@@ -698,9 +698,9 @@ func TestPerClassPercentiles(t *testing.T) {
 	cfg.ArrivalRatePerSite = 1.5
 	r := run(t, cfg, routing.NewStatic(0.5, 8))
 	for name, pair := range map[string][2]float64{
-		"local A":   {r.MeanRTLocalA, r.P95RTLocalA},
-		"shipped A": {r.MeanRTShippedA, r.P95RTShippedA},
-		"class B":   {r.MeanRTClassB, r.P95RTClassB},
+		"local A":   {r.MeanRTLocalA, r.RTPercentilesLocalA.P95},
+		"shipped A": {r.MeanRTShippedA, r.RTPercentilesShippedA.P95},
+		"class B":   {r.MeanRTClassB, r.RTPercentilesClassB.P95},
 	} {
 		mean, p95 := pair[0], pair[1]
 		if mean <= 0 || p95 <= 0 {

@@ -37,45 +37,17 @@ type metrics struct {
 	// core to its group (the owning shard in a sharded run, group 0
 	// sequentially); each group's set is allocated lazily on first record,
 	// by the one worker that owns the group.
-	hists     []*histSet
+	hists     []*obs.RTHists
 	histGroup []int32
-}
-
-// histSet is one shard group's response-time histograms.
-type histSet struct {
-	rtHist     *stats.Histogram
-	histLocalA *stats.Histogram
-	histShipA  *stats.Histogram
-	histClassB *stats.Histogram
-}
-
-func newHistSet() *histSet {
-	return &histSet{
-		rtHist:     stats.NewHistogram(0, 60, 600),
-		histLocalA: stats.NewHistogram(0, 60, 600),
-		histShipA:  stats.NewHistogram(0, 60, 600),
-		histClassB: stats.NewHistogram(0, 60, 600),
-	}
 }
 
 // metricsCore is one partition's accumulator set — compact (no histogram
 // arrays) so 1000-site runs keep every hot core cache-resident.
 type metricsCore struct {
-	// Response times by kind. rtLocalA doubles as the per-site local-commit
-	// stat for site cores (every local commit of site i lands in core i).
-	rtAll      stats.Welford
-	rtLocalA   stats.Welford
-	rtShippedA stats.Welford
-	rtClassB   stats.Welford
-
-	// Lock waits (site cores and the central core) and the staleness of the
-	// central-state view at each routing decision (site cores).
-	lockWait stats.Welford
-	viewAge  stats.Welford
-
-	// 1 Hz queue-length samples (coordinator core only).
-	centralQueue stats.Welford
-	localQueue   stats.Welford
+	// One accumulator per row of obs.Dists. A site core's RTLocalA doubles
+	// as the per-site local-commit stat (every local commit of site i lands
+	// in core i); the queue rows fill only the coordinator core.
+	w obs.Moments
 
 	// Time-series accumulation (Config.SeriesBucket > 0): completed
 	// response times (site cores) and the 1 Hz queue-length samples
@@ -94,7 +66,7 @@ func newMetrics(bucket, window float64, sites int) *metrics {
 	m := &metrics{
 		seriesBucket: bucket,
 		cores:        make([]metricsCore, sites+2),
-		hists:        make([]*histSet, 1),
+		hists:        make([]*obs.RTHists, 1),
 		histGroup:    make([]int32, sites+2),
 	}
 	if bucket > 0 {
@@ -109,7 +81,7 @@ func newMetrics(bucket, window float64, sites int) *metrics {
 // map to shard 0 (the central complex's shard; the coordinator core never
 // records response times).
 func (m *metrics) setHistGroups(shardOf []int, nShards int) {
-	m.hists = make([]*histSet, nShards)
+	m.hists = make([]*obs.RTHists, nShards)
 	for i, sh := range shardOf {
 		m.histGroup[i] = int32(sh)
 	}
@@ -120,11 +92,11 @@ func (m *metrics) setHistGroups(shardOf []int, nShards int) {
 // histFor returns the (lazily allocated) histogram set of a core's group.
 // Only the worker owning the group ever calls this for its cores, so the
 // lazy initialization is single-writer.
-func (m *metrics) histFor(core int) *histSet {
+func (m *metrics) histFor(core int) *obs.RTHists {
 	g := m.histGroup[core]
 	h := m.hists[g]
 	if h == nil {
-		h = newHistSet()
+		h = obs.NewRTHists()
 		m.hists[g] = h
 	}
 	return h
@@ -159,35 +131,17 @@ func (m *metrics) OnEvent(ev obs.Event) {
 	}
 	idx := m.coreIndex(ev)
 	c := &m.cores[idx]
+	s, n := obs.Samples(ev)
+	for _, x := range s[:n] {
+		c.w[x.Dist].Add(x.Value)
+		if obs.Dists[x.Dist].Hist {
+			m.histFor(idx)[x.Dist].Add(x.Value)
+		}
+	}
 	switch ev.Kind {
-	case obs.TxnArrive:
-		if !ev.ClassB {
-			c.viewAge.Add(ev.Value)
-		}
-	case obs.TxnLocalCommit:
-		c.rtAll.Add(ev.Value)
-		c.rtLocalA.Add(ev.Value)
-		h := m.histFor(idx)
-		h.rtHist.Add(ev.Value)
-		h.histLocalA.Add(ev.Value)
+	case obs.TxnLocalCommit, obs.TxnReply:
 		m.recordSeries(c, ev.At, ev.Value)
-	case obs.TxnReply:
-		c.rtAll.Add(ev.Value)
-		h := m.histFor(idx)
-		h.rtHist.Add(ev.Value)
-		m.recordSeries(c, ev.At, ev.Value)
-		if ev.ClassB {
-			c.rtClassB.Add(ev.Value)
-			h.histClassB.Add(ev.Value)
-		} else {
-			c.rtShippedA.Add(ev.Value)
-			h.histShipA.Add(ev.Value)
-		}
-	case obs.LockWaitEnd:
-		c.lockWait.Add(ev.Value)
 	case obs.QueueSample:
-		c.centralQueue.Add(ev.Value)
-		c.localQueue.Add(ev.Aux)
 		m.recordQueueSeries(c, ev.At, ev.Value, ev.Aux)
 	}
 }
@@ -241,14 +195,7 @@ func (m *metrics) recordQueueSeries(c *metricsCore, now, central, local float64)
 // the floating-point results of the Welford and series merges depend on
 // that order, so keeping it fixed is part of the bit-exactness contract.
 func (c *metricsCore) mergeInto(agg *metricsCore) {
-	agg.rtAll.Merge(&c.rtAll)
-	agg.rtLocalA.Merge(&c.rtLocalA)
-	agg.rtShippedA.Merge(&c.rtShippedA)
-	agg.rtClassB.Merge(&c.rtClassB)
-	agg.lockWait.Merge(&c.lockWait)
-	agg.viewAge.Merge(&c.viewAge)
-	agg.centralQueue.Merge(&c.centralQueue)
-	agg.localQueue.Merge(&c.localQueue)
+	agg.w.Merge(&c.w)
 	mergeSeriesF(&agg.seriesSum, c.seriesSum)
 	mergeSeriesU(&agg.seriesCount, c.seriesCount)
 	mergeSeriesF(&agg.seriesQSumC, c.seriesQSumC)
@@ -294,51 +241,53 @@ func (e *Engine) result() Result {
 	for i := range e.m.cores {
 		e.m.cores[i].mergeInto(agg)
 	}
+	w := &agg.w
 	// Histogram sets merge across shard groups in index order. Bucket
 	// tallies are integers, so this merge is order-independent — the fixed
 	// order is just hygiene.
-	aggH := newHistSet()
+	aggH := obs.NewRTHists()
 	for _, h := range e.m.hists {
-		if h == nil {
-			continue
+		if h != nil {
+			aggH.Merge(h)
 		}
-		aggH.rtHist.Merge(h.rtHist)
-		aggH.histLocalA.Merge(h.histLocalA)
-		aggH.histShipA.Merge(h.histShipA)
-		aggH.histClassB.Merge(h.histClassB)
+	}
+	var pct [obs.NumDists]Percentiles
+	var clip [obs.NumDists]HistClip
+	for d, h := range aggH {
+		if h != nil {
+			pct[d] = Percentiles{P50: h.Quantile(0.50), P90: h.Quantile(0.90), P95: h.Quantile(0.95), P99: h.Quantile(0.99)}
+			clip[d] = HistClip{Under: h.Under(), Over: h.Over()}
+		}
 	}
 	r := Result{
 		Strategy:              e.strategy.Name(),
 		Window:                window,
-		CompletedLocalA:       agg.rtLocalA.Count(),
-		CompletedShippedA:     agg.rtShippedA.Count(),
-		CompletedClassB:       agg.rtClassB.Count(),
-		MeanRT:                agg.rtAll.Mean(),
-		MeanRTLocalA:          agg.rtLocalA.Mean(),
-		MeanRTShippedA:        agg.rtShippedA.Mean(),
-		MeanRTClassB:          agg.rtClassB.Mean(),
-		P95RT:                 aggH.rtHist.Quantile(0.95),
-		P95RTLocalA:           aggH.histLocalA.Quantile(0.95),
-		P95RTShippedA:         aggH.histShipA.Quantile(0.95),
-		P95RTClassB:           aggH.histClassB.Quantile(0.95),
-		RTPercentiles:         percentilesOf(aggH.rtHist),
-		RTPercentilesLocalA:   percentilesOf(aggH.histLocalA),
-		RTPercentilesShippedA: percentilesOf(aggH.histShipA),
-		RTPercentilesClassB:   percentilesOf(aggH.histClassB),
-		ClipAll:               clipOf(aggH.rtHist),
-		ClipLocalA:            clipOf(aggH.histLocalA),
-		ClipShippedA:          clipOf(aggH.histShipA),
-		ClipClassB:            clipOf(aggH.histClassB),
+		CompletedLocalA:       w[obs.RTLocalA].Count(),
+		CompletedShippedA:     w[obs.RTShippedA].Count(),
+		CompletedClassB:       w[obs.RTClassB].Count(),
+		MeanRT:                w[obs.RTAll].Mean(),
+		MeanRTLocalA:          w[obs.RTLocalA].Mean(),
+		MeanRTShippedA:        w[obs.RTShippedA].Mean(),
+		MeanRTClassB:          w[obs.RTClassB].Mean(),
+		P95RT:                 pct[obs.RTAll].P95,
+		RTPercentiles:         pct[obs.RTAll],
+		RTPercentilesLocalA:   pct[obs.RTLocalA],
+		RTPercentilesShippedA: pct[obs.RTShippedA],
+		RTPercentilesClassB:   pct[obs.RTClassB],
+		ClipAll:               clip[obs.RTAll],
+		ClipLocalA:            clip[obs.RTLocalA],
+		ClipShippedA:          clip[obs.RTShippedA],
+		ClipClassB:            clip[obs.RTClassB],
 		AbortsDeadlockLocal:   n[obs.AbortDeadlockLocal],
 		AbortsDeadlockCentral: n[obs.AbortDeadlockCentral],
 		AbortsLocalSeized:     n[obs.AbortLocalSeized],
 		AbortsCentralNACK:     n[obs.AbortCentralNACK],
 		AbortsCentralInval:    n[obs.AbortCentralInval],
 		ColdFetches:           n[obs.ColdFetch],
-		MeanLockWait:          agg.lockWait.Mean(),
-		MeanCentralQueue:      agg.centralQueue.Mean(),
-		MeanLocalQueue:        agg.localQueue.Mean(),
-		MeanViewAge:           agg.viewAge.Mean(),
+		MeanLockWait:          w[obs.LockWait].Mean(),
+		MeanCentralQueue:      w[obs.CentralQueue].Mean(),
+		MeanLocalQueue:        w[obs.LocalQueue].Mean(),
+		MeanViewAge:           w[obs.ViewAge].Mean(),
 		AuthRounds:            n[obs.AuthRound],
 		MessagesSent:          e.wire.net.MessagesSent(),
 	}
@@ -348,15 +297,15 @@ func (e *Engine) result() Result {
 	}
 	r.InSystemAtEnd += uint64(e.central.inSystem)
 	if window > 0 {
-		r.Throughput = float64(agg.rtAll.Count()) / window
+		r.Throughput = float64(w[obs.RTAll].Count()) / window
 		perSite, mean, max := siteUtilizations(e.sites, window)
 		r.PerSite = make([]SiteStats, len(e.sites))
 		for i := range e.sites {
 			r.PerSite[i] = SiteStats{
 				Site:            i,
 				Utilization:     perSite[i],
-				CompletedLocalA: e.m.cores[i].rtLocalA.Count(),
-				MeanRTLocalA:    e.m.cores[i].rtLocalA.Mean(),
+				CompletedLocalA: e.m.cores[i].w[obs.RTLocalA].Count(),
+				MeanRTLocalA:    e.m.cores[i].w[obs.RTLocalA].Mean(),
 			}
 		}
 		r.UtilLocalMean = mean
@@ -384,38 +333,26 @@ func (e *Engine) result() Result {
 		r.RTSeries = append(r.RTSeries, b)
 	}
 	if e.env.cfg.CaptureHistograms {
-		r.Histograms = &ResultHistograms{
-			All:      aggH.rtHist.Dump(),
-			LocalA:   aggH.histLocalA.Dump(),
-			ShippedA: aggH.histShipA.Dump(),
-			ClassB:   aggH.histClassB.Dump(),
-		}
 		// The dumps' exact means must come from the per-core Welfords, not
 		// the histograms' own accumulators: the histogram sets are partitioned
 		// per shard group, so their internal float means depend on the shard
 		// count, while the core Welfords see identical per-partition
 		// accumulation and the same fixed merge order in every run mode.
-		r.Histograms.All.Mean = agg.rtAll.Mean()
-		r.Histograms.LocalA.Mean = agg.rtLocalA.Mean()
-		r.Histograms.ShippedA.Mean = agg.rtShippedA.Mean()
-		r.Histograms.ClassB.Mean = agg.rtClassB.Mean()
+		var dump [obs.NumDists]stats.HistogramDump
+		for d, h := range aggH {
+			if h != nil {
+				dump[d] = h.Dump()
+				dump[d].Mean = w[d].Mean()
+			}
+		}
+		r.Histograms = &ResultHistograms{
+			All:      dump[obs.RTAll],
+			LocalA:   dump[obs.RTLocalA],
+			ShippedA: dump[obs.RTShippedA],
+			ClassB:   dump[obs.RTClassB],
+		}
 	}
 	return r
-}
-
-// percentilesOf reads the headline quantiles off a response-time histogram.
-func percentilesOf(h *stats.Histogram) Percentiles {
-	return Percentiles{
-		P50: h.Quantile(0.50),
-		P90: h.Quantile(0.90),
-		P95: h.Quantile(0.95),
-		P99: h.Quantile(0.99),
-	}
-}
-
-// clipOf reads a histogram's out-of-range tallies.
-func clipOf(h *stats.Histogram) HistClip {
-	return HistClip{Under: h.Under(), Over: h.Over()}
 }
 
 // Result is the outcome of one simulation run.
@@ -433,13 +370,9 @@ type Result struct {
 	MeanRTLocalA   float64
 	MeanRTShippedA float64
 	MeanRTClassB   float64
-	P95RT          float64
-	P95RTLocalA    float64
-	P95RTShippedA  float64
-	P95RTClassB    float64
+	P95RT          float64 // RTPercentiles.P95
 
-	// Full percentile sets per response-time histogram (P95 repeats the
-	// P95* fields above, kept for compatibility).
+	// Full percentile sets per response-time histogram.
 	RTPercentiles         Percentiles
 	RTPercentilesLocalA   Percentiles
 	RTPercentilesShippedA Percentiles

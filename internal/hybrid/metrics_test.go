@@ -99,7 +99,7 @@ func TestSeriesIgnoresPreWindowEvents(t *testing.T) {
 	if siteCore(m).seriesCount != nil || coordCore(m).seriesQCount != nil {
 		t.Fatal("pre-window events reached the series")
 	}
-	if siteCore(m).rtAll.Count() != 0 {
+	if siteCore(m).w[obs.RTAll].Count() != 0 {
 		t.Fatal("pre-window commit was measured")
 	}
 }

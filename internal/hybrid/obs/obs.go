@@ -8,8 +8,9 @@
 //     lengths, abort causes) plus the transaction id, and are emitted
 //     unconditionally. The partition that emits one counts it in its Counts
 //     table, which the run's Result, the conservation checks and a live
-//     node's registry all read; the metrics observer folds the payloads
-//     into the Result's distributions.
+//     node's registry all read. Their payloads feed the distribution table,
+//     Dists, which the engine's metrics observer folds into the Result and
+//     a live node into its registry.
 //   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
 //     event stream one-to-one, including rendered note strings. They are
 //     emitted only when a detail observer is subscribed (Bus.HasDetail), so
@@ -17,7 +18,10 @@
 //     is off.
 package obs
 
-import "hybriddb/internal/trace"
+import (
+	"hybriddb/internal/stats"
+	"hybriddb/internal/trace"
+)
 
 // Kind classifies bus events.
 type Kind uint8
@@ -112,6 +116,121 @@ func (c *Counts) Shipped() uint64 { return c[ArriveShipA] + c[ArriveB] }
 // Completed returns the transactions completed at their home site: local
 // commits and delivered replies.
 func (c *Counts) Completed() uint64 { return c[TxnLocalCommit] + c[TxnReply] }
+
+// Dist names a row of the distribution table, Dists: one distribution a
+// partition measures, and the rule (Samples) by which events feed it.
+type Dist uint8
+
+// The distribution rows.
+const (
+	RTAll        Dist = iota // response time of every completion: TxnLocalCommit and TxnReply Value
+	RTLocalA                 // TxnLocalCommit Value
+	RTShippedA               // TxnReply Value, class A
+	RTClassB                 // TxnReply Value, class B
+	LockWait                 // LockWaitEnd Value
+	ViewAge                  // TxnArrive Value, class A: the routing view's staleness
+	CentralQueue             // QueueSample Value
+	LocalQueue               // QueueSample Aux
+	NumDists
+)
+
+// Emitter is a set of the partitions whose events feed a distribution.
+type Emitter uint8
+
+// The partitions.
+const (
+	AtSite        Emitter = 1 << iota // a local site
+	AtCentral                         // the central complex
+	AtCoordinator                     // the simulator's run coordinator (barrier-time samples)
+)
+
+// DistRow describes one distribution: the registry series a live node
+// publishes it under (its tier's prefix, "site_" or "central_", then Series,
+// with a route label when Route is set; unpublished when Series is empty),
+// the partitions that emit its samples, and whether it keeps a response-time
+// histogram (NewRTHists).
+type DistRow struct {
+	Series, Route, Help string
+	From                Emitter
+	Hist                bool
+}
+
+// Dists is the distribution table. The Result and a live node's registry
+// both read it; Samples is its only event-to-sample mapping.
+var Dists = [NumDists]DistRow{
+	RTAll:        {From: AtSite, Hist: true},
+	RTLocalA:     {"rt_seconds", "local", "transaction response time by route", AtSite, true},
+	RTShippedA:   {"rt_seconds", "shipped", "transaction response time by route", AtSite, true},
+	RTClassB:     {"rt_seconds", "ship_b", "transaction response time by route", AtSite, true},
+	LockWait:     {"lock_wait_seconds", "", "blocking lock wait durations", AtSite | AtCentral, false},
+	ViewAge:      {"view_age_seconds", "", "staleness of the central-state view at class A routing decisions", AtSite, false},
+	CentralQueue: {From: AtCoordinator},
+	LocalQueue:   {From: AtCoordinator},
+}
+
+// Sample is one value an event adds to a distribution.
+type Sample struct {
+	Dist  Dist
+	Value float64
+}
+
+// Samples returns the samples ev adds to the distribution table, s[:n], by
+// the rules the rows' comments state.
+func Samples(ev Event) (s [2]Sample, n int) {
+	switch ev.Kind {
+	case TxnArrive:
+		if !ev.ClassB {
+			return [2]Sample{{ViewAge, ev.Value}}, 1
+		}
+	case TxnLocalCommit:
+		return [2]Sample{{RTAll, ev.Value}, {RTLocalA, ev.Value}}, 2
+	case TxnReply:
+		row := RTShippedA
+		if ev.ClassB {
+			row = RTClassB
+		}
+		return [2]Sample{{RTAll, ev.Value}, {row, ev.Value}}, 2
+	case LockWaitEnd:
+		return [2]Sample{{LockWait, ev.Value}}, 1
+	case QueueSample:
+		return [2]Sample{{CentralQueue, ev.Value}, {LocalQueue, ev.Aux}}, 2
+	}
+	return s, 0
+}
+
+// Moments is a mean-and-variance accumulator per distribution row.
+type Moments [NumDists]stats.Welford
+
+// Merge folds o into m row by row.
+func (m *Moments) Merge(o *Moments) {
+	for r := range m {
+		m[r].Merge(&o[r])
+	}
+}
+
+// RTHists holds a response-time histogram, 0–60 s in 0.1 s buckets, for each
+// row that keeps one (DistRow.Hist), and nil for the others.
+type RTHists [NumDists]*stats.Histogram
+
+// NewRTHists returns empty histograms for the histogram rows.
+func NewRTHists() *RTHists {
+	var h RTHists
+	for r, row := range Dists {
+		if row.Hist {
+			h[r] = stats.NewHistogram(0, 60, 600)
+		}
+	}
+	return &h
+}
+
+// Merge folds o into h row by row.
+func (h *RTHists) Merge(o *RTHists) {
+	for r, x := range h {
+		if x != nil {
+			x.Merge(o[r])
+		}
+	}
+}
 
 var kindNames = map[Kind]string{
 	MeasureStart:         "measure-start",

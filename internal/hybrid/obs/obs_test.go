@@ -115,6 +115,37 @@ func TestCountsSplitArrivals(t *testing.T) {
 	}
 }
 
+// TestSamplesSplitCompletions: every completion adds to RTAll and to exactly
+// one class row, a queue sample to both queue rows, and only class A arrivals
+// carry a view age.
+func TestSamplesSplitCompletions(t *testing.T) {
+	var m Moments
+	for _, ev := range []Event{
+		{Kind: TxnLocalCommit, Value: 1}, {Kind: TxnReply, Value: 2}, {Kind: TxnReply, ClassB: true, Value: 3},
+		{Kind: TxnArrive, Value: 4}, {Kind: TxnArrive, ClassB: true, Shipped: true, Value: 5},
+		{Kind: LockWaitEnd, Value: 6}, {Kind: QueueSample, Value: 7, Aux: 8}, {Kind: AuthRound, Value: 9},
+	} {
+		s, n := Samples(ev)
+		for _, x := range s[:n] {
+			m[x.Dist].Add(x.Value)
+		}
+	}
+	for r, want := range [NumDists][2]float64{
+		RTAll: {3, 2}, RTLocalA: {1, 1}, RTShippedA: {1, 2}, RTClassB: {1, 3},
+		LockWait: {1, 6}, ViewAge: {1, 4}, CentralQueue: {1, 7}, LocalQueue: {1, 8},
+	} {
+		if got := [2]float64{float64(m[r].Count()), m[r].Mean()}; got != want {
+			t.Errorf("row %d: count, mean = %v, want %v", r, got, want)
+		}
+	}
+	h := NewRTHists()
+	for r, row := range Dists {
+		if (h[r] != nil) != row.Hist {
+			t.Errorf("row %d: histogram %v, table says %v", r, h[r] != nil, row.Hist)
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for k := MeasureStart; k <= TraceDetail; k++ {
 		if s := k.String(); s == "" || s == "Kind(?)" {

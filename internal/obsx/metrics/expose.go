@@ -1,22 +1,23 @@
 package metrics
 
 // Exposition: Prometheus text format (the scrape surface `make
-// cluster-smoke` asserts conservation over), an expvar JSON view, the
-// per-process debug HTTP server, and a small parser for the text format so
-// tests and tooling can read a scrape back without a Prometheus
-// dependency.
+// cluster-smoke` asserts conservation over), the per-process debug HTTP
+// server, and a small parser for the text format so tests and tooling can
+// read a scrape back without a Prometheus dependency.
 
 import (
 	"bufio"
 	"expvar"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
+
+	"hybriddb/internal/stats"
 )
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -43,29 +44,42 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s %s\n", seriesName(fam.name, s.labels), formatFloat(s.gauge.Value()))
 			case kindGaugeFunc:
 				fmt.Fprintf(bw, "%s %s\n", seriesName(fam.name, s.labels), formatFloat(s.fn()))
-			case kindHistogram:
-				writePromHistogram(bw, fam.name, s)
+			case kindHistogram, kindSummary:
+				writePromDistribution(bw, fam.name, s)
 			}
 		}
 	}
 	return bw.Flush()
 }
 
-// writePromHistogram renders one histogram series with cumulative le
-// buckets. Underflow mass (x < lo) is below every bucket bound and so is
-// folded into each cumulative count; overflow appears only in +Inf, whose
-// count equals _count.
-func writePromHistogram(w io.Writer, name string, s *series) {
-	h := s.hist
-	cum := h.under.Load()
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		le := formatFloat(h.lo + float64(i+1)*h.width)
-		fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", joinLabels(s.labels, `le=`+strconv.Quote(le))), cum)
+// writePromDistribution renders one histogram or summary series: a
+// histogram's cumulative le buckets first, then _sum and _count. Underflow
+// mass (x < lo) is below every bucket bound and so is folded into each
+// cumulative count; overflow appears only in +Inf, whose count equals _count.
+func writePromDistribution(w io.Writer, name string, s *series) {
+	d, sum := s.dist.get()
+	if s.kind == kindHistogram {
+		cum := d.Under
+		for i := range bucketCount(d) {
+			if i < len(d.Counts) {
+				cum += d.Counts[i]
+			}
+			le := formatFloat(d.Lo + float64(i+1)*d.Width)
+			fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", joinLabels(s.labels, `le=`+strconv.Quote(le))), cum)
+		}
+		fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", joinLabels(s.labels, `le="+Inf"`)), d.Count)
 	}
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", joinLabels(s.labels, `le="+Inf"`)), h.count.Load())
-	fmt.Fprintf(w, "%s %s\n", seriesName(name+"_sum", s.labels), formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", s.labels), h.count.Load())
+	fmt.Fprintf(w, "%s %s\n", seriesName(name+"_sum", s.labels), formatFloat(sum))
+	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", s.labels), d.Count)
+}
+
+// bucketCount is a dump's bucket count before its trailing empty buckets were
+// trimmed: zero for a dump that was never set.
+func bucketCount(d stats.HistogramDump) int {
+	if d.Width <= 0 {
+		return 0
+	}
+	return int(math.Round((d.Hi - d.Lo) / d.Width))
 }
 
 func joinLabels(existing, extra string) string {
@@ -83,31 +97,6 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WritePrometheus(w)
 	})
 }
-
-// String implements expvar.Var: the Snapshot as a JSON object with sorted
-// keys, so `/debug/vars` carries the same numbers as `/metrics`.
-func (r *Registry) String() string {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Quote(k))
-		b.WriteByte(':')
-		b.WriteString(formatFloat(snap[k]))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-var _ expvar.Var = (*Registry)(nil)
 
 // StartDebugServer serves the registry's /metrics plus expvar (/debug/vars)
 // and pprof (/debug/pprof) on addr in a background goroutine, returning the

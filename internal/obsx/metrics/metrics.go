@@ -1,13 +1,13 @@
 // Package metrics is the dependency-free telemetry registry of the live
-// cluster (DESIGN.md §15): named counters, gauges, and fixed-width
-// histograms with an atomic, zero-allocation hot path, exposed in
-// Prometheus text format and as an expvar JSON blob from each process's
-// debug listener.
+// cluster (DESIGN.md §15): named counters and gauges with an atomic,
+// zero-allocation hot path, and histograms and summaries that a scrape hook
+// sets from the node's own accumulators, exposed in Prometheus text format
+// from each process's debug listener.
 //
 // The registry deliberately supports only what the cluster needs — no
-// dynamic label cardinality, no summaries, no push. A series is registered
-// once (name plus a fixed label set) and returns a handle whose increment
-// path is a single atomic add; exposition walks the registered series in
+// dynamic label cardinality, no summary quantiles, no push. A series is
+// registered once (name plus a fixed label set) and returns a handle, a
+// counter's increment path a single atomic add; exposition walks the series in
 // sorted order so output is deterministic and diffable. Scrape hooks let a
 // node mirror loop-confined state (queue depths, in-flight counts) into
 // gauges under its event loop's consistency, which is what makes the
@@ -48,132 +48,38 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a float64 value that can go up and down. Set is an atomic
-// store; Add is a CAS loop. The zero value reads 0.
+// store. The zero value reads 0.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d to the gauge.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-width histogram over [lo, hi) with underflow and
-// overflow tallies, the atomic twin of stats.Histogram: identical bucket
-// geometry and index arithmetic, so the two agree bucket for bucket on the
-// same observations (property-tested). Observe is bucket index math plus
-// three atomic adds — no allocation, safe from any goroutine.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []atomic.Uint64
-	under   atomic.Uint64
-	over    atomic.Uint64
-	count   atomic.Uint64
-	sumBits atomic.Uint64
+// Distribution is the value of a histogram or summary series, which a scrape
+// hook sets whole from an accumulator it owns: a stats.HistogramDump and the
+// sum of its observations. A histogram series renders the dump's buckets; a
+// summary series only its count, and the sum.
+type Distribution struct {
+	mu  sync.Mutex
+	d   stats.HistogramDump
+	sum float64
 }
 
-func newHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: histogram requires n > 0 and hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]atomic.Uint64, n)}
+// Set replaces the value: d.Count observations summing to sum, bucketed as d
+// says (a summary ignores the buckets).
+func (s *Distribution) Set(d stats.HistogramDump, sum float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.d, s.sum = d, sum
 }
 
-// Observe records one observation.
-func (h *Histogram) Observe(x float64) {
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + x)
-		if h.sumBits.CompareAndSwap(old, next) {
-			break
-		}
-	}
-	switch {
-	case x < h.lo:
-		h.under.Add(1)
-	case x >= h.hi:
-		h.over.Add(1)
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) { // guard against floating-point edge
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i].Add(1)
-	}
+func (s *Distribution) get() (stats.HistogramDump, float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.d, s.sum
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Merge folds other into h bucket by bucket, mirroring
-// stats.Histogram.Merge. Both histograms must share the same geometry.
-func (h *Histogram) Merge(other *Histogram) {
-	if h.lo != other.lo || h.hi != other.hi || len(h.buckets) != len(other.buckets) {
-		panic("metrics: merging histograms with different shapes")
-	}
-	for i := range other.buckets {
-		h.buckets[i].Add(other.buckets[i].Load())
-	}
-	h.under.Add(other.under.Load())
-	h.over.Add(other.over.Load())
-	h.count.Add(other.count.Load())
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + other.Sum())
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Dump snapshots the histogram in the stats package's machine-readable
-// shape, so quantiles are computed by the same interpolation code the
-// simulator's artifacts use (stats.HistogramDump.Quantile). The Mean is
-// sum/count rather than a Welford accumulation, identical up to float
-// rounding.
-func (h *Histogram) Dump() stats.HistogramDump {
-	n := len(h.buckets)
-	counts := make([]uint64, n)
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-	}
-	for n > 0 && counts[n-1] == 0 {
-		n--
-	}
-	count := h.count.Load()
-	d := stats.HistogramDump{
-		Lo:     h.lo,
-		Hi:     h.hi,
-		Width:  h.width,
-		Counts: counts[:n:n],
-		Under:  h.under.Load(),
-		Over:   h.over.Load(),
-		Count:  count,
-	}
-	if count > 0 {
-		d.Mean = h.Sum() / float64(count)
-	}
-	return d
-}
-
-// Quantile estimates the q-quantile from the bucketed data (see
-// stats.HistogramDump.Quantile).
-func (h *Histogram) Quantile(q float64) float64 { return h.Dump().Quantile(q) }
 
 // kind discriminates the series types for exposition.
 type kind uint8
@@ -183,6 +89,7 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
+	kindSummary
 )
 
 func (k kind) String() string {
@@ -191,20 +98,22 @@ func (k kind) String() string {
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
-	default:
+	case kindHistogram:
 		return "histogram"
+	default:
+		return "summary"
 	}
 }
 
 // series is one registered metric instance: a family name plus a rendered
-// label set.
+// label set, and the value of its kind.
 type series struct {
 	labels  string // rendered {k="v",...} without braces, "" when unlabeled
 	kind    kind
-	counter *Counter
-	gauge   *Gauge
+	counter Counter
+	gauge   Gauge
 	fn      func() float64
-	hist    *Histogram
+	dist    Distribution
 }
 
 // family groups the series sharing one metric name.
@@ -245,8 +154,8 @@ func renderLabels(labels []Label) string {
 }
 
 // register adds (or finds) the series for name+labels, enforcing one kind
-// per family and one registration per series.
-func (r *Registry) register(name, help string, k kind, labels []Label, build func() *series) *series {
+// per family and one registration per series; fn is a gauge func's reader.
+func (r *Registry) register(name, help string, k kind, labels []Label, fn func() float64) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fam := r.families[name]
@@ -265,9 +174,7 @@ func (r *Registry) register(name, help string, k kind, labels []Label, build fun
 			return s
 		}
 	}
-	s := build()
-	s.labels = rendered
-	s.kind = k
+	s := &series{labels: rendered, kind: k, fn: fn}
 	fam.series = append(fam.series, s)
 	sort.Slice(fam.series, func(i, j int) bool { return fam.series[i].labels < fam.series[j].labels })
 	return s
@@ -275,38 +182,29 @@ func (r *Registry) register(name, help string, k kind, labels []Label, build fun
 
 // Counter registers (or returns the existing) counter name{labels}.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, kindCounter, labels, func() *series {
-		return &series{counter: &Counter{}}
-	})
-	return s.counter
+	return &r.register(name, help, kindCounter, labels, nil).counter
 }
 
 // Gauge registers (or returns the existing) gauge name{labels}.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, kindGauge, labels, func() *series {
-		return &series{gauge: &Gauge{}}
-	})
-	return s.gauge
+	return &r.register(name, help, kindGauge, labels, nil).gauge
 }
 
 // GaugeFunc registers a gauge whose value is read by fn at scrape time.
 // fn must be safe to call from the scrape goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, kindGaugeFunc, labels, func() *series {
-		return &series{fn: fn}
-	})
+	r.register(name, help, kindGaugeFunc, labels, fn)
 }
 
-// Histogram registers (or returns the existing) fixed-width histogram
-// name{labels} with n buckets spanning [lo, hi).
-func (r *Registry) Histogram(name, help string, lo, hi float64, n int, labels ...Label) *Histogram {
-	s := r.register(name, help, kindHistogram, labels, func() *series {
-		return &series{hist: newHistogram(lo, hi, n)}
-	})
-	if s.hist.lo != lo || s.hist.hi != hi || len(s.hist.buckets) != n {
-		panic(fmt.Sprintf("metrics: %s re-registered with different histogram geometry", name))
-	}
-	return s.hist
+// Histogram registers (or returns the existing) histogram name{labels}.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Distribution {
+	return &r.register(name, help, kindHistogram, labels, nil).dist
+}
+
+// Summary registers (or returns the existing) summary name{labels}: a count
+// and a sum, no quantiles.
+func (r *Registry) Summary(name, help string, labels ...Label) *Distribution {
+	return &r.register(name, help, kindSummary, labels, nil).dist
 }
 
 // OnScrape registers a hook run (serially, registration order) before every
@@ -342,9 +240,9 @@ func (r *Registry) runHooks() {
 }
 
 // Snapshot runs the scrape hooks and returns every series as a flat
-// name{labels} -> value map. Histograms contribute _count and _sum entries
-// plus p50/p95 quantile gauges, which is the scalar shape embedded in run
-// manifests.
+// name{labels} -> value map. Histograms and summaries contribute _count and
+// _sum entries, histograms also p50/p95 quantile gauges, which is the scalar
+// shape embedded in run manifests.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.runHooks()
 	r.mu.Lock()
@@ -352,10 +250,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, fam := range r.sortedFamilies() {
 		for _, s := range fam.series {
-			full := fam.name
-			if s.labels != "" {
-				full += "{" + s.labels + "}"
-			}
+			full := seriesName(fam.name, s.labels)
 			switch s.kind {
 			case kindCounter:
 				out[full] = float64(s.counter.Value())
@@ -363,11 +258,11 @@ func (r *Registry) Snapshot() map[string]float64 {
 				out[full] = s.gauge.Value()
 			case kindGaugeFunc:
 				out[full] = s.fn()
-			case kindHistogram:
-				d := s.hist.Dump()
+			case kindHistogram, kindSummary:
+				d, sum := s.dist.get()
 				out[seriesName(fam.name+"_count", s.labels)] = float64(d.Count)
-				out[seriesName(fam.name+"_sum", s.labels)] = s.hist.Sum()
-				if d.Count > 0 {
+				out[seriesName(fam.name+"_sum", s.labels)] = sum
+				if s.kind == kindHistogram && d.Count > 0 {
 					out[seriesName(fam.name+"_p50", s.labels)] = d.Quantile(0.50)
 					out[seriesName(fam.name+"_p95", s.labels)] = d.Quantile(0.95)
 				}

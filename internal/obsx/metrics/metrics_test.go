@@ -1,12 +1,10 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
-	"hybriddb/internal/rng"
 	"hybriddb/internal/stats"
 )
 
@@ -21,12 +19,12 @@ func TestPrometheusGolden(t *testing.T) {
 	g := r.Gauge("central_queue_depth", "bursts queued at the central CPU")
 	g.Set(3.5)
 	r.GaugeFunc("up", "always one", func() float64 { return 1 })
-	h := r.Histogram("rt_seconds", "response time", 0, 1, 4, L("route", "local"))
-	h.Observe(-0.5) // underflow
-	h.Observe(0.1)
-	h.Observe(0.3)
-	h.Observe(0.9)
-	h.Observe(2.0) // overflow
+	h, sum := stats.NewHistogram(0, 1, 4), 0.0
+	for _, x := range []float64{-0.5 /* underflow */, 0.1, 0.3, 0.9, 2.0 /* overflow */} {
+		h.Add(x)
+		sum += x
+	}
+	r.Histogram("rt_seconds", "response time", L("route", "local")).Set(h.Dump(), sum)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -88,11 +86,11 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("ops_total", "ops", L("kind", "x"))
 			g := r.Gauge("depth", "depth")
-			h := r.Histogram("lat", "latency", 0, 1, 10)
+			h := r.Histogram("lat", "latency")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
-				h.Observe(float64(i%10) / 10)
+				g.Set(float64(i))
+				h.Set(stats.HistogramDump{Lo: 0, Hi: 1, Width: 0.1, Count: uint64(i)}, float64(i))
 				if i%1000 == 0 {
 					var sink strings.Builder
 					if err := r.WritePrometheus(&sink); err != nil {
@@ -107,57 +105,12 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("ops_total", "ops", L("kind", "x")).Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Gauge("depth", "depth").Value(); got != workers*perWorker {
-		t.Errorf("gauge = %v, want %d", got, workers*perWorker)
+	// Every worker's last Set wrote the same value.
+	if got := r.Gauge("depth", "depth").Value(); got != perWorker-1 {
+		t.Errorf("gauge = %v, want %d", got, perWorker-1)
 	}
-	if got := r.Histogram("lat", "latency", 0, 1, 10).Count(); got != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-// TestHistogramMatchesStats is the histogram-merge property test: the
-// atomic metrics histogram and stats.Histogram share bucket geometry and
-// index arithmetic, so the same observations land in the same buckets,
-// merges agree tally for tally, and the dumped quantiles are identical.
-func TestHistogramMatchesStats(t *testing.T) {
-	r := rng.New(42)
-	for trial := 0; trial < 50; trial++ {
-		lo := r.Float64()*2 - 1
-		hi := lo + 0.1 + r.Float64()*5
-		n := 1 + int(r.Uint64n(64))
-		ours := [2]*Histogram{newHistogram(lo, hi, n), newHistogram(lo, hi, n)}
-		theirs := [2]*stats.Histogram{stats.NewHistogram(lo, hi, n), stats.NewHistogram(lo, hi, n)}
-		for half := 0; half < 2; half++ {
-			samples := int(r.Uint64n(400))
-			for i := 0; i < samples; i++ {
-				// Span well past the range so under/over tallies exercise.
-				x := lo + (r.Float64()*1.5-0.25)*(hi-lo)
-				ours[half].Observe(x)
-				theirs[half].Add(x)
-			}
-		}
-		ours[0].Merge(ours[1])
-		theirs[0].Merge(theirs[1])
-		gotD, wantD := ours[0].Dump(), theirs[0].Dump()
-		if gotD.Count != wantD.Count || gotD.Under != wantD.Under || gotD.Over != wantD.Over {
-			t.Fatalf("trial %d: tallies diverge: got %+v want %+v", trial, gotD, wantD)
-		}
-		if len(gotD.Counts) != len(wantD.Counts) {
-			t.Fatalf("trial %d: bucket trim diverges: %d vs %d", trial, len(gotD.Counts), len(wantD.Counts))
-		}
-		for i := range gotD.Counts {
-			if gotD.Counts[i] != wantD.Counts[i] {
-				t.Fatalf("trial %d: bucket %d: got %d want %d", trial, i, gotD.Counts[i], wantD.Counts[i])
-			}
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 1} {
-			if g, w := gotD.Quantile(q), wantD.Quantile(q); g != w {
-				t.Fatalf("trial %d: q%.2f: got %v want %v", trial, q, g, w)
-			}
-		}
-		if math.Abs(gotD.Mean-wantD.Mean) > 1e-9*(1+math.Abs(wantD.Mean)) {
-			t.Fatalf("trial %d: mean diverges beyond rounding: %v vs %v", trial, gotD.Mean, wantD.Mean)
-		}
+	if d, sum := r.Histogram("lat", "latency").get(); d.Count != perWorker-1 || sum != perWorker-1 {
+		t.Errorf("histogram count, sum = %d, %v; want %d", d.Count, sum, perWorker-1)
 	}
 }
 
@@ -184,26 +137,37 @@ func TestScrapeHooks(t *testing.T) {
 }
 
 // TestSnapshotShape pins the scalar snapshot embedded in manifests:
-// histograms contribute _count/_sum/_p50/_p95.
+// histograms contribute _count/_sum/_p50/_p95, summaries _count/_sum.
 func TestSnapshotShape(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("rt_seconds", "", 0, 10, 100, L("route", "shipped"))
+	h := stats.NewHistogram(0, 10, 100)
 	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) / 10)
+		h.Add(float64(i) / 10)
 	}
+	r.Histogram("rt_seconds", "", L("route", "shipped")).Set(h.Dump(), 495)
+	r.Summary("wait_seconds", "").Set(stats.HistogramDump{Count: 4}, 2)
 	snap := r.Snapshot()
-	for _, k := range []string{
-		`rt_seconds_count{route="shipped"}`,
-		`rt_seconds_sum{route="shipped"}`,
-		`rt_seconds_p50{route="shipped"}`,
-		`rt_seconds_p95{route="shipped"}`,
+	for k, want := range map[string]float64{
+		`rt_seconds_count{route="shipped"}`: 100,
+		`rt_seconds_sum{route="shipped"}`:   495,
+		`rt_seconds_p50{route="shipped"}`:   h.Quantile(0.50),
+		`rt_seconds_p95{route="shipped"}`:   h.Quantile(0.95),
+		"wait_seconds_count":                4,
+		"wait_seconds_sum":                  2,
 	} {
-		if _, ok := snap[k]; !ok {
-			t.Errorf("snapshot missing %s (have %v)", k, snap)
+		if got, ok := snap[k]; !ok || got != want {
+			t.Errorf("snapshot %s = %v (present %v), want %v", k, got, ok, want)
 		}
 	}
-	if got := snap[`rt_seconds_count{route="shipped"}`]; got != 100 {
-		t.Errorf("count %v, want 100", got)
+	if len(snap) != 6 {
+		t.Errorf("snapshot has %d entries, want 6: %v", len(snap), snap)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE wait_seconds summary\nwait_seconds_sum 2\nwait_seconds_count 4\n"; !strings.HasSuffix(b.String(), want) {
+		t.Errorf("summary exposition:\n%s\nwant suffix:\n%s", b.String(), want)
 	}
 }
 
@@ -219,13 +183,13 @@ func TestKindMismatchPanics(t *testing.T) {
 		}()
 		r.Gauge("x_total", "")
 	}()
-	r.Histogram("h", "", 0, 1, 10)
+	r.Histogram("h", "")
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("histogram geometry change did not panic")
+				t.Error("re-registering a histogram as a summary did not panic")
 			}
 		}()
-		r.Histogram("h", "", 0, 2, 10)
+		r.Summary("h", "")
 	}()
 }
