@@ -248,7 +248,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if n := collector.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "hybridsim: span buffer full; %d transaction arrivals not traced, a shipped transaction counting at each tier (raise spans.Collector.MaxEvents or shorten the run)\n", n)
+			fmt.Fprintf(os.Stderr, "hybridsim: span buffer full; %d transaction arrivals not traced, a shipped transaction counting at each tier (shorten -duration)\n", n)
 		}
 		fmt.Fprintf(os.Stderr, "hybridsim: wrote %d span events to %s (open in Perfetto: https://ui.perfetto.dev)\n", collector.Events(), *spansOut)
 	}

@@ -3,17 +3,15 @@
 //	trace capture -out trace.jsonl -rate 2.0 -count 10000   # record a workload
 //	trace replay  -in trace.jsonl -strategy best            # re-run it
 //	trace follow  -txn 42 -rate 2.0 -strategy best          # dump one txn's protocol events
-//	trace export  -out spans.json -rate 2.0 -strategy best  # Chrome trace-event spans
 //	trace merge   -out merged.json central.json site0.json  # fuse per-process cluster traces
 //
 // Replay makes simulation results bit-reproducible across machines and code
 // versions; follow prints the full §2 protocol history of one transaction
-// (routing, locks, authentication, aborts) for debugging; export renders
-// every transaction's lifecycle as a span tree loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing; merge fuses the
+// (routing, locks, authentication, aborts) for debugging; merge fuses the
 // per-process span files a live cluster writes (hybridd -spans) into
-// one Perfetto-loadable view, shifting each file by its handshake-estimated
-// clock offset so cross-site transactions read as a single span tree.
+// one Perfetto-loadable view (https://ui.perfetto.dev), shifting each file by
+// its handshake-estimated clock offset so cross-site transactions read as a
+// single span tree. A simulated run's span file comes from hybridsim -spans.
 package main
 
 import (
@@ -21,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"hybriddb/internal/experiments"
@@ -40,7 +39,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: trace capture|replay|follow|export|merge [flags]")
+		return fmt.Errorf("usage: trace capture|replay|follow|merge [flags]")
 	}
 	switch args[0] {
 	case "capture":
@@ -49,12 +48,10 @@ func run(args []string, out io.Writer) error {
 		return replay(args[1:], out)
 	case "follow":
 		return follow(args[1:], out)
-	case "export":
-		return export(args[1:], out)
 	case "merge":
 		return merge(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want capture, replay, follow, export, or merge)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want capture, replay, follow, or merge)", args[0])
 	}
 }
 
@@ -164,54 +161,8 @@ func writeResult(w io.Writer, r hybrid.Result) error {
 	return tw.Flush()
 }
 
-// export runs a simulation with the span collector attached and writes a
-// Chrome trace-event file: one process lane per site plus the central
-// complex, one thread per transaction, aborts flagged in span args.
-func export(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("trace export", flag.ContinueOnError)
-	var (
-		path     = fs.String("out", "spans.json", "output trace-event file")
-		rate     = fs.Float64("rate", 1.0, "arrival rate per site (txn/s)")
-		sites    = fs.Int("sites", 10, "number of local sites")
-		strategy = fs.String("strategy", "best", "routing strategy")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		duration = fs.Float64("duration", 60, "simulated seconds to trace")
-		maxEv    = fs.Int("max-events", spans.DefaultMaxEvents, "span event buffer cap (new transactions are dropped beyond it)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := hybrid.DefaultConfig()
-	cfg.ArrivalRatePerSite = *rate
-	cfg.Sites = *sites
-	cfg.Seed = *seed
-	cfg.Warmup, cfg.Duration = 0, *duration
-	maker, err := experiments.ParseStrategy(*strategy)
-	if err != nil {
-		return err
-	}
-	strat, err := maker.Make(cfg)
-	if err != nil {
-		return err
-	}
-	engine, err := hybrid.New(cfg, strat)
-	if err != nil {
-		return err
-	}
-	c := spans.NewCollector(cfg.Sites)
-	c.MaxEvents = *maxEv
-	engine.Subscribe(c)
-	engine.Run()
-	if err := c.WriteFile(*path); err != nil {
-		return err
-	}
-	if n := c.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "trace: buffer full; %d transaction arrivals not traced, a shipped transaction counting at each tier (raise -max-events or shorten -duration)\n", n)
-	}
-	fmt.Fprintf(out, "wrote %d span events to %s (open in Perfetto: https://ui.perfetto.dev)\n", c.Events(), *path)
-	return nil
-}
-
+// follow runs a simulation and writes every protocol-detail event of one
+// transaction, in emission order, as it happens.
 func follow(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trace follow", flag.ContinueOnError)
 	var (
@@ -219,7 +170,6 @@ func follow(args []string, out io.Writer) error {
 		rate     = fs.Float64("rate", 1.0, "arrival rate per site (txn/s)")
 		strategy = fs.String("strategy", "best", "routing strategy")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		events   = fs.Int("events", 512, "maximum events to retain")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -240,13 +190,62 @@ func follow(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ring := trace.NewRing(*events)
-	ring.FilterTxn(*txnID)
-	engine.Subscribe(obs.NewTracer(ring))
+	f := &follower{w: out, txn: *txnID}
+	engine.Subscribe(f)
 	engine.Run()
-	if len(ring.Events()) == 0 {
+	if f.err != nil {
+		return f.err
+	}
+	if f.events == 0 {
 		return fmt.Errorf("transaction %d produced no events (did it arrive within the run?)", *txnID)
 	}
-	fmt.Fprintf(out, "protocol events of transaction %d:\n", *txnID)
-	return ring.Dump(out)
+	return nil
+}
+
+// follower is a detail observer that writes each protocol-detail event of one
+// transaction, preceded by a header line with the first. It keeps the first
+// write error and writes nothing after it.
+type follower struct {
+	w      io.Writer
+	txn    int64
+	events int
+	err    error
+}
+
+// WantDetail implements obs.DetailObserver.
+func (*follower) WantDetail() bool { return true }
+
+// OnEvent implements obs.Observer.
+func (f *follower) OnEvent(e obs.Event) {
+	if e.Kind != obs.TraceDetail || e.Txn != f.txn || f.err != nil {
+		return
+	}
+	if f.events == 0 {
+		_, f.err = fmt.Fprintf(f.w, "protocol events of transaction %d:\n", f.txn)
+	}
+	f.events++
+	if f.err == nil {
+		_, f.err = fmt.Fprintln(f.w, eventLine(e))
+	}
+}
+
+// eventLine renders one protocol-detail event on one line.
+func eventLine(e obs.Event) string {
+	site := "central"
+	if e.Site >= 0 {
+		site = fmt.Sprintf("site %d", e.Site)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%12.6f  %-19s %-8s", e.At, e.Trace, site)
+	if e.Txn != 0 {
+		fmt.Fprintf(&b, " txn %-6d", e.Txn)
+	}
+	if e.Elem != 0 || e.Trace == trace.LockRequest || e.Trace == trace.LockGranted ||
+		e.Trace == trace.AuthSeized {
+		fmt.Fprintf(&b, " elem %-6d", e.Elem)
+	}
+	if e.Note != "" {
+		fmt.Fprintf(&b, " %s", e.Note)
+	}
+	return b.String()
 }

@@ -54,6 +54,37 @@ func TestFollowDumpsProtocolEvents(t *testing.T) {
 	if !strings.Contains(out, "arrive") {
 		t.Errorf("arrive event missing:\n%s", out)
 	}
+
+	// Transaction 6 at this rate and seed is class B: its history spans the
+	// home site's partition and the central complex's.
+	buf.Reset()
+	if err := run([]string{"follow", "-txn", "6", "-rate", "2.5"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	if !strings.Contains(out, "class B") {
+		t.Fatalf("transaction 6 is not class B:\n%s", out)
+	}
+	for _, want := range []string{" central  txn 6", "commit-central", "reply-delivered"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("class B history missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestEventLine pins the fields a followed event's line shows.
+func TestEventLine(t *testing.T) {
+	e := obs.Event{At: 1.5, Kind: obs.TraceDetail, Trace: trace.LockGranted, Txn: 42, Site: 3, Elem: 7}
+	s := eventLine(e)
+	for _, want := range []string{"lock-granted", "site 3", "txn 42", "elem 7"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("event line %q missing %q", s, want)
+		}
+	}
+	central := obs.Event{At: 2, Kind: obs.TraceDetail, Trace: trace.CommitCentral, Txn: 1, Site: -1}
+	if s := eventLine(central); !strings.Contains(s, "central") {
+		t.Errorf("central event line %q", s)
+	}
 }
 
 func TestFollowUnknownTxn(t *testing.T) {
@@ -68,8 +99,10 @@ func TestBadSubcommand(t *testing.T) {
 	if err := run(nil, &buf); err == nil {
 		t.Error("no subcommand accepted")
 	}
-	if err := run([]string{"bogus"}, &buf); err == nil {
-		t.Error("unknown subcommand accepted")
+	for _, sub := range []string{"bogus", "export"} {
+		if err := run([]string{sub}, &buf); err == nil {
+			t.Errorf("unknown subcommand %q accepted", sub)
+		}
 	}
 }
 
@@ -77,31 +110,6 @@ func TestReplayMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"replay", "-in", "/nonexistent/file"}, &buf); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestExportWritesSpans(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spans.json")
-	var buf bytes.Buffer
-	err := run([]string{"export", "-out", path, "-rate", "1.0", "-sites", "4", "-duration", "15"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "span events") {
-		t.Errorf("no confirmation line:\n%s", buf.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("export holds no events")
 	}
 }
 
@@ -154,13 +162,6 @@ func TestMergeNeedsInputs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"merge", "-out", filepath.Join(t.TempDir(), "m.json")}, &buf); err == nil {
 		t.Fatal("merge with no inputs accepted")
-	}
-}
-
-func TestExportRejectsBadStrategy(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"export", "-strategy", "nonsense"}, &buf); err == nil {
-		t.Fatal("bad strategy accepted")
 	}
 }
 

@@ -31,18 +31,6 @@ import (
 // not one of its direction's protocol messages.
 var errNotProtocol = errors.New("cluster: not a protocol message")
 
-// checkSpec rejects a decoded transaction input the lifecycle cannot run: it
-// indexes Elements by call number and sends the completion to HomeSite.
-func checkSpec(cfg *hybrid.Config, spec *workload.Txn) error {
-	if len(spec.Elements) != cfg.CallsPerTxn {
-		return fmt.Errorf("txn %d has %d elements, the configuration runs %d calls", spec.ID, len(spec.Elements), cfg.CallsPerTxn)
-	}
-	if spec.HomeSite >= cfg.Sites {
-		return fmt.Errorf("txn %d home site %d out of range [0,%d)", spec.ID, spec.HomeSite, cfg.Sites)
-	}
-	return nil
-}
-
 // appendMessage encodes m onto dst as the payload of its netx frame type. A
 // snapshot's instant stays off the wire, stamped by the receiver, and so
 // does a Reply's class: the home site reads it from the input it parked.
@@ -200,7 +188,7 @@ func (l *centralLink) receive(msgType byte, p []byte) (hybrid.Message, error) {
 		return hybrid.Message{}, errNotProtocol
 	}
 	if err == nil && m.Kind == hybrid.MsgShip {
-		err = checkSpec(l.cfg, m.Spec)
+		err = hybrid.CheckSpec(l.cfg, m.Spec)
 	}
 	return m, err
 }

@@ -144,7 +144,7 @@ func (s *Site) dispatchLoad(conn *netx.Conn, f netx.Frame) {
 	}
 	spec, err := netx.DecodeTxn(f.Payload)
 	if err == nil {
-		err = checkSpec(&s.cfg, spec)
+		err = hybrid.CheckSpec(&s.cfg, spec)
 	}
 	if err == nil && spec.HomeSite != s.idx {
 		err = fmt.Errorf("txn %d is homed at site %d, this is site %d", spec.ID, spec.HomeSite, s.idx)

@@ -5,9 +5,7 @@ import (
 	"os"
 	"testing"
 
-	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 )
 
 // benchConfig is a short but non-trivial run: contended enough that the
@@ -52,7 +50,7 @@ func BenchmarkEngineObserversOff(b *testing.B) {
 // observer subscribed, so every protocol-detail event (lock requests,
 // grants, authentication messages, ...) is constructed and delivered.
 func BenchmarkEngineMetricsAndTracerOn(b *testing.B) {
-	benchRun(b, func(e *Engine) { e.Subscribe(obs.NewTracer(trace.NewCounter())) })
+	benchRun(b, func(e *Engine) { e.Subscribe(&detailCount{}) })
 }
 
 // BenchmarkEngineSelfCheckOn measures the run with periodic invariant

@@ -317,6 +317,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// CheckSpec rejects a transaction input the lifecycle cannot run: it indexes
+// Elements and Modes by call number, CallsPerTxn of each, and sends the
+// completion to HomeSite. It is the one check on an input that did not come
+// from the run's own generator — a replayed trace, a live submission, a
+// shipped frame — and allocates only when it fails.
+func CheckSpec(cfg *Config, spec *workload.Txn) error {
+	switch {
+	case len(spec.Elements) != cfg.CallsPerTxn:
+		return fmt.Errorf("hybrid: txn %d has %d elements, the configuration runs %d calls", spec.ID, len(spec.Elements), cfg.CallsPerTxn)
+	case len(spec.Modes) != len(spec.Elements):
+		return fmt.Errorf("hybrid: txn %d has %d lock modes for %d elements", spec.ID, len(spec.Modes), len(spec.Elements))
+	case spec.HomeSite < 0 || spec.HomeSite >= cfg.Sites:
+		return fmt.Errorf("hybrid: txn %d home site %d out of range [0,%d)", spec.ID, spec.HomeSite, cfg.Sites)
+	}
+	return nil
+}
+
 // EffectiveShards returns the event-queue shards a run of c uses: Shards
 // capped at Sites+1 (no more shards than partitions), or 1 and why not when
 // c asks for shards but cannot use them. An engine with an external observer

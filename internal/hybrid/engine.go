@@ -150,8 +150,8 @@ func (e *Engine) SetTrace(txns []*workload.Txn, gaps []float64) error {
 		if t == nil {
 			return fmt.Errorf("hybrid: nil transaction at index %d", i)
 		}
-		if t.HomeSite < 0 || t.HomeSite >= e.env.cfg.Sites {
-			return fmt.Errorf("hybrid: transaction %d home site %d out of range", t.ID, t.HomeSite)
+		if err := CheckSpec(&e.env.cfg, t); err != nil {
+			return err
 		}
 		if gaps[i] < 0 {
 			return fmt.Errorf("hybrid: negative gap at index %d", i)

@@ -391,6 +391,25 @@ func TestSiteRatesValidated(t *testing.T) {
 	}
 }
 
+// detailCount tallies protocol-detail events by trace kind.
+type detailCount [trace.ReplyDelivered + 1]uint64
+
+func (c *detailCount) OnEvent(e obs.Event) {
+	if e.Kind == obs.TraceDetail {
+		c[e.Trace]++
+	}
+}
+
+func (*detailCount) WantDetail() bool { return true }
+
+func (c *detailCount) total() uint64 {
+	var n uint64
+	for _, x := range c {
+		n += x
+	}
+	return n
+}
+
 func TestTracerObservesProtocol(t *testing.T) {
 	cfg := testConfig()
 	cfg.Warmup, cfg.Duration = 10, 50
@@ -399,24 +418,24 @@ func TestTracerObservesProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := trace.NewCounter()
-	e.Subscribe(obs.NewTracer(counter))
+	counter := &detailCount{}
+	e.Subscribe(counter)
 	r := e.Run()
-	if counter.Total() == 0 {
+	if counter.total() == 0 {
 		t.Fatal("tracer saw nothing")
 	}
-	if counter.Count(trace.Arrive) != r.Generated {
-		t.Errorf("arrive events %d != generated %d", counter.Count(trace.Arrive), r.Generated)
+	if counter[trace.Arrive] != r.Generated {
+		t.Errorf("arrive events %d != generated %d", counter[trace.Arrive], r.Generated)
 	}
 	// Every completion is either a local commit or a delivered reply.
-	commits := counter.Count(trace.CommitLocal) + counter.Count(trace.ReplyDelivered)
+	commits := counter[trace.CommitLocal] + counter[trace.ReplyDelivered]
 	if commits != r.Completed {
 		t.Errorf("commit events %d != completed %d", commits, r.Completed)
 	}
-	if counter.Count(trace.AuthRequest) == 0 || counter.Count(trace.AuthACK) == 0 {
+	if counter[trace.AuthRequest] == 0 || counter[trace.AuthACK] == 0 {
 		t.Error("no authentication traffic traced")
 	}
-	if counter.Count(trace.LockRequest) < counter.Count(trace.LockGranted) {
+	if counter[trace.LockRequest] < counter[trace.LockGranted] {
 		t.Error("more grants than requests")
 	}
 }
@@ -428,21 +447,15 @@ func TestTracerRingFollowsOneTxn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := trace.NewRing(256)
-	ring.FilterTxn(3)
-	e.Subscribe(obs.NewTracer(ring))
+	log := &eventLog{byTxn: make(map[int64][]trace.Kind)}
+	e.Subscribe(log)
 	e.Run()
-	events := ring.Events()
-	if len(events) == 0 {
+	kinds := log.byTxn[3]
+	if len(kinds) == 0 {
 		t.Fatal("no events for txn 3")
 	}
-	if events[0].Kind != trace.Arrive {
-		t.Errorf("first event %v, want arrive", events[0].Kind)
-	}
-	for _, ev := range events {
-		if ev.Txn != 3 {
-			t.Fatalf("filter leak: %+v", ev)
-		}
+	if kinds[0] != trace.Arrive {
+		t.Errorf("first event %v, want arrive", kinds[0])
 	}
 }
 
@@ -606,7 +619,7 @@ func TestSetTraceValidation(t *testing.T) {
 	}
 	mk := func(id int64, site int) *workload.Txn {
 		return &workload.Txn{ID: id, Class: workload.ClassA, HomeSite: site,
-			Elements: []uint32{1}, Modes: []lock.Mode{lock.Share}}
+			Elements: make([]uint32, cfg.CallsPerTxn), Modes: make([]lock.Mode, cfg.CallsPerTxn)}
 	}
 	if err := e.SetTrace([]*workload.Txn{mk(1, 0)}, nil); err == nil {
 		t.Error("mismatched lengths accepted")
@@ -623,8 +636,23 @@ func TestSetTraceValidation(t *testing.T) {
 	if err := e.SetTrace([]*workload.Txn{mk(1, 0), mk(1, 1)}, []float64{0, 0}); err == nil {
 		t.Error("duplicate id accepted")
 	}
+	short := mk(1, 0)
+	short.Elements, short.Modes = short.Elements[:3], short.Modes[:3]
+	if err := e.SetTrace([]*workload.Txn{short}, []float64{0}); err == nil {
+		t.Error("transaction shorter than CallsPerTxn accepted")
+	}
+	modes := mk(1, 0)
+	modes.Modes = modes.Modes[:1]
+	if err := e.SetTrace([]*workload.Txn{modes}, []float64{0}); err == nil {
+		t.Error("transaction with fewer lock modes than elements accepted")
+	}
 	if err := e.SetTrace([]*workload.Txn{mk(1, 0)}, []float64{0.5}); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
+	}
+	// The live ship path runs the same check once per frame.
+	valid := mk(1, 0)
+	if n := testing.AllocsPerRun(100, func() { _ = CheckSpec(&cfg, valid) }); n != 0 {
+		t.Errorf("CheckSpec allocates %v times on a valid input", n)
 	}
 }
 

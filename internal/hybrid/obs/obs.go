@@ -11,11 +11,12 @@
 //     node's registry all read. Their payloads feed the distribution table,
 //     Dists, which the engine's metrics observer folds into the Result and
 //     a live node into its registry.
-//   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
-//     event stream one-to-one, including rendered note strings. They are
-//     emitted only when a detail observer is subscribed (Bus.HasDetail), so
-//     the hot loop pays nothing — not even string construction — when tracing
-//     is off.
+//   - Protocol-detail events (Kind == TraceDetail) record one §2 protocol
+//     step each: its trace.Kind in Trace, plus Txn, Site, Elem and a rendered
+//     Note. They are the only record of a step, and a DetailObserver the only
+//     way to receive one. They are emitted only when a detail observer is
+//     subscribed (Bus.HasDetail), so the hot loop pays nothing — not even
+//     string construction — when tracing is off.
 package obs
 
 import (
@@ -338,28 +339,4 @@ func (b *Bus) EmitDetail(e Event) {
 	for _, o := range b.detail {
 		o.OnEvent(e)
 	}
-}
-
-// Tracer adapts a trace.Tracer to the bus: it subscribes for the
-// protocol-detail stream and forwards each TraceDetail event as a
-// trace.Event, reproducing exactly the stream the engine used to hand the
-// tracer directly.
-type Tracer struct {
-	T trace.Tracer
-}
-
-// NewTracer wraps t for subscription on the bus.
-func NewTracer(t trace.Tracer) Tracer { return Tracer{T: t} }
-
-// WantDetail implements DetailObserver.
-func (Tracer) WantDetail() bool { return true }
-
-// OnEvent implements Observer.
-func (a Tracer) OnEvent(e Event) {
-	if e.Kind != TraceDetail || a.T == nil {
-		return
-	}
-	a.T.Record(trace.Event{
-		At: e.At, Kind: e.Trace, Txn: e.Txn, Site: e.Site, Elem: e.Elem, Note: e.Note,
-	})
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"testing"
-
-	"hybriddb/internal/trace"
-)
+import "testing"
 
 // detailFunc is a Func that also opts into the detail stream.
 type detailFunc struct{ f func(Event) }
@@ -63,34 +59,6 @@ func TestDetailRouting(t *testing.T) {
 	if detail != 2 {
 		t.Errorf("detail observer got %d events, want 2", detail)
 	}
-}
-
-func TestTracerAdapter(t *testing.T) {
-	ring := trace.NewRing(8)
-	a := NewTracer(ring)
-	if !a.WantDetail() {
-		t.Fatal("tracer adapter must want detail")
-	}
-	a.OnEvent(Event{Kind: TxnArrive, Value: 1.5}) // lifecycle: ignored
-	a.OnEvent(Event{
-		At: 2.5, Kind: TraceDetail, Trace: trace.Arrive,
-		Txn: 7, Site: 3, Elem: 11, Note: "class A",
-	})
-	evs := ring.Events()
-	if len(evs) != 1 {
-		t.Fatalf("ring holds %d events, want 1", len(evs))
-	}
-	e := evs[0]
-	if e.At != 2.5 || e.Kind != trace.Arrive || e.Txn != 7 || e.Site != 3 ||
-		e.Elem != 11 || e.Note != "class A" {
-		t.Errorf("forwarded event = %+v", e)
-	}
-}
-
-func TestTracerAdapterNilTracer(t *testing.T) {
-	a := NewTracer(nil)
-	// Must not panic.
-	a.OnEvent(Event{Kind: TraceDetail, Trace: trace.Arrive})
 }
 
 // TestCountsSplitArrivals: Add counts every kind in its own slot, except

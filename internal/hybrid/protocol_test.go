@@ -13,17 +13,20 @@ import (
 	"hybriddb/internal/workload"
 )
 
-// eventLog collects every event grouped by transaction.
+// eventLog collects every protocol-detail event's kind, grouped by
+// transaction.
 type eventLog struct {
 	byTxn map[int64][]trace.Kind
 }
 
-func (l *eventLog) Record(e trace.Event) {
-	if e.Txn == 0 {
+func (l *eventLog) OnEvent(e obs.Event) {
+	if e.Kind != obs.TraceDetail || e.Txn == 0 {
 		return
 	}
-	l.byTxn[e.Txn] = append(l.byTxn[e.Txn], e.Kind)
+	l.byTxn[e.Txn] = append(l.byTxn[e.Txn], e.Trace)
 }
+
+func (*eventLog) WantDetail() bool { return true }
 
 func contains(kinds []trace.Kind, k trace.Kind) bool {
 	for _, kind := range kinds {
@@ -57,7 +60,7 @@ func runTracedContended(t *testing.T) *eventLog {
 		t.Fatal(err)
 	}
 	log := &eventLog{byTxn: make(map[int64][]trace.Kind)}
-	e.Subscribe(obs.NewTracer(log))
+	e.Subscribe(log)
 	e.Run()
 	return log
 }
@@ -219,7 +222,7 @@ func TestStandaloneNodeTracesOnRequestOnly(t *testing.T) {
 	for _, tc := range []struct {
 		observer obs.Observer
 		detail   bool
-	}{{kindCount{}, false}, {obs.NewTracer(trace.NewRing(8)), true}} {
+	}{{kindCount{}, false}, {&detailCount{}, true}} {
 		site, err := NewSiteNode(cfg, 0, exec.Sim(s), routing.AlwaysLocal{}, &recWire{}, tc.observer)
 		if err != nil {
 			t.Fatal(err)

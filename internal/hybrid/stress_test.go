@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/trace"
 )
@@ -65,14 +64,14 @@ func TestQuickProtocolStress(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
-		counter := trace.NewCounter()
-		engine.Subscribe(obs.NewTracer(counter))
+		counter := &detailCount{}
+		engine.Subscribe(counter)
 		r := engine.Run() // SelfCheck panics on any invariant violation
 		if r.Completed > r.Generated {
 			return false
 		}
 		// Every arrival must be traced.
-		return counter.Count(trace.Arrive) == r.Generated
+		return counter[trace.Arrive] == r.Generated
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -28,8 +28,8 @@
 //
 // Folding is lane-local: every span boundary is decided from events of the
 // lane the span is drawn on, never from another lane's. One Collector
-// therefore serves the whole simulated system (hybridsim -spans, trace
-// export) or the single lane a live node's bus carries (hybridd -spans), and
+// therefore serves the whole simulated system (hybridsim -spans) or the
+// single lane a live node's bus carries (hybridd -spans), and
 // the per-process files of a cluster, merged by MergeFiles, read like a
 // simulator export of the same run.
 package spans
